@@ -16,9 +16,8 @@ from .training import (ModelKind, ModelSpec, TrainConfig, evaluate,
                        extract_update, init_model, local_train)
 from .truth import (CoefficientFunction, FedTruthConfig, InitScheme,
                     TruthEstimate, estimate_truth, estimate_truth_layered,
-                    performances_to_weights, resilience_gap,
-                    update_performances)
+                    performances_to_weights, resilience_gap)
 from .vectors import (DistanceKind, LayeredUpdate, cosine_similarity,
-                      distance, flatten, weighted_sum)
+                      distance, weighted_sum)
 
 __version__ = "0.1.0"

@@ -7,7 +7,7 @@ which consumes an explicit random stream for its noise stage.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -115,26 +115,26 @@ def fltrust_trust_scores(updates: Sequence[np.ndarray],
 
 
 def fltrust(updates: Sequence[np.ndarray],
-            server_update: np.ndarray) -> np.ndarray:
+            server_update: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Trust-score aggregation against a server-trained reference update.
 
     Each client update is rescaled to the server update's norm, then
-    averaged with trust-score weights. If every score is zero the server
-    update itself is returned.
+    averaged with trust-score weights; returns the aggregate and the scores.
+    If every score is zero the aggregate is the server update itself.
     """
     X = _stack(updates)
     server = np.asarray(server_update, dtype=np.float64)
     server_norm = float(np.linalg.norm(server))
-    scores = fltrust_trust_scores(updates, server_update)
+    scores = fltrust_trust_scores(X, server)
     total = scores.sum()
     if total == 0.0:
-        return server.copy()
+        return server.copy(), scores
     norms = np.linalg.norm(X, axis=1)
     normalized = np.zeros_like(X)
     for i in range(len(X)):
         if norms[i] > 0.0:
             normalized[i] = X[i] * (server_norm / norms[i])
-    return weighted_sum(normalized, scores / total)
+    return weighted_sum(normalized, scores / total), scores
 
 
 def _cosine_distance_matrix(X: np.ndarray) -> np.ndarray:
@@ -178,29 +178,26 @@ def _majority_cluster(dist: np.ndarray, n: int) -> np.ndarray:
 
     All edges of equal height merge before the size check, so ties (e.g.
     identical updates at distance 0) form one cluster, not a partial one.
+    Only one cluster can hold a majority, so tracking the largest size that
+    any merge produced finds it without rescanning the components.
     """
     need = n // 2 + 1
     iu, ju = np.triu_indices(n, k=1)
     heights = dist[iu, ju]
     order = np.argsort(heights, kind="stable")
     uf = _UnionFind(n)
-    winner = None
+    largest, member = 1, 0  # size of the largest cluster, one of its members
     for pos, e in enumerate(order):
-        uf.union(int(iu[e]), int(ju[e]))
+        size = uf.union(int(iu[e]), int(ju[e]))
+        if size > largest:
+            largest, member = size, int(iu[e])
         next_pos = pos + 1
         if next_pos < len(order) \
                 and heights[order[next_pos]] == heights[e]:
             continue
-        sizes = {}
-        for i in range(n):
-            root = uf.find(i)
-            sizes[root] = sizes.get(root, 0) + 1
-        big = max(sizes, key=lambda r: sizes[r])
-        if sizes[big] >= need:
-            winner = big
+        if largest >= need:
             break
-    if winner is None:
-        winner = uf.find(0)
+    winner = uf.find(member)
     return np.array([i for i in range(n) if uf.find(i) == winner])
 
 
@@ -214,7 +211,8 @@ def flame_survivors(updates: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def flame(updates: Sequence[np.ndarray], noise_factor: float,
-          rng: Optional[np.random.Generator] = None) -> np.ndarray:
+          rng: Optional[np.random.Generator] = None
+          ) -> Tuple[np.ndarray, np.ndarray]:
     """Cluster, clip, average, noise.
 
     1. Single-linkage clustering on pairwise cosine distance, keeping the
@@ -222,11 +220,13 @@ def flame(updates: Sequence[np.ndarray], noise_factor: float,
     2. Clip each survivor down to the survivors' median L2 norm.
     3. Uniform average of the clipped survivors.
     4. Per-coordinate Gaussian noise, sigma = noise_factor * median norm.
+
+    Returns the aggregate and the survivor indices of step 1.
     """
     X = _stack(updates)
     if noise_factor < 0:
         raise ValueError("noise_factor must be >= 0")
-    keep = flame_survivors(updates)
+    keep = flame_survivors(X)
     survivors = X[keep]
     norms = np.linalg.norm(survivors, axis=1)
     median_norm = float(np.median(norms))
@@ -240,4 +240,4 @@ def flame(updates: Sequence[np.ndarray], noise_factor: float,
         if rng is None:
             raise ValueError("flame with noise_factor > 0 needs an rng")
         result = result + rng.normal(0.0, sigma, size=result.shape)
-    return result
+    return result, keep

@@ -25,12 +25,11 @@ from typing import List, Optional
 import numpy as np
 import yaml
 
-from . import aggregators as agg
-from .config import (ExperimentConfig, apply_overrides, load_config,
-                     AGGREGATOR_KINDS)
+from .config import (AggregatorConfig, ExperimentConfig, apply_overrides,
+                     load_config)
 from .rng import stream
-from .simulator import RoundReport, run_experiment
-from .truth import FedTruthConfig, estimate_truth, estimate_truth_layered
+from .simulator import (AGGREGATORS, AggregationContext, RoundReport,
+                        run_experiment)
 from .vectors import LayeredUpdate
 
 TIMING_COLUMNS = ("agg_time_s",)
@@ -137,7 +136,7 @@ class SweepSpec:
                            "distances", "seeds"):
             if not getattr(self, field_name):
                 raise ValueError(f"sweep list {field_name!r} must be non-empty")
-        unknown = set(self.aggregators) - set(AGGREGATOR_KINDS)
+        unknown = set(self.aggregators) - set(AGGREGATORS)
         if unknown:
             raise ValueError(f"unknown aggregators in sweep: {sorted(unknown)}")
 
@@ -272,47 +271,37 @@ def _bench_updates(n: int, dim: int) -> List[np.ndarray]:
 def bench_aggregation(n_clients_list: List[int], dim: int,
                       repetitions: int = 3,
                       aggregators: Optional[List[str]] = None) -> List[dict]:
-    """Mean seconds per aggregation call on synthetic random updates.
+    """Mean seconds per call of each registry entry on synthetic random
+    updates, the same entry the simulator calls for that kind.
 
     Inputs are seed-deterministic; timings obviously are not. The relative
     ordering across aggregators is the reproducible object.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    names = aggregators or list(AGGREGATOR_KINDS)
-    ftcfg = FedTruthConfig()
+    names = aggregators or list(AGGREGATORS)
     rows = []
     for n in n_clients_list:
         if n < 1 or dim < 1:
             raise ValueError("n_clients and dim must be positive")
         flats = _bench_updates(n, dim)
-        counts = [1] * n
         server = flats[0] + stream(99, "bench-server", n).normal(size=dim) * 0.1
         split = np.array_split(np.arange(dim), min(BENCH_LAYER_COUNT, dim))
-        layered = [LayeredUpdate(tuple(
-            (f"l{j}", u[idx]) for j, idx in enumerate(split)))
-            for u in flats]
-        calls = {
-            "fedavg": lambda: agg.fedavg(flats, counts),
-            "fedtruth": lambda: estimate_truth(flats, ftcfg),
-            "fedtruth_layer": lambda: estimate_truth_layered(layered, ftcfg),
-            "krum": lambda: agg.krum(flats, min(3, max(0, n - 3))),
-            "median": lambda: agg.coordinate_median(flats),
-            "trimmed_mean": lambda: agg.trimmed_mean(
-                flats, agg.default_trim_k(n)),
-            "fltrust": lambda: agg.fltrust(flats, server),
-            "flame": (lambda: agg.flame(flats, 0.001,
-                                        stream(5, "bench-flame", n)))
-            if n >= 3 else None,
-        }
+        ctx = AggregationContext(
+            counts=[1] * n,
+            layered=[LayeredUpdate(tuple(
+                (f"l{j}", u[idx]) for j, idx in enumerate(split)))
+                for u in flats],
+            config=AggregatorConfig(),
+            krum_f=min(3, max(0, n - 3)),
+            server_update=lambda: server,
+            flame_rng=lambda: stream(5, "bench-flame", n))
         for name in names:
-            call = calls.get(name)
-            if call is None:
-                continue
-            call()  # warm-up, excluded from timing
+            entry = AGGREGATORS[name]
+            entry(flats, ctx)  # warm-up, excluded from timing
             start = time.perf_counter()
             for _ in range(repetitions):
-                call()
+                entry(flats, ctx)
             elapsed = (time.perf_counter() - start) / repetitions
             rows.append({"aggregator": name, "n_clients": n, "dim": dim,
                          "mean_seconds": elapsed})

@@ -16,14 +16,13 @@ from typing import List, Optional, Union
 import yaml
 
 from .attacks import AttackKind, AttackSpec, AttackStrategy
+from .simulator import AGGREGATORS
 from .truth import CoefficientFunction, FedTruthConfig, InitScheme
 from .training import ModelKind, ModelSpec, TrainConfig
 from .vectors import DistanceKind
 
 OUTPUT_ROOT_ENV = "FEDTRUTH_OUT_ROOT"
 
-AGGREGATOR_KINDS = ("fedtruth", "fedtruth_layer", "fedavg", "krum",
-                    "median", "trimmed_mean", "fltrust", "flame")
 BACKDOOR_FLAVORS = ("trigger", "dba", "edge")
 
 
@@ -167,16 +166,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown dataset source {ds.source!r}")
         if not 0.0 <= ds.noniid_bias <= 1.0:
             raise ValueError("noniid_bias must be in [0, 1]")
-        if self.model.kind not in ("logreg", "mlp"):
-            raise ValueError(f"unknown model kind {self.model.kind!r}")
+        ModelKind(self.model.kind)  # raises on an unknown model kind
         if fl.clients_per_round > fl.total_clients:
             raise ValueError("clients_per_round cannot exceed total_clients")
         if fl.clients_per_round < 1 or fl.rounds < 1:
             raise ValueError("clients_per_round and rounds must be >= 1")
-        if attack.kind not in [k.value for k in AttackKind]:
-            raise ValueError(f"unknown attack kind {attack.kind!r}")
-        if attack.strategy not in [s.value for s in AttackStrategy]:
-            raise ValueError(f"unknown attack strategy {attack.strategy!r}")
+        attack.to_spec()  # raises on a bad kind, strategy or parameter
         if attack.n_adversaries < 0 or attack.n_adversaries > fl.clients_per_round:
             raise ValueError("n_adversaries outside [0, clients_per_round]")
         if (attack.n_adversaries >= fl.clients_per_round / 2
@@ -189,17 +184,13 @@ class ExperimentConfig:
                 and attack.strategy == "constrain_and_scale":
             raise ValueError("the noise attack has no adversarial dataset to "
                              "blend; constrain_and_scale does not apply")
-        if attack.boosting_factor != "auto" \
-                and not float(attack.boosting_factor) > 0:
-            raise ValueError("boosting_factor must be 'auto' or > 0")
         if attack.backdoor.flavor not in BACKDOOR_FLAVORS:
             raise ValueError(f"unknown backdoor flavor {attack.backdoor.flavor!r}")
         if not 0.0 <= attack.backdoor.poison_fraction <= 1.0:
             raise ValueError("poison_fraction must be in [0, 1]")
-        if agg.kind not in AGGREGATOR_KINDS:
+        if agg.kind not in AGGREGATORS:
             raise ValueError(f"unknown aggregator {agg.kind!r}")
         agg.fedtruth_config()  # raises on bad distance/coefficient/init
-        attack.to_spec()
         if not 0.0 < self.fltrust_root_fraction < 1.0:
             raise ValueError("fltrust_root_fraction must be in (0, 1)")
         return self

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
 from . import aggregators as agg
 from .attacks import (AttackKind, AttackStrategy, boost_update,
                       constrain_and_scale, gaussian_noise, pgd_project)
-from .config import ExperimentConfig
 from .data import (Dataset, TriggerSpec, apply_trigger, backdoor_eval_set,
                    dba_shards, edge_case_augment, partition_label_skew,
                    synth_blobs, load_idx, PartitionPlan)
@@ -28,6 +28,9 @@ from .training import (ModelSpec, TrainConfig, evaluate, extract_update,
                        init_model, local_train, predict)
 from .truth import estimate_truth, estimate_truth_layered
 from .vectors import LayeredUpdate
+
+if TYPE_CHECKING:
+    from .config import AggregatorConfig, ExperimentConfig
 
 
 @dataclass
@@ -76,6 +79,92 @@ def fltrust_server_step(root_ds: Dataset, w: LayeredUpdate, spec: ModelSpec,
         raise ValueError("fltrust root split is empty")
     trained = local_train(w, root_ds, spec, cfg, rng)
     return extract_update(w, trained)
+
+
+@dataclass
+class AggregationContext:
+    """What an aggregator may need besides the flat client updates. Only
+    fltrust calls `server_update` and only flame calls `flame_rng`, so no
+    other kind pays for the server's training or the noise stream."""
+    counts: Sequence[int]  # sample counts, aligned with the updates
+    layered: Sequence[LayeredUpdate]  # the same updates, split by layer
+    config: AggregatorConfig
+    krum_f: int  # the config's krum_f, else the assumed adversary count
+    server_update: Callable[[], np.ndarray]
+    flame_rng: Callable[[], np.random.Generator]
+
+
+def _fedtruth(flats, ctx):
+    est = estimate_truth(flats, ctx.config.fedtruth_config(),
+                         sample_counts=ctx.counts)
+    return est.truth, est.weights, est.iterations
+
+
+def _fedtruth_layer(flats, ctx):
+    combined, ests = estimate_truth_layered(
+        ctx.layered, ctx.config.fedtruth_config(), sample_counts=ctx.counts)
+    # a client's reported weight is its per-layer weight averaged by size
+    sizes = np.array([vec.size for _, vec in combined.layers],
+                     dtype=np.float64)
+    stacked = np.stack([e.weights for e in ests])
+    weights = (sizes[:, None] * stacked).sum(axis=0) / sizes.sum()
+    return combined.flatten(), weights, sum(e.iterations for e in ests)
+
+
+def _fedavg(flats, ctx):
+    return agg.fedavg(flats, ctx.counts), \
+        np.asarray(ctx.counts, dtype=float) / sum(ctx.counts), None
+
+
+def _krum(flats, ctx):
+    chosen = agg.krum_select(flats, ctx.krum_f)
+    weights = np.zeros(len(flats))
+    weights[chosen] = 1.0
+    return flats[chosen], weights, None
+
+
+def _trimmed_mean(flats, ctx):
+    trim_k = ctx.config.trim_k
+    if trim_k is None:
+        trim_k = agg.default_trim_k(len(flats))
+    return agg.trimmed_mean(flats, trim_k), None, None
+
+
+def _fltrust(flats, ctx):
+    server = ctx.server_update()
+    if float(np.linalg.norm(server)) == 0.0:
+        # zero reference (e.g. lr = 0): fall back to the all-zero trust
+        # rule and return the server update itself
+        return server, None, None
+    result, scores = agg.fltrust(flats, server)
+    total = scores.sum()
+    return result, scores / total if total > 0 else None, None
+
+
+def _flame(flats, ctx):
+    result, kept = agg.flame(flats, ctx.config.flame_noise_factor,
+                             ctx.flame_rng())
+    weights = np.zeros(len(flats))
+    weights[kept] = 1.0 / len(kept)
+    return result, weights, None
+
+
+# One table of aggregator kinds for the simulator, the bench and config
+# validation: (flat updates, context) -> (aggregate, per-client weights or
+# None, estimator iterations or None). Callees are module attributes read
+# at call time, so rebinding one (to trace it, say) reaches every entry.
+AGGREGATORS: Dict[str, Callable[
+    [List[np.ndarray], AggregationContext],
+    Tuple[np.ndarray, Optional[np.ndarray], Optional[int]]]] = {
+    "fedtruth": _fedtruth,
+    "fedtruth_layer": _fedtruth_layer,
+    "fedavg": _fedavg,
+    "krum": _krum,
+    "median": lambda flats, ctx: (agg.coordinate_median(flats), None, None),
+    "trimmed_mean": _trimmed_mean,
+    "fltrust": _fltrust,
+    "flame": _flame,
+}
 
 
 class _Experiment:
@@ -229,69 +318,24 @@ class _Experiment:
 
     def _aggregate(self, updates: List[LayeredUpdate],
                    counts: List[int], round_index: int):
-        """Dispatch to the configured aggregator.
+        """Run the configured aggregator on the round's updates.
 
         Returns (layered delta, per-client weights or None, iterations or
         None). Weights align with the roster order.
         """
-        kind = self.cfg.aggregator.kind
-        template = updates[0]
-        flats = [u.flatten() for u in updates]
-        n = len(flats)
-        if kind == "fedtruth":
-            est = estimate_truth(flats, self.cfg.aggregator.fedtruth_config(),
-                                 sample_counts=counts)
-            return template.from_flat(est.truth), est.weights, est.iterations
-        if kind == "fedtruth_layer":
-            combined, ests = estimate_truth_layered(
-                updates, self.cfg.aggregator.fedtruth_config(),
-                sample_counts=counts)
-            sizes = np.array([vec.size for _, vec in template.layers],
-                             dtype=np.float64)
-            stacked = np.stack([e.weights for e in ests])
-            weights = (sizes[:, None] * stacked).sum(axis=0) / sizes.sum()
-            return combined, weights, sum(e.iterations for e in ests)
-        if kind == "fedavg":
-            return template.from_flat(agg.fedavg(flats, counts)), \
-                np.asarray(counts, dtype=float) / sum(counts), None
-        if kind == "krum":
-            f = self.cfg.aggregator.krum_f
-            if f is None:
-                f = self.cfg.attack.n_adversaries
-            chosen = agg.krum_select(flats, f)
-            weights = np.zeros(n)
-            weights[chosen] = 1.0
-            return template.from_flat(flats[chosen].copy()), weights, None
-        if kind == "median":
-            return template.from_flat(agg.coordinate_median(flats)), None, None
-        if kind == "trimmed_mean":
-            trim_k = self.cfg.aggregator.trim_k
-            if trim_k is None:
-                trim_k = agg.default_trim_k(n)
-            return template.from_flat(agg.trimmed_mean(flats, trim_k)), \
-                None, None
-        if kind == "fltrust":
-            server = fltrust_server_step(
+        cfg = self.cfg.aggregator
+        ctx = AggregationContext(
+            counts=counts, layered=updates, config=cfg,
+            krum_f=self.cfg.attack.n_adversaries if cfg.krum_f is None
+            else cfg.krum_f,
+            server_update=lambda: fltrust_server_step(
                 self.root_ds, self.global_model, self.model_spec,
-                self.train_cfg, stream(self.seed, "fltrust", round_index))
-            server_flat = server.flatten()
-            if float(np.linalg.norm(server_flat)) == 0.0:
-                # zero reference (e.g. lr = 0): fall back to the all-zero
-                # trust rule and return the server update itself
-                return server, None, None
-            scores = agg.fltrust_trust_scores(flats, server_flat)
-            result = agg.fltrust(flats, server_flat)
-            weights = scores / scores.sum() if scores.sum() > 0 else None
-            return template.from_flat(result), weights, None
-        if kind == "flame":
-            kept = agg.flame_survivors(flats)
-            result = agg.flame(flats,
-                               self.cfg.aggregator.flame_noise_factor,
-                               stream(self.seed, "flame", round_index))
-            weights = np.zeros(n)
-            weights[kept] = 1.0 / len(kept)
-            return template.from_flat(result), weights, None
-        raise ValueError(f"unknown aggregator {kind!r}")
+                self.train_cfg,
+                stream(self.seed, "fltrust", round_index)).flatten(),
+            flame_rng=lambda: stream(self.seed, "flame", round_index))
+        vector, weights, iterations = AGGREGATORS[cfg.kind](
+            [u.flatten() for u in updates], ctx)
+        return updates[0].from_flat(vector), weights, iterations
 
     # -- driver ----------------------------------------------------------
 
@@ -329,10 +373,6 @@ class _Experiment:
                     raise RuntimeError(
                         f"non-finite model in round {t}") from err
                 raise
-            flat = self.global_model.flatten()
-            if not np.all(np.isfinite(flat)):
-                raise RuntimeError(f"non-finite model after round {t}")
-
             accuracy, _ = evaluate(self.global_model, self.test_set,
                                    self.model_spec)
             backdoor_acc = None

@@ -89,25 +89,6 @@ class TruthEstimate:
     converged: bool
 
 
-def update_performances(truth: np.ndarray, updates: Sequence[np.ndarray],
-                        kind: DistanceKind) -> np.ndarray:
-    """Per-client normalised distance share p_k = d_k / sum(d).
-
-    All-zero distances give the uniform share; zero-distance clients are
-    floored at PERFORMANCE_FLOOR and the shares renormalised, so downstream
-    coefficient functions never see p = 0.
-    """
-    if len(updates) == 0:
-        raise ValueError("need at least one update")
-    d = distances_to(kind, truth, updates)
-    total = d.sum()
-    if total <= 0.0:
-        return np.full(len(updates), 1.0 / len(updates))
-    p = d / total
-    p = np.maximum(p, PERFORMANCE_FLOOR)
-    return p / p.sum()
-
-
 def performances_to_weights(p: Sequence[float],
                             g: CoefficientFunction) -> np.ndarray:
     """Aggregation weights a_k = g(p_k) / sum_j g(p_j).

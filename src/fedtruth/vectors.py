@@ -107,10 +107,6 @@ class LayeredUpdate:
                               in zip(a.layers, b.layers)])
 
 
-def flatten(update: LayeredUpdate) -> np.ndarray:
-    return update.flatten()
-
-
 def weighted_sum(updates: Sequence[np.ndarray], weights: Sequence[float]) -> np.ndarray:
     """Element-wise sum of w_k * u_k in ascending index order.
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fedtruth.aggregators import (coordinate_median, default_trim_k, fedavg,
+from fedtruth.aggregators import (_cosine_distance_matrix,
+                                  coordinate_median, default_trim_k, fedavg,
                                   flame, flame_survivors, fltrust,
                                   fltrust_trust_scores, krum, krum_select,
                                   trimmed_mean)
@@ -150,19 +151,23 @@ def test_median_and_trimmed_match_naive_oracle():
 def test_fltrust_hand_example():
     server = np.array([1.0, 0.0])
     clients = vecs([2.0, 0.0], [0.0, 3.0], [-1.0, 0.0])
-    assert fltrust(clients, server) == pytest.approx([1.0, 0.0])
+    out, scores = fltrust(clients, server)
+    assert out == pytest.approx([1.0, 0.0])
+    assert scores == pytest.approx([1, 0, 0])
     assert fltrust_trust_scores(clients, server) == pytest.approx([1, 0, 0])
 
 
 def test_fltrust_single_aligned_client():
     server = np.array([0.5, 0.5])
-    assert fltrust([server.copy()], server) == pytest.approx(server)
+    assert fltrust([server.copy()], server)[0] == pytest.approx(server)
 
 
 def test_fltrust_all_zero_trust_falls_back_to_server():
     server = np.array([1.0, 0.0])
     clients = vecs([0.0, 1.0], [-2.0, 0.0], [0.0, 0.0])
-    assert fltrust(clients, server) == pytest.approx(server)
+    out, scores = fltrust(clients, server)
+    assert out == pytest.approx(server)
+    assert np.all(scores == 0.0)
 
 
 def test_fltrust_zero_server_rejected():
@@ -175,7 +180,7 @@ def test_fltrust_output_norm_bounded():
     for _ in range(100):
         server = rng.normal(size=8)
         clients = [rng.normal(size=8) for _ in range(6)]
-        out = fltrust(clients, server)
+        out, _ = fltrust(clients, server)
         assert np.linalg.norm(out) <= np.linalg.norm(server) + 1e-9
 
 
@@ -183,14 +188,15 @@ def test_fltrust_output_norm_bounded():
 
 def test_flame_identical_updates_zero_noise():
     v = np.array([1.0, -1.0, 2.0])
-    out = flame([v.copy() for _ in range(5)], 0.0)
+    out, kept = flame([v.copy() for _ in range(5)], 0.0)
     assert out == pytest.approx(v, abs=1e-15)
+    assert kept.tolist() == [0, 1, 2, 3, 4]
 
 
 def test_flame_scaled_outlier_clipped_to_benign():
     benign = np.array([1.0, 2.0])
     updates = [benign.copy() for _ in range(9)] + [benign * 10.0]
-    out = flame(updates, 0.0)
+    out, _ = flame(updates, 0.0)
     assert out == pytest.approx(benign, abs=1e-12)
 
 
@@ -200,16 +206,18 @@ def test_flame_directional_outlier_filtered():
         [np.array([-1.0, 0.5]), np.array([-1.0, -0.5])]
     kept = flame_survivors(updates)
     assert set(kept) == set(range(6))
-    assert flame(updates, 0.0) == pytest.approx(benign, abs=1e-12)
+    out, flame_kept = flame(updates, 0.0)
+    assert out == pytest.approx(benign, abs=1e-12)
+    assert np.array_equal(flame_kept, kept)
 
 
 def test_flame_zero_noise_deterministic_and_norm_bounded():
     rng = np.random.default_rng(8)
     updates = [rng.normal(size=6) for _ in range(9)]
-    a = flame(updates, 0.0)
-    b = flame(updates, 0.0)
+    a, kept = flame(updates, 0.0)
+    b, _ = flame(updates, 0.0)
     assert np.array_equal(a, b)
-    kept = flame_survivors(updates)
+    assert np.array_equal(kept, flame_survivors(updates))
     med = np.median([np.linalg.norm(updates[i]) for i in kept])
     assert np.linalg.norm(a) <= med + 1e-9
 
@@ -217,9 +225,9 @@ def test_flame_zero_noise_deterministic_and_norm_bounded():
 def test_flame_noise_reproducible_by_stream():
     rng_updates = np.random.default_rng(9)
     updates = [rng_updates.normal(size=4) for _ in range(5)]
-    a = flame(updates, 0.01, stream(1, "flame", 0))
-    b = flame(updates, 0.01, stream(1, "flame", 0))
-    c = flame(updates, 0.01, stream(1, "flame", 1))
+    a, _ = flame(updates, 0.01, stream(1, "flame", 0))
+    b, _ = flame(updates, 0.01, stream(1, "flame", 0))
+    c, _ = flame(updates, 0.01, stream(1, "flame", 1))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -235,3 +243,46 @@ def test_flame_majority_cluster_size():
         updates = [rng.normal(size=5) for _ in range(n)]
         kept = flame_survivors(updates)
         assert len(kept) >= n // 2 + 1
+
+
+def threshold_majority_oracle(dist):
+    """Brute-force cut: raise the height through the distinct pairwise
+    distances until a component of the graph of edges <= height holds a
+    majority; return its members."""
+    n = len(dist)
+    for height in np.unique(dist[np.triu_indices(n, k=1)]):
+        upper = np.triu(dist <= height, k=1)
+        adjacent = upper | upper.T
+        seen = set()
+        for start in range(n):
+            if start in seen:
+                continue
+            component, frontier = {start}, [start]
+            while frontier:
+                for j in np.flatnonzero(adjacent[frontier.pop()]):
+                    if int(j) not in component:
+                        component.add(int(j))
+                        frontier.append(int(j))
+            seen |= component
+            if len(component) >= n // 2 + 1:
+                return sorted(component)
+    raise AssertionError("no majority at the largest height")
+
+
+def test_flame_survivors_match_threshold_oracle():
+    # ties come from duplicates, sign flips, zero vectors and d = 1
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        n = int(rng.integers(3, 12))
+        X = rng.normal(size=(n, int(rng.integers(1, 4))))
+        for i in range(n):
+            roll = rng.random()
+            if roll < 0.2:
+                X[i] = X[rng.integers(n)]
+            elif roll < 0.3:
+                X[i] = -X[rng.integers(n)]
+            elif roll < 0.4:
+                X[i] = 0.0
+        updates = list(X)
+        assert flame_survivors(updates).tolist() == \
+            threshold_majority_oracle(_cosine_distance_matrix(X))

@@ -1,11 +1,16 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
 from fedtruth.cli import bench_aggregation, main
+from fedtruth.config import config_from_dict
+from fedtruth.simulator import AGGREGATORS
+
+ROOT = Path(__file__).resolve().parent.parent
 
 MINIMAL = {
     "dataset": {"samples_per_client": 30,
@@ -85,6 +90,22 @@ def test_bad_override_reports_error(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["run", str(path), "--set", "fl.bogus=1"]) == 1
     assert "fl.bogus" in capsys.readouterr().err
+
+
+def test_unknown_aggregator_kind_rejected(tmp_path, capsys):
+    with pytest.raises(ValueError, match="nope"):
+        config_from_dict({"aggregator": {"kind": "nope"}})
+    path = write_config(tmp_path)
+    assert main(["run", str(path), "--set", "aggregator.kind=nope"]) == 1
+    assert "nope" in capsys.readouterr().err
+    spec = tmp_path / "sweep.yaml"
+    spec.write_text(yaml.safe_dump({
+        "base": str(path), "aggregators": ["fedtruth", "nope"],
+        "adversary_counts": [0], "biases": [0.8],
+        "distances": ["euclidean"], "seeds": [0]}))
+    assert main(["sweep", str(spec)]) == 1
+    assert "nope" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep").exists()
 
 
 def test_runs_byte_identical_modulo_timing(tmp_path):
@@ -176,6 +197,9 @@ def test_bench_rows_one_per_aggregator_and_n():
     assert all(r["mean_seconds"] >= 0.0 for r in rows)
     ns = {r["n_clients"] for r in rows}
     assert ns == {4, 6}
+    for n in ns:
+        assert {r["aggregator"] for r in rows
+                if r["n_clients"] == n} == set(AGGREGATORS)
 
 
 def test_bench_subset_of_aggregators():
@@ -197,3 +221,19 @@ def test_bench_rejects_bad_sizes():
         bench_aggregation([0], dim=16)
     with pytest.raises(ValueError):
         bench_aggregation([4], dim=16, repetitions=0)
+
+
+def without_timing_bytes(path):
+    lines = path.read_bytes().splitlines(keepends=True)
+    drop = lines[0].split(b",").index(b"agg_time_s")
+    return [b",".join(f for i, f in enumerate(line.split(b",")) if i != drop)
+            for line in lines]
+
+
+def test_sweep_example_matches_committed_golden(tmp_path, monkeypatch):
+    # fedtruth, fedavg, median and krum under boosting at 0 and 3 adversaries
+    monkeypatch.setenv("FEDTRUTH_OUT_ROOT", str(tmp_path))
+    assert main(["sweep", str(ROOT / "configs" / "sweep_example.yaml")]) == 0
+    name = "sweep_example/sweep_example_merged.csv"
+    assert without_timing_bytes(tmp_path / name) == \
+        without_timing_bytes(ROOT / "runs" / name)

@@ -10,7 +10,7 @@ from fedtruth.simulator import (_Experiment, apply_global_update,
                                 select_round_roster)
 from fedtruth.training import (ModelKind, ModelSpec, TrainConfig,
                                extract_update, init_model, local_train)
-from fedtruth.aggregators import fedavg
+from fedtruth.aggregators import fedavg, flame, fltrust
 
 
 def base_config(**over):
@@ -193,6 +193,31 @@ def test_every_aggregator_completes(agg):
         assert 0.0 <= r.main_accuracy <= 1.0
         if r.weights is not None:
             assert sum(r.weights) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["flame", "fltrust"])
+def test_report_weights_come_from_the_aggregate(kind):
+    cfg = base_config(**{"aggregator.kind": kind})
+    exp = _Experiment(cfg)
+    roster, _ = select_round_roster(8, 5, 0, 0, cfg.master_seed)
+    updates = [exp._benign_update(0, int(c)) for c in roster]
+    counts = [len(exp.shards[int(c)]) for c in roster]
+    flats = [u.flatten() for u in updates]
+    delta, weights, _ = exp._aggregate(updates, counts, 0)
+    if kind == "flame":
+        expected, kept = flame(flats, cfg.aggregator.flame_noise_factor,
+                               stream(cfg.master_seed, "flame", 0))
+        want = np.zeros(len(flats))
+        want[kept] = 1.0 / len(kept)
+    else:
+        server = fltrust_server_step(
+            exp.root_ds, exp.global_model, exp.model_spec, exp.train_cfg,
+            stream(cfg.master_seed, "fltrust", 0))
+        expected, scores = fltrust(flats, server.flatten())
+        want = scores / scores.sum()
+    assert np.array_equal(delta.flatten(), expected)
+    assert np.array_equal(weights, want)
+    assert len(set(want.tolist())) > 1  # label skew: not uniform
 
 
 def test_krum_report_weights_one_hot():

@@ -3,9 +3,8 @@ import pytest
 
 from fedtruth.truth import (CoefficientFunction, FedTruthConfig, InitScheme,
                             estimate_truth, estimate_truth_layered,
-                            performances_to_weights, resilience_gap,
-                            update_performances)
-from fedtruth.vectors import DistanceKind, LayeredUpdate
+                            performances_to_weights, resilience_gap)
+from fedtruth.vectors import DistanceKind, LayeredUpdate, distances_to
 
 
 def closed_form_shares(distances, coefficient):
@@ -18,42 +17,36 @@ def closed_form_shares(distances, coefficient):
 
 # -- performance update -----------------------------------------------------
 
+def neglog_shares(truth, updates):
+    """The estimator's performance step for the neglog coefficient."""
+    return CoefficientFunction.NEG_LOG.performance_shares(
+        distances_to(DistanceKind.EUCLIDEAN, truth, updates))
+
+
 def test_update_performances_direct_formula():
-    p = update_performances(np.array([0.0]),
-                            [np.array([1.0]), np.array([3.0])],
-                            DistanceKind.EUCLIDEAN)
+    p = neglog_shares(np.array([0.0]),
+                      [np.array([1.0]), np.array([3.0])])
     assert p == pytest.approx([0.25, 0.75], abs=1e-15)
 
 
 def test_update_performances_zero_distance_uniform():
     v = np.array([2.0, -1.0])
-    p = update_performances(v, [v.copy(), v.copy(), v.copy()],
-                            DistanceKind.EUCLIDEAN)
+    p = neglog_shares(v, [v.copy(), v.copy(), v.copy()])
     assert p == pytest.approx([1 / 3] * 3, abs=1e-15)
 
 
 def test_update_performances_symmetry():
-    p = update_performances(np.array([0.0]),
-                            [np.array([2.0]), np.array([2.0])],
-                            DistanceKind.EUCLIDEAN)
+    p = neglog_shares(np.array([0.0]),
+                      [np.array([2.0]), np.array([2.0])])
     assert p == pytest.approx([0.5, 0.5], abs=1e-15)
 
 
 def test_update_performances_partial_zero_distance_floored():
     truth = np.array([1.0])
-    p = update_performances(truth, [np.array([1.0]), np.array([3.0])],
-                            DistanceKind.EUCLIDEAN)
+    p = neglog_shares(truth, [np.array([1.0]), np.array([3.0])])
     assert p[0] > 0.0
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
     assert p[0] < p[1]
-
-
-def test_update_performances_errors():
-    with pytest.raises(ValueError):
-        update_performances(np.array([0.0]), [], DistanceKind.EUCLIDEAN)
-    with pytest.raises(ValueError):
-        update_performances(np.array([0.0]), [np.zeros(2)],
-                            DistanceKind.EUCLIDEAN)
 
 
 # -- weights ----------------------------------------------------------------

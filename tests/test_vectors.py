@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedtruth.vectors import (DistanceKind, LayeredUpdate, as_vector,
-                              cosine_similarity, distance, flatten,
-                              weighted_sum)
+                              cosine_similarity, distance, weighted_sum)
 
 ALL_KINDS = list(DistanceKind)
 
@@ -23,12 +22,12 @@ def test_as_vector_rejects_bad_input():
 
 def test_flatten_concatenates_in_layer_order():
     u = LayeredUpdate((("a", [1.0, 2.0]), ("b", [3.0])))
-    assert flatten(u).tolist() == [1.0, 2.0, 3.0]
+    assert u.flatten().tolist() == [1.0, 2.0, 3.0]
 
 
 def test_flatten_single_layer_identity():
     u = LayeredUpdate((("w", [5.0]),))
-    assert flatten(u).tolist() == [5.0]
+    assert u.flatten().tolist() == [5.0]
 
 
 def test_empty_layer_rejected_at_construction():
