@@ -57,12 +57,6 @@ def krum_select(updates: Sequence[np.ndarray], f: int) -> int:
     return int(np.argmin(scores))
 
 
-def krum(updates: Sequence[np.ndarray], f: int) -> np.ndarray:
-    """The selected update itself (selection, not averaging)."""
-    return np.asarray(updates[krum_select(updates, f)],
-                      dtype=np.float64).copy()
-
-
 def coordinate_median(updates: Sequence[np.ndarray]) -> np.ndarray:
     """Per-coordinate median; even counts average the two middle values."""
     X = _stack(updates)
@@ -93,11 +87,15 @@ def default_trim_k(n: int) -> int:
     return int(0.2 * n)
 
 
-def fltrust_trust_scores(updates: Sequence[np.ndarray],
-                         server_update: np.ndarray) -> np.ndarray:
-    """ReLU-clipped cosine similarity of each update to the server update.
+def fltrust(updates: Sequence[np.ndarray],
+            server_update: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Trust-score aggregation against a server-trained reference update.
 
-    Zero-norm updates carry no direction and score 0.
+    A client's trust score is the ReLU-clipped cosine similarity of its
+    update to the server update; zero-norm updates carry no direction and
+    score 0. Each client update is rescaled to the server update's norm,
+    then averaged with trust-score weights; returns the aggregate and the
+    scores. If every score is zero the aggregate is the server update itself.
     """
     X = _stack(updates)
     server = np.asarray(server_update, dtype=np.float64)
@@ -106,34 +104,14 @@ def fltrust_trust_scores(updates: Sequence[np.ndarray],
         raise ValueError("server update must be nonzero")
     norms = np.linalg.norm(X, axis=1)
     scores = np.zeros(len(X))
-    for i in range(len(X)):
-        if norms[i] == 0.0:
-            continue
+    normalized = np.zeros_like(X)
+    for i in np.flatnonzero(norms > 0.0):
         cos = float(np.dot(X[i], server)) / (norms[i] * server_norm)
         scores[i] = max(0.0, cos)
-    return scores
-
-
-def fltrust(updates: Sequence[np.ndarray],
-            server_update: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Trust-score aggregation against a server-trained reference update.
-
-    Each client update is rescaled to the server update's norm, then
-    averaged with trust-score weights; returns the aggregate and the scores.
-    If every score is zero the aggregate is the server update itself.
-    """
-    X = _stack(updates)
-    server = np.asarray(server_update, dtype=np.float64)
-    server_norm = float(np.linalg.norm(server))
-    scores = fltrust_trust_scores(X, server)
+        normalized[i] = X[i] * (server_norm / norms[i])
     total = scores.sum()
     if total == 0.0:
         return server.copy(), scores
-    norms = np.linalg.norm(X, axis=1)
-    normalized = np.zeros_like(X)
-    for i in range(len(X)):
-        if norms[i] > 0.0:
-            normalized[i] = X[i] * (server_norm / norms[i])
     return weighted_sum(normalized, scores / total), scores
 
 

@@ -30,7 +30,6 @@ from .config import (AggregatorConfig, ExperimentConfig, apply_overrides,
 from .rng import stream
 from .simulator import (AGGREGATORS, AggregationContext, RoundReport,
                         run_experiment)
-from .vectors import LayeredUpdate
 
 TIMING_COLUMNS = ("agg_time_s",)
 
@@ -286,12 +285,10 @@ def bench_aggregation(n_clients_list: List[int], dim: int,
             raise ValueError("n_clients and dim must be positive")
         flats = _bench_updates(n, dim)
         server = flats[0] + stream(99, "bench-server", n).normal(size=dim) * 0.1
-        split = np.array_split(np.arange(dim), min(BENCH_LAYER_COUNT, dim))
         ctx = AggregationContext(
             counts=[1] * n,
-            layered=[LayeredUpdate(tuple(
-                (f"l{j}", u[idx]) for j, idx in enumerate(split)))
-                for u in flats],
+            layer_sizes=[len(idx) for idx in np.array_split(
+                np.arange(dim), min(BENCH_LAYER_COUNT, dim))],
             config=AggregatorConfig(),
             krum_f=min(3, max(0, n - 3)),
             server_update=lambda: server,

@@ -10,6 +10,7 @@ are the only nondeterministic report fields.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
@@ -27,10 +28,31 @@ from .rng import stream
 from .training import (ModelSpec, TrainConfig, evaluate, extract_update,
                        init_model, local_train, predict)
 from .truth import estimate_truth, estimate_truth_layered
-from .vectors import LayeredUpdate
 
 if TYPE_CHECKING:
     from .config import AggregatorConfig, ExperimentConfig
+
+
+class NonFiniteUpdate(RuntimeError):
+    """A NaN or Inf reached the aggregation boundary or the global model.
+
+    `client` is the id of the client whose update it was, or None when the
+    global model went non-finite in the server step.
+    """
+
+    def __init__(self, round_index: int, client: Optional[int] = None):
+        self.round_index = round_index
+        self.client = client
+        where = "global model" if client is None \
+            else f"update of client {client}"
+        super().__init__(f"non-finite {where} in round {round_index}")
+
+
+def _require_finite(vector: np.ndarray, round_index: int,
+                    client: Optional[int] = None) -> np.ndarray:
+    if not np.isfinite(vector).all():
+        raise NonFiniteUpdate(round_index, client)
+    return vector
 
 
 @dataclass
@@ -65,15 +87,15 @@ def select_round_roster(total_clients: int, clients_per_round: int,
     return roster, adversaries
 
 
-def apply_global_update(w: LayeredUpdate, delta: LayeredUpdate,
-                        eta: float) -> LayeredUpdate:
-    """Server step w - eta * delta, layer by layer."""
-    return LayeredUpdate.combine(w, delta, lambda a, b: a - eta * b)
+def apply_global_update(w: np.ndarray, delta: np.ndarray,
+                        eta: float) -> np.ndarray:
+    """Server step w - eta * delta."""
+    return w - eta * delta
 
 
-def fltrust_server_step(root_ds: Dataset, w: LayeredUpdate, spec: ModelSpec,
+def fltrust_server_step(root_ds: Dataset, w: np.ndarray, spec: ModelSpec,
                         cfg: TrainConfig,
-                        rng: np.random.Generator) -> LayeredUpdate:
+                        rng: np.random.Generator) -> np.ndarray:
     """Server-side reference update trained on the benign root split."""
     if len(root_ds) == 0:
         raise ValueError("fltrust root split is empty")
@@ -87,7 +109,7 @@ class AggregationContext:
     fltrust calls `server_update` and only flame calls `flame_rng`, so no
     other kind pays for the server's training or the noise stream."""
     counts: Sequence[int]  # sample counts, aligned with the updates
-    layered: Sequence[LayeredUpdate]  # the same updates, split by layer
+    layer_sizes: Sequence[int]  # consecutive layer lengths of an update
     config: AggregatorConfig
     krum_f: int  # the config's krum_f, else the assumed adversary count
     server_update: Callable[[], np.ndarray]
@@ -101,14 +123,14 @@ def _fedtruth(flats, ctx):
 
 
 def _fedtruth_layer(flats, ctx):
-    combined, ests = estimate_truth_layered(
-        ctx.layered, ctx.config.fedtruth_config(), sample_counts=ctx.counts)
+    truth, ests = estimate_truth_layered(
+        flats, ctx.layer_sizes, ctx.config.fedtruth_config(),
+        sample_counts=ctx.counts)
     # a client's reported weight is its per-layer weight averaged by size
-    sizes = np.array([vec.size for _, vec in combined.layers],
-                     dtype=np.float64)
+    sizes = np.asarray(ctx.layer_sizes, dtype=np.float64)
     stacked = np.stack([e.weights for e in ests])
     weights = (sizes[:, None] * stacked).sum(axis=0) / sizes.sum()
-    return combined.flatten(), weights, sum(e.iterations for e in ests)
+    return truth, weights, sum(e.iterations for e in ests)
 
 
 def _fedavg(flats, ctx):
@@ -179,6 +201,8 @@ class _Experiment:
         self._build_data()
         self.model_spec = cfg.model.to_spec(self.train_pool.n_features,
                                             self.train_pool.n_classes)
+        self.layer_sizes = [math.prod(shape) for _, shape
+                            in self.model_spec.layer_shapes()]
         self.global_model = init_model(self.model_spec,
                                        stream(self.seed, "init"))
         self._partition()
@@ -251,7 +275,7 @@ class _Experiment:
 
     # -- per-round pieces ------------------------------------------------
 
-    def _benign_update(self, round_index: int, client: int) -> LayeredUpdate:
+    def _benign_update(self, round_index: int, client: int) -> np.ndarray:
         trained = local_train(self.global_model, self.shards[client],
                               self.model_spec, self.train_cfg,
                               stream(self.seed, "train", round_index, client))
@@ -272,7 +296,7 @@ class _Experiment:
         return poisoned
 
     def _adversarial_update(self, round_index: int, client: int,
-                            adv_position: int, n_adv: int) -> LayeredUpdate:
+                            adv_position: int, n_adv: int) -> np.ndarray:
         """Attack pipeline: train -> model transform -> projection ->
         update extraction -> update boosting."""
         atk = self.attack
@@ -294,48 +318,42 @@ class _Experiment:
 
         if atk.kind is AttackKind.GAUSSIAN_NOISE:
             noise_rng = stream(self.seed, "noise", round_index, client)
-            model = model.from_flat(
-                gaussian_noise(model.flatten(), atk.sigma, noise_rng))
+            model = gaussian_noise(model, atk.sigma, noise_rng)
         elif (atk.kind is AttackKind.BACKDOOR
               and atk.strategy is AttackStrategy.CONSTRAIN_AND_SCALE):
             benign = local_train(w, self.shards[client], self.model_spec,
                                  self.train_cfg,
                                  stream(self.seed, "train-benign",
                                         round_index, client))
-            model = model.from_flat(
-                constrain_and_scale(benign.flatten(), model.flatten(),
-                                    atk.alpha, factor))
+            model = constrain_and_scale(benign, model, atk.alpha, factor)
 
         if atk.pgd_radius is not None:
-            model = model.from_flat(
-                pgd_project(model.flatten(), w.flatten(), atk.pgd_radius))
+            model = pgd_project(model, w, atk.pgd_radius)
 
         delta = extract_update(w, model)
         if atk.kind is AttackKind.MODEL_BOOST \
                 or atk.strategy is AttackStrategy.WITH_BOOSTING:
-            delta = delta.map(lambda v: boost_update(v, factor))
+            delta = boost_update(delta, factor)
         return delta
 
-    def _aggregate(self, updates: List[LayeredUpdate],
+    def _aggregate(self, updates: List[np.ndarray],
                    counts: List[int], round_index: int):
         """Run the configured aggregator on the round's updates.
 
-        Returns (layered delta, per-client weights or None, iterations or
-        None). Weights align with the roster order.
+        Returns (delta, per-client weights or None, iterations or None).
+        Weights align with the roster order.
         """
         cfg = self.cfg.aggregator
         ctx = AggregationContext(
-            counts=counts, layered=updates, config=cfg,
+            counts=counts, layer_sizes=self.layer_sizes, config=cfg,
             krum_f=self.cfg.attack.n_adversaries if cfg.krum_f is None
             else cfg.krum_f,
             server_update=lambda: fltrust_server_step(
                 self.root_ds, self.global_model, self.model_spec,
                 self.train_cfg,
-                stream(self.seed, "fltrust", round_index)).flatten(),
+                stream(self.seed, "fltrust", round_index)),
             flame_rng=lambda: stream(self.seed, "flame", round_index))
-        vector, weights, iterations = AGGREGATORS[cfg.kind](
-            [u.flatten() for u in updates], ctx)
-        return updates[0].from_flat(vector), weights, iterations
+        return AGGREGATORS[cfg.kind](updates, ctx)
 
     # -- driver ----------------------------------------------------------
 
@@ -346,33 +364,26 @@ class _Experiment:
                 self.cfg.fl.total_clients, self.cfg.fl.clients_per_round,
                 self.cfg.attack.n_adversaries, t, self.seed)
             adv_set = set(int(a) for a in adversaries)
-            try:
-                updates, counts = [], []
-                adv_position = 0
-                for client in roster:
-                    client = int(client)
-                    if client in adv_set \
-                            and self.attack.kind is not AttackKind.NONE:
-                        updates.append(self._adversarial_update(
-                            t, client, adv_position, len(adv_set)))
-                        adv_position += 1
-                    else:
-                        updates.append(self._benign_update(t, client))
-                    counts.append(len(self.shards[client]))
+            updates, counts = [], []
+            adv_position = 0
+            for client in roster:
+                client = int(client)
+                if client in adv_set \
+                        and self.attack.kind is not AttackKind.NONE:
+                    update = self._adversarial_update(
+                        t, client, adv_position, len(adv_set))
+                    adv_position += 1
+                else:
+                    update = self._benign_update(t, client)
+                updates.append(_require_finite(update, t, client))
+                counts.append(len(self.shards[client]))
 
-                t0 = time.perf_counter()
-                delta, weights, iterations = self._aggregate(updates,
-                                                             counts, t)
-                agg_time = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            delta, weights, iterations = self._aggregate(updates, counts, t)
+            agg_time = time.perf_counter() - t0
 
-                self.global_model = apply_global_update(
-                    self.global_model, delta, self.cfg.fl.server_lr)
-            except ValueError as err:
-                # vector constructors reject NaN/Inf; report the round
-                if "finite" in str(err):
-                    raise RuntimeError(
-                        f"non-finite model in round {t}") from err
-                raise
+            self.global_model = _require_finite(apply_global_update(
+                self.global_model, delta, self.cfg.fl.server_lr), t)
             accuracy, _ = evaluate(self.global_model, self.test_set,
                                    self.model_spec)
             backdoor_acc = None

@@ -1,12 +1,15 @@
 """Native local training: multinomial logistic regression and a one-hidden
 layer ReLU MLP, trained with mini-batch SGD on softmax cross-entropy.
 
-Model parameters are carried as LayeredUpdate so per-layer aggregation can
-operate on them directly; layer vectors are flattened row-major.
+Model parameters are one flat float64 vector: the layers of
+`ModelSpec.layer_shapes()` in order, each flattened row-major. The forward
+and backward passes work on reshaped views of that vector, so a model, a
+trained model and an update all share one representation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import List, Tuple, Union
@@ -14,7 +17,6 @@ from typing import List, Tuple, Union
 import numpy as np
 
 from .data import Dataset
-from .vectors import LayeredUpdate
 
 PROB_FLOOR = 1e-15  # cross-entropy floor
 
@@ -61,25 +63,30 @@ class TrainConfig:
 
 
 def init_model(spec: ModelSpec,
-               seed: Union[int, np.random.Generator]) -> LayeredUpdate:
+               seed: Union[int, np.random.Generator]) -> np.ndarray:
     """Glorot-uniform weights, zero biases; deterministic in the seed."""
     rng = np.random.default_rng(seed) if isinstance(seed, int) else seed
     layers = []
-    for name, shape in spec.layer_shapes():
+    for _, shape in spec.layer_shapes():
         if len(shape) == 2:
             fan_out, fan_in = shape
             limit = np.sqrt(6.0 / (fan_in + fan_out))
-            values = rng.uniform(-limit, limit, size=shape).reshape(-1)
+            layers.append(rng.uniform(-limit, limit, size=shape).reshape(-1))
         else:
-            values = np.zeros(shape[0])
-        layers.append((name, values))
-    return LayeredUpdate(tuple(layers))
+            layers.append(np.zeros(shape[0]))
+    return np.concatenate(layers)
 
 
-def _unpack(spec: ModelSpec, params: LayeredUpdate) -> List[np.ndarray]:
-    out = []
-    for name, shape in spec.layer_shapes():
-        out.append(params.layer(name).reshape(shape))
+def _unpack(spec: ModelSpec, params: np.ndarray) -> List[np.ndarray]:
+    """Views of the flat parameter vector, one per layer, in layer shape."""
+    out, offset = [], 0
+    for _, shape in spec.layer_shapes():
+        size = math.prod(shape)
+        out.append(params[offset:offset + size].reshape(shape))
+        offset += size
+    if params.shape != (offset,):
+        raise ValueError(
+            f"parameter vector has shape {params.shape}, expected ({offset},)")
     return out
 
 
@@ -89,7 +96,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return exps / exps.sum(axis=1, keepdims=True)
 
 
-def _forward(spec: ModelSpec, params: LayeredUpdate, X: np.ndarray):
+def _forward(spec: ModelSpec, params: np.ndarray, X: np.ndarray):
     """Returns (probabilities, cache for backprop)."""
     if spec.kind is ModelKind.LOGREG:
         W, b = _unpack(spec, params)
@@ -102,9 +109,9 @@ def _forward(spec: ModelSpec, params: LayeredUpdate, X: np.ndarray):
     return _softmax(logits), (X, z1, h, W2)
 
 
-def _gradients(spec: ModelSpec, params: LayeredUpdate, X: np.ndarray,
-               y: np.ndarray) -> List[np.ndarray]:
-    """Mean cross-entropy gradients, flattened in layer order."""
+def _gradients(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
+               y: np.ndarray) -> np.ndarray:
+    """Mean cross-entropy gradient, laid out like the parameter vector."""
     probs, cache = _forward(spec, params, X)
     n = X.shape[0]
     g = probs.copy()
@@ -112,39 +119,36 @@ def _gradients(spec: ModelSpec, params: LayeredUpdate, X: np.ndarray,
     g /= n
     if spec.kind is ModelKind.LOGREG:
         (X,) = cache
-        return [(g.T @ X).reshape(-1), g.sum(axis=0)]
+        return np.concatenate([(g.T @ X).reshape(-1), g.sum(axis=0)])
     X, z1, h, W2 = cache
     d_w2 = g.T @ h
     d_b2 = g.sum(axis=0)
     dz1 = (g @ W2) * (z1 > 0.0)
     d_w1 = dz1.T @ X
     d_b1 = dz1.sum(axis=0)
-    return [d_w1.reshape(-1), d_b1, d_w2.reshape(-1), d_b2]
+    return np.concatenate([d_w1.reshape(-1), d_b1, d_w2.reshape(-1), d_b2])
 
 
-def local_train(params: LayeredUpdate, ds: Dataset, spec: ModelSpec,
-                cfg: TrainConfig, rng: np.random.Generator) -> LayeredUpdate:
+def local_train(params: np.ndarray, ds: Dataset, spec: ModelSpec,
+                cfg: TrainConfig, rng: np.random.Generator) -> np.ndarray:
     """Mini-batch SGD for cfg.local_epochs passes; the input is untouched.
 
     Batches come from a seed-deterministic shuffle each epoch.
     """
     if len(ds) == 0:
         raise ValueError("cannot train on an empty dataset")
-    values = [vec.copy() for _, vec in params.layers]
-    current = params.with_values(values)
+    current = params
     for _ in range(cfg.local_epochs):
         order = rng.permutation(len(ds))
         for start in range(0, len(ds), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            grads = _gradients(spec, current, ds.features[batch],
-                               ds.labels[batch])
-            values = [vec - cfg.learning_rate * grad
-                      for (_, vec), grad in zip(current.layers, grads)]
-            current = current.with_values(values)
+            grad = _gradients(spec, current, ds.features[batch],
+                              ds.labels[batch])
+            current = current - cfg.learning_rate * grad
     return current
 
 
-def evaluate(params: LayeredUpdate, ds: Dataset,
+def evaluate(params: np.ndarray, ds: Dataset,
              spec: ModelSpec) -> Tuple[float, float]:
     """(accuracy, mean cross-entropy loss) on a dataset."""
     if len(ds) == 0:
@@ -157,17 +161,19 @@ def evaluate(params: LayeredUpdate, ds: Dataset,
     return accuracy, loss
 
 
-def extract_update(global_params: LayeredUpdate,
-                   local_params: LayeredUpdate) -> LayeredUpdate:
-    """Per-layer update delta = global - local.
+def extract_update(global_params: np.ndarray,
+                   local_params: np.ndarray) -> np.ndarray:
+    """Update delta = global - local.
 
     Applying w - 1.0 * delta to the global model recovers the local one.
     """
-    return LayeredUpdate.combine(global_params, local_params,
-                                 lambda g, l: g - l)
+    if global_params.shape != local_params.shape:
+        raise ValueError(f"shape mismatch: {global_params.shape} vs "
+                         f"{local_params.shape}")
+    return global_params - local_params
 
 
-def predict(params: LayeredUpdate, ds: Dataset,
+def predict(params: np.ndarray, ds: Dataset,
             spec: ModelSpec) -> np.ndarray:
     """Argmax class predictions."""
     probs, _ = _forward(spec, params, ds.features)

@@ -7,8 +7,9 @@ truth update until the truth stabilises. Clients whose updates sit far from
 the current truth receive small weights, which suppresses boosted, noised,
 or backdoored updates without discarding benign outliers entirely.
 
-The layered variant runs the same estimator independently per named layer,
-so the weight a client receives may differ from layer to layer.
+The layered variant runs the same estimator independently on each layer's
+slice of the flat updates, so the weight a client receives may differ from
+layer to layer.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .vectors import DistanceKind, LayeredUpdate, distances_to, weighted_sum
+from .vectors import DistanceKind, distances_to, weighted_sum
 
 # Performance values are floored here before the coefficient function is
 # applied; both coefficient functions blow up at 0, and an exact match
@@ -161,28 +162,28 @@ def estimate_truth(updates: Sequence[np.ndarray], cfg: FedTruthConfig,
                          iterations=iterations, converged=converged)
 
 
-def estimate_truth_layered(updates: Sequence[LayeredUpdate],
-                           cfg: FedTruthConfig,
+def estimate_truth_layered(updates: Sequence[np.ndarray],
+                           layer_sizes: Sequence[int], cfg: FedTruthConfig,
                            sample_counts: Optional[Sequence[int]] = None):
     """Run the truth estimator independently on every layer.
 
-    Returns the aggregated LayeredUpdate plus one TruthEstimate per layer;
-    total iteration cost is the sum over layers.
+    Each flat update is sliced into consecutive layers of `layer_sizes`.
+    Returns the flat aggregate plus one TruthEstimate per layer; total
+    iteration cost is the sum over layers.
     """
     if len(updates) == 0:
         raise ValueError("need at least one update")
-    first = updates[0]
+    if len(layer_sizes) == 0 or min(layer_sizes) < 1:
+        raise ValueError(f"layer sizes must be positive, got {layer_sizes}")
+    bounds = np.concatenate([[0], np.cumsum(layer_sizes)])
     for k, u in enumerate(updates):
-        if not first.same_structure(u):
-            raise ValueError(f"update {k} does not match layer structure")
-    estimates = []
-    vectors = []
-    for i, (name, _) in enumerate(first.layers):
-        layer_updates = [u.layers[i][1] for u in updates]
-        est = estimate_truth(layer_updates, cfg, sample_counts)
-        estimates.append(est)
-        vectors.append(est.truth)
-    return first.with_values(vectors), estimates
+        if np.shape(u) != (bounds[-1],):
+            raise ValueError(f"update {k} has shape {np.shape(u)}, but the "
+                             f"layer sizes sum to {bounds[-1]}")
+    estimates = [estimate_truth([u[lo:hi] for u in updates], cfg,
+                                sample_counts)
+                 for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return np.concatenate([est.truth for est in estimates]), estimates
 
 
 def resilience_gap(updates: Sequence[np.ndarray], f: int,

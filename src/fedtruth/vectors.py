@@ -1,15 +1,14 @@
-"""Flat parameter vectors, layered updates, and the distance functions.
+"""Weighted sums and distances of flat parameter vectors.
 
-A parameter vector is a 1-D float64 numpy array with finite entries and
-positive length; every aggregator and attack in this package trades in them.
-A layered update keeps the same numbers split into named layers so that
-per-layer aggregation can be exercised.
+A parameter vector is a 1-D float64 numpy array: a whole model or update,
+laid out as `ModelSpec.layer_shapes()` lists its layers. Every trainer,
+attack and aggregator in this package trades in them; per-layer code
+slices them by layer size.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -22,89 +21,6 @@ class DistanceKind(Enum):
     COSINE = "cosine"
     ANGULAR = "angular"
     CUSTOM_HALF_HALF = "custom"
-
-
-def as_vector(values) -> np.ndarray:
-    """Validate and return `values` as a 1-D float64 parameter vector.
-
-    Rejects empty input and any NaN/Inf entry.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        v = v.reshape(-1)
-    if v.size == 0:
-        raise ValueError("parameter vector must have length > 0")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("parameter vector must contain only finite entries")
-    return v
-
-
-@dataclass(frozen=True)
-class LayeredUpdate:
-    """Ordered named layers, each a flat parameter vector."""
-
-    layers: tuple  # tuple[(name, np.ndarray), ...]
-
-    def __post_init__(self):
-        if len(self.layers) == 0:
-            raise ValueError("layered update needs at least one layer")
-        names = [name for name, _ in self.layers]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate layer names: {names}")
-        checked = tuple((name, as_vector(vec)) for name, vec in self.layers)
-        object.__setattr__(self, "layers", checked)
-
-    @property
-    def names(self) -> list:
-        return [name for name, _ in self.layers]
-
-    def layer(self, name: str) -> np.ndarray:
-        for n, vec in self.layers:
-            if n == name:
-                return vec
-        raise KeyError(name)
-
-    def flatten(self) -> np.ndarray:
-        """Concatenate layer vectors in declared order."""
-        return np.concatenate([vec for _, vec in self.layers])
-
-    def with_values(self, vectors: Sequence[np.ndarray]) -> "LayeredUpdate":
-        """Same layer names/shapes, new values."""
-        if len(vectors) != len(self.layers):
-            raise ValueError("layer count mismatch")
-        return LayeredUpdate(tuple(
-            (name, vec) for (name, _), vec in zip(self.layers, vectors)
-        ))
-
-    def from_flat(self, flat: np.ndarray) -> "LayeredUpdate":
-        """Split a flat vector back into this update's layer structure."""
-        flat = as_vector(flat)
-        sizes = [vec.size for _, vec in self.layers]
-        if flat.size != sum(sizes):
-            raise ValueError(
-                f"flat length {flat.size} != total layer size {sum(sizes)}")
-        out, offset = [], 0
-        for size in sizes:
-            out.append(flat[offset:offset + size].copy())
-            offset += size
-        return self.with_values(out)
-
-    def same_structure(self, other: "LayeredUpdate") -> bool:
-        return (self.names == other.names and
-                all(a.size == b.size
-                    for (_, a), (_, b) in zip(self.layers, other.layers)))
-
-    def map(self, fn) -> "LayeredUpdate":
-        """Apply fn to every layer vector."""
-        return self.with_values([fn(vec) for _, vec in self.layers])
-
-    @staticmethod
-    def combine(a: "LayeredUpdate", b: "LayeredUpdate", fn) -> "LayeredUpdate":
-        """Apply fn layer-wise to two structurally identical updates."""
-        if not a.same_structure(b):
-            raise ValueError("layer structure mismatch")
-        return a.with_values([fn(x, y) for (_, x), (_, y)
-                              in zip(a.layers, b.layers)])
 
 
 def weighted_sum(updates: Sequence[np.ndarray], weights: Sequence[float]) -> np.ndarray:

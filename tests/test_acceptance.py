@@ -22,7 +22,6 @@ from fedtruth.training import ModelKind, ModelSpec
 from fedtruth.truth import (CoefficientFunction, FedTruthConfig,
                             estimate_truth, estimate_truth_layered,
                             resilience_gap)
-from fedtruth.vectors import LayeredUpdate
 
 from test_training import finite_difference_check
 
@@ -284,16 +283,15 @@ def test_criterion_09_layered_cost_and_agreement():
             updates.append(exp._benign_update(0, c))
     ftcfg = FedTruthConfig()
     flat_est = estimate_truth([u.flatten() for u in updates], ftcfg)
-    _, layer_ests = estimate_truth_layered(updates, ftcfg)
+    _, layer_ests = estimate_truth_layered(updates, exp.layer_sizes, ftcfg)
     total_layer_iters = sum(e.iterations for e in layer_ests)
     cost_ok = total_layer_iters >= flat_est.iterations
 
     rng = stream(77, "single-layer")
     flats = [rng.normal(size=12) for _ in range(6)]
-    single = [LayeredUpdate((("only", u),)) for u in flats]
     flat = estimate_truth(flats, ftcfg)
-    combined, ests = estimate_truth_layered(single, ftcfg)
-    identical = (np.array_equal(combined.layer("only"), flat.truth)
+    combined, ests = estimate_truth_layered(flats, [12], ftcfg)
+    identical = (np.array_equal(combined, flat.truth)
                  and np.array_equal(ests[0].weights, flat.weights)
                  and ests[0].iterations == flat.iterations)
     conclude(9, "layered cost and agreement", cost_ok and identical,

@@ -1,16 +1,20 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
+from fedtruth.cli import write_round_csv
 from fedtruth.config import config_from_dict
 from fedtruth.rng import stream
-from fedtruth.simulator import (_Experiment, apply_global_update,
-                                fltrust_server_step, run_experiment,
-                                select_round_roster)
+from fedtruth.simulator import (NonFiniteUpdate, _Experiment,
+                                apply_global_update, fltrust_server_step,
+                                run_experiment, select_round_roster)
 from fedtruth.training import (ModelKind, ModelSpec, TrainConfig,
                                extract_update, init_model, local_train)
 from fedtruth.aggregators import fedavg, flame, fltrust
+
+from test_cli import without_timing_bytes
 
 
 def base_config(**over):
@@ -69,11 +73,10 @@ def test_roster_rejects_oversized_requests():
 def test_apply_global_update_identities():
     spec = ModelSpec(ModelKind.LOGREG, 4, 2)
     w = init_model(spec, 0)
-    delta = w.map(lambda v: np.full_like(v, 2.0))
-    assert np.array_equal(
-        apply_global_update(w, delta, 0.0).flatten(), w.flatten())
+    delta = np.full_like(w, 2.0)
+    assert np.array_equal(apply_global_update(w, delta, 0.0), w)
     out = apply_global_update(w, delta, 0.5)
-    assert out.flatten() == pytest.approx(w.flatten() - 1.0)
+    assert out == pytest.approx(w - 1.0)
 
 
 def test_eta_one_recovers_single_client_model():
@@ -85,7 +88,7 @@ def test_eta_one_recovers_single_client_model():
                         stream(0, "t"))
     delta = extract_update(w, local)
     recovered = apply_global_update(w, delta, 1.0)
-    assert np.array_equal(recovered.flatten(), local.flatten())
+    assert np.array_equal(recovered, local)
 
 
 # -- fltrust server step --------------------------------------------------------
@@ -97,7 +100,7 @@ def test_fltrust_server_step_zero_lr_gives_zero_update():
     root = synth_blobs(30, 6, 2, 0.2, stream(1, "d"))
     upd = fltrust_server_step(root, w, spec, TrainConfig(learning_rate=0.0),
                               stream(1, "t"))
-    assert np.all(upd.flatten() == 0.0)
+    assert np.all(upd == 0.0)
 
 
 def test_fltrust_server_step_matches_identical_client():
@@ -108,7 +111,7 @@ def test_fltrust_server_step_matches_identical_client():
     cfg = TrainConfig(local_epochs=2, batch_size=8, learning_rate=0.1)
     server = fltrust_server_step(ds, w, spec, cfg, stream(9, "s"))
     client = extract_update(w, local_train(w, ds, spec, cfg, stream(9, "s")))
-    assert np.array_equal(server.flatten(), client.flatten())
+    assert np.array_equal(server, client)
 
 
 def test_fltrust_small_root_still_trains():
@@ -127,12 +130,12 @@ def test_fedavg_all_benign_conservation():
     roster, _ = select_round_roster(8, 5, 0, 0, cfg.master_seed)
     updates = [exp._benign_update(0, int(c)) for c in roster]
     counts = [len(exp.shards[int(c)]) for c in roster]
-    expected = fedavg([u.flatten() for u in updates], counts)
+    expected = fedavg(updates, counts)
     reports = run_experiment(cfg)
     # recover the applied aggregate from the reported weights instead:
     # re-run one round by hand through the experiment object
     delta, weights, _ = exp._aggregate(updates, counts, 0)
-    assert delta.flatten() == pytest.approx(expected, abs=1e-12)
+    assert delta == pytest.approx(expected, abs=1e-12)
     assert np.asarray(weights).sum() == pytest.approx(1.0, abs=1e-12)
     assert len(reports) == cfg.fl.rounds
 
@@ -202,20 +205,19 @@ def test_report_weights_come_from_the_aggregate(kind):
     roster, _ = select_round_roster(8, 5, 0, 0, cfg.master_seed)
     updates = [exp._benign_update(0, int(c)) for c in roster]
     counts = [len(exp.shards[int(c)]) for c in roster]
-    flats = [u.flatten() for u in updates]
     delta, weights, _ = exp._aggregate(updates, counts, 0)
     if kind == "flame":
-        expected, kept = flame(flats, cfg.aggregator.flame_noise_factor,
+        expected, kept = flame(updates, cfg.aggregator.flame_noise_factor,
                                stream(cfg.master_seed, "flame", 0))
-        want = np.zeros(len(flats))
+        want = np.zeros(len(updates))
         want[kept] = 1.0 / len(kept)
     else:
         server = fltrust_server_step(
             exp.root_ds, exp.global_model, exp.model_spec, exp.train_cfg,
             stream(cfg.master_seed, "fltrust", 0))
-        expected, scores = fltrust(flats, server.flatten())
+        expected, scores = fltrust(updates, server)
         want = scores / scores.sum()
-    assert np.array_equal(delta.flatten(), expected)
+    assert np.array_equal(delta, expected)
     assert np.array_equal(weights, want)
     assert len(set(want.tolist())) > 1  # label skew: not uniform
 
@@ -323,6 +325,39 @@ def test_nonfinite_model_reported_with_round():
             run_experiment(cfg)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_client_update_names_round_and_client(bad, monkeypatch):
+    cfg = base_config()
+    roster, _ = select_round_roster(8, 5, 0, 1, cfg.master_seed)
+    victim = int(roster[2])
+    benign_update = _Experiment._benign_update
+
+    def one_bad_entry(self, round_index, client):
+        update = benign_update(self, round_index, client)
+        if (round_index, client) == (1, victim):
+            update[3] = bad
+        return update
+
+    monkeypatch.setattr(_Experiment, "_benign_update", one_bad_entry)
+    with pytest.raises(NonFiniteUpdate) as info:
+        run_experiment(cfg)
+    assert info.value.round_index == 1
+    assert info.value.client == victim
+
+
+def test_nonfinite_global_model_names_round_without_client():
+    # finite client updates whose server step overflows
+    cfg = base_config(
+        attack={"kind": "model_boost", "strategy": "with_boosting",
+                "n_adversaries": 2, "boosting_factor": 1e300},
+        **{"fl.rounds": 3, "fl.server_lr": 1e10})
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteUpdate) as info:
+            run_experiment(cfg)
+    assert info.value.round_index == 0
+    assert info.value.client is None
+
+
 def test_fltrust_zero_server_update_falls_back():
     # zero local learning rate gives a zero server reference; the round
     # falls back to the (zero) server update and the model stays put
@@ -338,3 +373,45 @@ def test_fedtruth_layer_uses_model_layers():
                          "model.kind": "mlp", "model.hidden_units": 4})
     reports = run_experiment(cfg)
     assert all(r.fedtruth_iterations >= 1 for r in reports)
+
+
+# -- pinned outputs ------------------------------------------------------------
+
+PINNED_RUNS = {
+    "mlp-layer-noise": (
+        {"model": {"kind": "mlp", "hidden_units": 4},
+         "aggregator": {"kind": "fedtruth_layer"},
+         "attack": {"kind": "gaussian_noise", "strategy": "base",
+                    "n_adversaries": 2, "sigma": 0.5}},
+        "e0a306501895524cb2a5d1e1d437cea0abca70157b9f588e244957f6e04a1ef8"),
+    "dba-pgd": (
+        {"aggregator": {"kind": "fedtruth", "distance": "cosine"},
+         "attack": {"kind": "backdoor", "strategy": "with_boosting",
+                    "n_adversaries": 2, "boosting_factor": 3.0,
+                    "pgd_radius": 0.4,
+                    "backdoor": {"flavor": "dba", "n_trigger_features": 2,
+                                 "trigger_value": 1.0, "target_label": 0,
+                                 "poison_fraction": 0.5}}},
+        "dfd4242042561bb79ed94b35d8e272c643b3689a912cdf324ebb847ac485767b"),
+    "edge-cs-fltrust": (
+        {"aggregator": {"kind": "fltrust"},
+         "attack": {"kind": "backdoor", "strategy": "constrain_and_scale",
+                    "n_adversaries": 2, "alpha": 0.5,
+                    "boosting_factor": 2.0,
+                    "backdoor": {"flavor": "edge", "target_label": 1,
+                                 "edge_ratio": 0.3}}},
+        "0c02f8a0f4674aa7646d4ed55ef824b7653b213642e2ebebede23ac5f24561c7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_small_runs_match_pinned_digests(name, tmp_path):
+    # per-round CSV bytes without agg_time_s, as the committed goldens are
+    # compared: a refactor of training, attacks or aggregation that changes
+    # any float in any round changes the digest
+    over, digest = PINNED_RUNS[name]
+    cfg = base_config(**{"fl.rounds": 4}, **over)
+    path = tmp_path / "run.csv"
+    write_round_csv(path, cfg, run_experiment(cfg))
+    kept = b"".join(without_timing_bytes(path))
+    assert hashlib.sha256(kept).hexdigest() == digest

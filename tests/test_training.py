@@ -5,7 +5,7 @@ from fedtruth.data import Dataset, synth_blobs
 from fedtruth.rng import stream
 from fedtruth.training import (ModelKind, ModelSpec, TrainConfig, evaluate,
                                extract_update, init_model, local_train,
-                               _forward, _gradients)
+                               _forward, _gradients, _unpack)
 
 LOGREG = ModelSpec(ModelKind.LOGREG, n_features=6, n_classes=3)
 MLP = ModelSpec(ModelKind.MLP, n_features=6, n_classes=3, hidden_units=5)
@@ -21,24 +21,27 @@ def test_init_deterministic_in_seed():
     a = init_model(LOGREG, 7)
     b = init_model(LOGREG, 7)
     c = init_model(LOGREG, 8)
-    assert np.array_equal(a.flatten(), b.flatten())
-    assert not np.array_equal(a.flatten(), c.flatten())
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_init_biases_zero_and_param_count():
     m = init_model(LOGREG, 0)
-    assert np.all(m.layer("b") == 0.0)
-    assert m.flatten().size == 3 * (6 + 1)
+    _, b = _unpack(LOGREG, m)
+    assert np.all(b == 0.0)
+    assert m.size == 3 * (6 + 1)
     mlp = init_model(MLP, 0)
-    assert np.all(mlp.layer("b1") == 0.0)
-    assert np.all(mlp.layer("b2") == 0.0)
-    assert mlp.flatten().size == 5 * 6 + 5 + 3 * 5 + 3
+    _, b1, _, b2 = _unpack(MLP, mlp)
+    assert np.all(b1 == 0.0)
+    assert np.all(b2 == 0.0)
+    assert mlp.size == 5 * 6 + 5 + 3 * 5 + 3
 
 
 def test_init_weights_within_glorot_limit():
     m = init_model(LOGREG, 3)
     limit = np.sqrt(6.0 / (6 + 3))
-    assert np.all(np.abs(m.layer("W")) <= limit)
+    W, _ = _unpack(LOGREG, m)
+    assert np.all(np.abs(W) <= limit)
 
 
 # -- forward ------------------------------------------------------------------
@@ -53,7 +56,7 @@ def test_softmax_rows_sum_to_one():
 
 
 def test_softmax_stable_at_large_logits():
-    params = init_model(LOGREG, 1).map(lambda v: v * 1e4)
+    params = init_model(LOGREG, 1) * 1e4
     ds = blobs(10)
     probs, _ = _forward(LOGREG, params, ds.features)
     assert np.all(np.isfinite(probs))
@@ -71,21 +74,18 @@ def finite_difference_check(spec, n_coords=100, h=1e-6, seed=5):
         true = probs[np.arange(len(y)), y]
         return float(-np.log(np.maximum(true, 1e-15)).mean())
 
-    grads = _gradients(spec, params, X, y)
-    flat_grad = np.concatenate(grads)
-    flat = params.flatten()
+    grad = _gradients(spec, params, X, y)
     rng = np.random.default_rng(seed)
-    coords = rng.choice(flat.size, size=min(n_coords, flat.size),
+    coords = rng.choice(params.size, size=min(n_coords, params.size),
                         replace=False)
     worst = 0.0
     for j in coords:
-        up, down = flat.copy(), flat.copy()
+        up, down = params.copy(), params.copy()
         up[j] += h
         down[j] -= h
-        numeric = (loss_at(params.from_flat(up)) -
-                   loss_at(params.from_flat(down))) / (2 * h)
-        denom = max(abs(numeric), abs(flat_grad[j]), 1e-8)
-        worst = max(worst, abs(numeric - flat_grad[j]) / denom)
+        numeric = (loss_at(up) - loss_at(down)) / (2 * h)
+        denom = max(abs(numeric), abs(grad[j]), 1e-8)
+        worst = max(worst, abs(numeric - grad[j]) / denom)
     return worst
 
 
@@ -104,7 +104,7 @@ def test_zero_learning_rate_keeps_params():
     params = init_model(LOGREG, 2)
     cfg = TrainConfig(local_epochs=2, batch_size=16, learning_rate=0.0)
     out = local_train(params, ds, LOGREG, cfg, stream(0, "t"))
-    assert np.array_equal(out.flatten(), params.flatten())
+    assert np.array_equal(out, params)
 
 
 def test_one_epoch_lowers_training_loss():
@@ -121,10 +121,10 @@ def test_one_epoch_lowers_training_loss():
 def test_local_train_does_not_mutate_input():
     ds = blobs()
     params = init_model(LOGREG, 4)
-    before = params.flatten().copy()
+    before = params.copy()
     local_train(params, ds, LOGREG,
                 TrainConfig(learning_rate=0.5), stream(2, "t"))
-    assert np.array_equal(params.flatten(), before)
+    assert np.array_equal(params, before)
 
 
 def test_training_deterministic():
@@ -133,7 +133,7 @@ def test_training_deterministic():
     cfg = TrainConfig(local_epochs=3, batch_size=8, learning_rate=0.2)
     a = local_train(params, ds, MLP, cfg, stream(3, "t", 0))
     b = local_train(params, ds, MLP, cfg, stream(3, "t", 0))
-    assert np.array_equal(a.flatten(), b.flatten())
+    assert np.array_equal(a, b)
 
 
 def test_train_empty_dataset_rejected():
@@ -152,7 +152,7 @@ def test_constant_predictor_on_balanced_two_class():
     labels = np.array([0, 1] * 50)
     ds = Dataset(feats, labels, 2)
     spec = ModelSpec(ModelKind.LOGREG, 4, 2)
-    params = init_model(spec, 0).map(np.zeros_like)
+    params = np.zeros_like(init_model(spec, 0))
     acc, loss = evaluate(params, ds, spec)
     assert acc == 0.5
     assert loss >= 0.0
@@ -171,20 +171,20 @@ def test_trainable_to_perfect_separation():
 # -- update extraction ----------------------------------------------------------
 
 def test_extract_update_sign_convention():
-    g = init_model(LOGREG, 0).map(lambda v: np.full_like(v, 5.0))
-    l = init_model(LOGREG, 0).map(lambda v: np.full_like(v, 3.0))
+    g = np.full_like(init_model(LOGREG, 0), 5.0)
+    l = np.full_like(init_model(LOGREG, 0), 3.0)
     delta = extract_update(g, l)
-    assert np.all(delta.flatten() == 2.0)
+    assert np.all(delta == 2.0)
     # w - 1.0 * delta recovers the local model
-    recovered = g.flatten() - delta.flatten()
-    assert np.array_equal(recovered, l.flatten())
+    recovered = g - delta
+    assert np.array_equal(recovered, l)
 
 
 def test_extract_update_zero_for_identical():
     g = init_model(MLP, 6)
     delta = extract_update(g, g)
-    assert np.all(delta.flatten() == 0.0)
-    assert delta.names == g.names
+    assert np.all(delta == 0.0)
+    assert delta.shape == g.shape
 
 
 def test_extract_update_shape_mismatch():
@@ -192,3 +192,5 @@ def test_extract_update_shape_mismatch():
     other = init_model(ModelSpec(ModelKind.LOGREG, 7, 3), 0)
     with pytest.raises(ValueError):
         extract_update(g, other)
+    with pytest.raises(ValueError):  # another model's parameter vector
+        evaluate(other, blobs(), LOGREG)

@@ -4,7 +4,7 @@ import pytest
 from fedtruth.truth import (CoefficientFunction, FedTruthConfig, InitScheme,
                             estimate_truth, estimate_truth_layered,
                             performances_to_weights, resilience_gap)
-from fedtruth.vectors import DistanceKind, LayeredUpdate, distances_to
+from fedtruth.vectors import DistanceKind, distances_to
 
 
 def closed_form_shares(distances, coefficient):
@@ -198,18 +198,12 @@ def test_convergence_stays_in_budget():
 
 # -- layered ------------------------------------------------------------------
 
-def layered(vectors, names=None):
-    names = names or [f"l{i}" for i in range(len(vectors))]
-    return LayeredUpdate(tuple(zip(names, vectors)))
-
-
 def test_single_layer_matches_flat_bit_for_bit():
     rng = np.random.default_rng(8)
     flats = [rng.normal(size=12) for _ in range(6)]
     flat_est = estimate_truth(flats, FedTruthConfig())
-    combined, ests = estimate_truth_layered(
-        [layered([u], ["only"]) for u in flats], FedTruthConfig())
-    assert np.array_equal(combined.layer("only"), flat_est.truth)
+    combined, ests = estimate_truth_layered(flats, [12], FedTruthConfig())
+    assert np.array_equal(combined, flat_est.truth)
     assert np.array_equal(ests[0].weights, flat_est.weights)
     assert ests[0].iterations == flat_est.iterations
 
@@ -219,30 +213,32 @@ def test_layer_weights_vary_per_layer():
     shared = rng.normal(size=4)
     updates = []
     for i in range(5):
-        updates.append(layered([shared.copy(), rng.normal(size=4)],
-                               ["same", "diff"]))
-    updates.append(layered([shared.copy(), rng.normal(size=4) + 50.0],
-                           ["same", "diff"]))
-    combined, ests = estimate_truth_layered(updates, FedTruthConfig())
+        updates.append(np.concatenate([shared, rng.normal(size=4)]))
+    updates.append(np.concatenate([shared, rng.normal(size=4) + 50.0]))
+    combined, ests = estimate_truth_layered(updates, [4, 4],
+                                            FedTruthConfig())
     n = len(updates)
     assert ests[0].weights == pytest.approx([1 / n] * n, abs=1e-9)
-    assert ests[1].weights[-1] < 1 / n  # outlier downweighted on "diff" only
-    assert combined.names == ["same", "diff"]
+    assert ests[1].weights[-1] < 1 / n  # outlier downweighted on layer 1 only
+    assert len(ests) == 2 and combined.shape == (8,)
 
 
 def test_layered_total_iterations_sum():
     rng = np.random.default_rng(10)
-    updates = [layered([rng.normal(size=6), rng.normal(size=3)])
-               for _ in range(5)]
-    _, ests = estimate_truth_layered(updates, FedTruthConfig())
+    updates = [rng.normal(size=9) for _ in range(5)]
+    _, ests = estimate_truth_layered(updates, [6, 3], FedTruthConfig())
     assert sum(e.iterations for e in ests) >= max(e.iterations for e in ests)
 
 
 def test_layered_structure_mismatch():
-    a = layered([np.zeros(2), np.zeros(3)])
-    b = layered([np.zeros(2), np.zeros(4)])
+    a = np.zeros(5)
+    b = np.zeros(6)
     with pytest.raises(ValueError):
-        estimate_truth_layered([a, b], FedTruthConfig())
+        estimate_truth_layered([a, b], [2, 3], FedTruthConfig())
+    with pytest.raises(ValueError):  # sizes do not sum to the length
+        estimate_truth_layered([a, a], [2, 4], FedTruthConfig())
+    with pytest.raises(ValueError):  # empty layer
+        estimate_truth_layered([a, a], [0, 5], FedTruthConfig())
 
 
 # -- resilience ---------------------------------------------------------------

@@ -3,58 +3,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedtruth.vectors import (DistanceKind, LayeredUpdate, as_vector,
-                              cosine_similarity, distance, weighted_sum)
+from fedtruth.truth import FedTruthConfig, estimate_truth_layered
+from fedtruth.vectors import (DistanceKind, cosine_similarity, distance,
+                              weighted_sum)
 
 ALL_KINDS = list(DistanceKind)
 
 
-def test_as_vector_rejects_bad_input():
-    with pytest.raises(ValueError):
-        as_vector([])
-    with pytest.raises(ValueError):
-        as_vector([1.0, np.nan])
-    with pytest.raises(ValueError):
-        as_vector([np.inf, 0.0])
-    v = as_vector([1, 2, 3])
-    assert v.dtype == np.float64
-
-
-def test_flatten_concatenates_in_layer_order():
-    u = LayeredUpdate((("a", [1.0, 2.0]), ("b", [3.0])))
-    assert u.flatten().tolist() == [1.0, 2.0, 3.0]
-
-
-def test_flatten_single_layer_identity():
-    u = LayeredUpdate((("w", [5.0]),))
-    assert u.flatten().tolist() == [5.0]
-
+# Layers are slices of the flat vector by layer size; the per-layer
+# estimator is where a layer structure meets an update and is checked.
 
 def test_empty_layer_rejected_at_construction():
+    u = np.array([1.0])
     with pytest.raises(ValueError):
-        LayeredUpdate((("a", []), ("b", [1.0])))
-
-
-def test_duplicate_layer_names_rejected():
-    with pytest.raises(ValueError):
-        LayeredUpdate((("a", [1.0]), ("a", [2.0])))
-
-
-def test_flat_round_trip_is_bit_exact():
-    rng = np.random.default_rng(0)
-    u = LayeredUpdate((("w1", rng.normal(size=7)),
-                       ("b1", rng.normal(size=3)),
-                       ("w2", rng.normal(size=5))))
-    flat = u.flatten()
-    rebuilt = u.from_flat(flat)
-    for (_, a), (_, b) in zip(u.layers, rebuilt.layers):
-        assert np.array_equal(a, b)
+        estimate_truth_layered([u, u], [0, 1], FedTruthConfig())
 
 
 def test_from_flat_rejects_wrong_length():
-    u = LayeredUpdate((("a", [1.0, 2.0]),))
+    u = np.zeros(3)
     with pytest.raises(ValueError):
-        u.from_flat(np.zeros(3))
+        estimate_truth_layered([u, u], [2], FedTruthConfig())
 
 
 def test_weighted_sum_examples():
