@@ -18,6 +18,6 @@ from .training import (ModelKind, ModelSpec, TrainConfig, evaluate,
 from .truth import (CoefficientFunction, FedTruthConfig, InitScheme,
                     TruthEstimate, estimate_truth, estimate_truth_layered,
                     performances_to_weights, resilience_gap)
-from .vectors import DistanceKind, cosine_similarity, distance, weighted_sum
+from .vectors import DistanceKind, distance, weighted_sum
 
 __version__ = "0.1.0"

@@ -1,8 +1,9 @@
 """Baseline robust aggregators: FedAvg, Krum, median, trimmed mean,
 FLTrust, and a cluster/clip/noise pipeline in the style of FLAME.
 
-All functions take flat parameter vectors and are pure except `flame`,
-which consumes an explicit random stream for its noise stage.
+All functions take the round's updates as one (n, d) update matrix or a
+list of equal-length flat vectors, and are pure except `flame`, which
+consumes an explicit random stream for its noise stage.
 """
 
 from __future__ import annotations
@@ -11,23 +12,11 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .vectors import weighted_sum
+from .vectors import Updates, update_matrix, weighted_sum
 
 
-def _stack(updates: Sequence[np.ndarray]) -> np.ndarray:
-    if len(updates) == 0:
-        raise ValueError("need at least one update")
-    X = np.asarray(updates, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("updates must share one dimension")
-    return X
-
-
-def fedavg(updates: Sequence[np.ndarray],
-           sample_counts: Sequence[int]) -> np.ndarray:
+def fedavg(updates: Updates, sample_counts: Sequence[int]) -> np.ndarray:
     """Sample-count weighted average, a_k = n_k / sum(n)."""
-    if len(updates) != len(sample_counts):
-        raise ValueError("sample_counts must align with updates")
     counts = np.asarray(sample_counts, dtype=np.float64)
     total = counts.sum()
     if total <= 0:
@@ -35,11 +24,11 @@ def fedavg(updates: Sequence[np.ndarray],
     return weighted_sum(updates, counts / total)
 
 
-def krum_select(updates: Sequence[np.ndarray], f: int) -> int:
+def krum_select(updates: Updates, f: int) -> int:
     """Index of the update with the smallest sum of squared distances to
     its n - f - 2 nearest neighbours. Ties resolve to the lowest index.
     """
-    X = _stack(updates)
+    X = update_matrix(updates)
     n = len(X)
     if f < 0:
         raise ValueError("f must be >= 0")
@@ -57,17 +46,17 @@ def krum_select(updates: Sequence[np.ndarray], f: int) -> int:
     return int(np.argmin(scores))
 
 
-def coordinate_median(updates: Sequence[np.ndarray]) -> np.ndarray:
+def coordinate_median(updates: Updates) -> np.ndarray:
     """Per-coordinate median; even counts average the two middle values."""
-    X = _stack(updates)
+    X = update_matrix(updates)
     return np.median(X, axis=0)
 
 
-def trimmed_mean(updates: Sequence[np.ndarray], trim_k: int) -> np.ndarray:
+def trimmed_mean(updates: Updates, trim_k: int) -> np.ndarray:
     """Per-coordinate mean after dropping the trim_k largest and smallest
     values. Requires 2 * trim_k < n.
     """
-    X = _stack(updates)
+    X = update_matrix(updates)
     n = len(X)
     if trim_k < 0:
         raise ValueError("trim_k must be >= 0")
@@ -87,7 +76,7 @@ def default_trim_k(n: int) -> int:
     return int(0.2 * n)
 
 
-def fltrust(updates: Sequence[np.ndarray],
+def fltrust(updates: Updates,
             server_update: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Trust-score aggregation against a server-trained reference update.
 
@@ -95,13 +84,14 @@ def fltrust(updates: Sequence[np.ndarray],
     update to the server update; zero-norm updates carry no direction and
     score 0. Each client update is rescaled to the server update's norm,
     then averaged with trust-score weights; returns the aggregate and the
-    scores. If every score is zero the aggregate is the server update itself.
+    scores. If every score is zero the aggregate is the server update itself;
+    so it is for a zero server update, which no client can align with.
     """
-    X = _stack(updates)
+    X = update_matrix(updates)
     server = np.asarray(server_update, dtype=np.float64)
     server_norm = float(np.linalg.norm(server))
     if server_norm == 0.0:
-        raise ValueError("server update must be nonzero")
+        return server.copy(), np.zeros(len(X))
     norms = np.linalg.norm(X, axis=1)
     scores = np.zeros(len(X))
     normalized = np.zeros_like(X)
@@ -179,16 +169,16 @@ def _majority_cluster(dist: np.ndarray, n: int) -> np.ndarray:
     return np.array([i for i in range(n) if uf.find(i) == winner])
 
 
-def flame_survivors(updates: Sequence[np.ndarray]) -> np.ndarray:
+def flame_survivors(updates: Updates) -> np.ndarray:
     """Indices kept by the clustering stage of `flame`."""
-    X = _stack(updates)
+    X = update_matrix(updates)
     n = len(X)
     if n < 3:
         raise ValueError(f"flame needs n >= 3, got {n}")
     return _majority_cluster(_cosine_distance_matrix(X), n)
 
 
-def flame(updates: Sequence[np.ndarray], noise_factor: float,
+def flame(updates: Updates, noise_factor: float,
           rng: Optional[np.random.Generator] = None
           ) -> Tuple[np.ndarray, np.ndarray]:
     """Cluster, clip, average, noise.
@@ -201,7 +191,7 @@ def flame(updates: Sequence[np.ndarray], noise_factor: float,
 
     Returns the aggregate and the survivor indices of step 1.
     """
-    X = _stack(updates)
+    X = update_matrix(updates)
     if noise_factor < 0:
         raise ValueError("noise_factor must be >= 0")
     keep = flame_survivors(X)

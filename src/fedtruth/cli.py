@@ -262,11 +262,6 @@ def cmd_sweep(args) -> int:
 BENCH_LAYER_COUNT = 8  # synthetic layered split used for the per-layer variant
 
 
-def _bench_updates(n: int, dim: int) -> List[np.ndarray]:
-    rng = stream(1234, "bench", n, dim)
-    return [rng.normal(size=dim) for _ in range(n)]
-
-
 def bench_aggregation(n_clients_list: List[int], dim: int,
                       repetitions: int = 3,
                       aggregators: Optional[List[str]] = None) -> List[dict]:
@@ -283,7 +278,7 @@ def bench_aggregation(n_clients_list: List[int], dim: int,
     for n in n_clients_list:
         if n < 1 or dim < 1:
             raise ValueError("n_clients and dim must be positive")
-        flats = _bench_updates(n, dim)
+        flats = stream(1234, "bench", n, dim).normal(size=(n, dim))
         server = flats[0] + stream(99, "bench-server", n).normal(size=dim) * 0.1
         ctx = AggregationContext(
             counts=[1] * n,

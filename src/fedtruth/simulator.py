@@ -28,6 +28,7 @@ from .rng import stream
 from .training import (ModelSpec, TrainConfig, evaluate, extract_update,
                        init_model, local_train, predict)
 from .truth import estimate_truth, estimate_truth_layered
+from .vectors import Updates
 
 if TYPE_CHECKING:
     from .config import AggregatorConfig, ExperimentConfig
@@ -105,7 +106,7 @@ def fltrust_server_step(root_ds: Dataset, w: np.ndarray, spec: ModelSpec,
 
 @dataclass
 class AggregationContext:
-    """What an aggregator may need besides the flat client updates. Only
+    """What an aggregator may need besides the client update matrix. Only
     fltrust calls `server_update` and only flame calls `flame_rng`, so no
     other kind pays for the server's training or the noise stream."""
     counts: Sequence[int]  # sample counts, aligned with the updates
@@ -153,12 +154,7 @@ def _trimmed_mean(flats, ctx):
 
 
 def _fltrust(flats, ctx):
-    server = ctx.server_update()
-    if float(np.linalg.norm(server)) == 0.0:
-        # zero reference (e.g. lr = 0): fall back to the all-zero trust
-        # rule and return the server update itself
-        return server, None, None
-    result, scores = agg.fltrust(flats, server)
+    result, scores = agg.fltrust(flats, ctx.server_update())
     total = scores.sum()
     return result, scores / total if total > 0 else None, None
 
@@ -172,11 +168,13 @@ def _flame(flats, ctx):
 
 
 # One table of aggregator kinds for the simulator, the bench and config
-# validation: (flat updates, context) -> (aggregate, per-client weights or
-# None, estimator iterations or None). Callees are module attributes read
-# at call time, so rebinding one (to trace it, say) reaches every entry.
+# validation: (update matrix, context) -> (aggregate, per-client weights or
+# None, estimator iterations or None). The simulator passes the round's
+# (n, d) matrix; a list of equal-length flat vectors works too. Callees are
+# module attributes read at call time, so rebinding one (to trace it, say)
+# reaches every entry.
 AGGREGATORS: Dict[str, Callable[
-    [List[np.ndarray], AggregationContext],
+    [Updates, AggregationContext],
     Tuple[np.ndarray, Optional[np.ndarray], Optional[int]]]] = {
     "fedtruth": _fedtruth,
     "fedtruth_layer": _fedtruth_layer,
@@ -301,12 +299,8 @@ class _Experiment:
         update extraction -> update boosting."""
         atk = self.attack
         w = self.global_model
-        factor = atk.resolve_factor(self.cfg.fl.clients_per_round, n_adv) \
-            if n_adv else 1.0
+        factor = atk.resolve_factor(self.cfg.fl.clients_per_round, n_adv)
         train_rng = stream(self.seed, "train", round_index, client)
-
-        if atk.kind is AttackKind.NONE:
-            return self._benign_update(round_index, client)
 
         if atk.kind is AttackKind.BACKDOOR:
             local_ds = self._poisoned_shard(round_index, client,
@@ -336,9 +330,9 @@ class _Experiment:
             delta = boost_update(delta, factor)
         return delta
 
-    def _aggregate(self, updates: List[np.ndarray],
-                   counts: List[int], round_index: int):
-        """Run the configured aggregator on the round's updates.
+    def _aggregate(self, updates: Updates, counts: List[int],
+                   round_index: int):
+        """Run the configured aggregator on the round's update matrix.
 
         Returns (delta, per-client weights or None, iterations or None).
         Weights align with the roster order.
@@ -364,9 +358,11 @@ class _Experiment:
                 self.cfg.fl.total_clients, self.cfg.fl.clients_per_round,
                 self.cfg.attack.n_adversaries, t, self.seed)
             adv_set = set(int(a) for a in adversaries)
-            updates, counts = [], []
+            # one checked row per roster client, in roster order
+            updates = np.empty((len(roster), self.global_model.size))
+            counts = []
             adv_position = 0
-            for client in roster:
+            for row, client in enumerate(roster):
                 client = int(client)
                 if client in adv_set \
                         and self.attack.kind is not AttackKind.NONE:
@@ -375,7 +371,7 @@ class _Experiment:
                     adv_position += 1
                 else:
                     update = self._benign_update(t, client)
-                updates.append(_require_finite(update, t, client))
+                updates[row] = _require_finite(update, t, client)
                 counts.append(len(self.shards[client]))
 
             t0 = time.perf_counter()

@@ -7,9 +7,10 @@ truth update until the truth stabilises. Clients whose updates sit far from
 the current truth receive small weights, which suppresses boosted, noised,
 or backdoored updates without discarding benign outliers entirely.
 
-The layered variant runs the same estimator independently on each layer's
-slice of the flat updates, so the weight a client receives may differ from
-layer to layer.
+The updates arrive as one (n, d) update matrix (see `vectors`), checked
+once per call; every iteration works on its rows. The layered variant runs
+the same estimator independently on each layer's column block of that
+matrix, so the weight a client receives may differ from layer to layer.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .vectors import DistanceKind, distances_to, weighted_sum
+from .vectors import (DistanceKind, Updates, distances_to, update_matrix,
+                      weighted_sum)
 
 # Performance values are floored here before the coefficient function is
 # applied; both coefficient functions blow up at 0, and an exact match
@@ -108,18 +110,18 @@ def performances_to_weights(p: Sequence[float],
     return raw / total
 
 
-def _initial_truth(updates: Sequence[np.ndarray], cfg: FedTruthConfig,
+def _initial_truth(X: np.ndarray, cfg: FedTruthConfig,
                    sample_counts: Optional[Sequence[int]]) -> np.ndarray:
-    n = len(updates)
+    n = len(X)
     if cfg.init is InitScheme.FEDAVG_WEIGHTED and sample_counts is not None:
         counts = np.asarray(sample_counts, dtype=np.float64)
         if counts.size != n or counts.sum() <= 0:
             raise ValueError("sample_counts must align with updates")
-        return weighted_sum(updates, counts / counts.sum())
-    return weighted_sum(updates, np.full(n, 1.0 / n))
+        return weighted_sum(X, counts / counts.sum())
+    return weighted_sum(X, np.full(n, 1.0 / n))
 
 
-def estimate_truth(updates: Sequence[np.ndarray], cfg: FedTruthConfig,
+def estimate_truth(updates: Updates, cfg: FedTruthConfig,
                    sample_counts: Optional[Sequence[int]] = None) -> TruthEstimate:
     """Jointly estimate the aggregate update and per-client weights.
 
@@ -127,26 +129,19 @@ def estimate_truth(updates: Sequence[np.ndarray], cfg: FedTruthConfig,
     the L2 change of the truth between successive iterations drops to
     cfg.epsilon, or cfg.max_iterations is hit. The reported performances and
     weights are recomputed once from the returned truth, so the estimate
-    satisfies its own update equations exactly.
+    satisfies its own update equations exactly. `updates` is an (n, d)
+    array or a list of n equal-length vectors.
     """
-    n = len(updates)
-    if n == 0:
-        raise ValueError("need at least one update")
-    updates = [np.asarray(u, dtype=np.float64) for u in updates]
-    dim = updates[0].size
-    for k, u in enumerate(updates):
-        if u.shape != (dim,):
-            raise ValueError(f"update {k} has shape {u.shape}, expected ({dim},)")
-
-    truth = _initial_truth(updates, cfg, sample_counts)
+    X = update_matrix(updates)
+    truth = _initial_truth(X, cfg, sample_counts)
     converged = False
     iterations = 0
     for _ in range(cfg.max_iterations):
         iterations += 1
-        d = distances_to(cfg.distance, truth, updates)
+        d = distances_to(cfg.distance, truth, X)
         p = cfg.coefficient.performance_shares(d)
         a = performances_to_weights(p, cfg.coefficient)
-        new_truth = weighted_sum(updates, a)
+        new_truth = weighted_sum(X, a)
         delta = float(np.linalg.norm(new_truth - truth))
         truth = new_truth
         if delta <= cfg.epsilon:
@@ -155,38 +150,35 @@ def estimate_truth(updates: Sequence[np.ndarray], cfg: FedTruthConfig,
 
     # Self-consistent report: performances/weights evaluated at the final
     # truth (they differ from the producing weights by at most O(epsilon)).
-    d = distances_to(cfg.distance, truth, updates)
+    d = distances_to(cfg.distance, truth, X)
     p = cfg.coefficient.performance_shares(d)
     a = performances_to_weights(p, cfg.coefficient)
     return TruthEstimate(truth=truth, weights=a, performances=p,
                          iterations=iterations, converged=converged)
 
 
-def estimate_truth_layered(updates: Sequence[np.ndarray],
-                           layer_sizes: Sequence[int], cfg: FedTruthConfig,
+def estimate_truth_layered(updates: Updates, layer_sizes: Sequence[int],
+                           cfg: FedTruthConfig,
                            sample_counts: Optional[Sequence[int]] = None):
     """Run the truth estimator independently on every layer.
 
-    Each flat update is sliced into consecutive layers of `layer_sizes`.
-    Returns the flat aggregate plus one TruthEstimate per layer; total
-    iteration cost is the sum over layers.
+    Layer l is the column block of the updates that `layer_sizes` assigns
+    to it. Returns the flat aggregate plus one TruthEstimate per layer;
+    total iteration cost is the sum over layers.
     """
-    if len(updates) == 0:
-        raise ValueError("need at least one update")
+    X = update_matrix(updates)
     if len(layer_sizes) == 0 or min(layer_sizes) < 1:
         raise ValueError(f"layer sizes must be positive, got {layer_sizes}")
     bounds = np.concatenate([[0], np.cumsum(layer_sizes)])
-    for k, u in enumerate(updates):
-        if np.shape(u) != (bounds[-1],):
-            raise ValueError(f"update {k} has shape {np.shape(u)}, but the "
-                             f"layer sizes sum to {bounds[-1]}")
-    estimates = [estimate_truth([u[lo:hi] for u in updates], cfg,
-                                sample_counts)
+    if bounds[-1] != X.shape[1]:
+        raise ValueError(f"updates have length {X.shape[1]}, but the layer "
+                         f"sizes sum to {bounds[-1]}")
+    estimates = [estimate_truth(X[:, lo:hi], cfg, sample_counts)
                  for lo, hi in zip(bounds[:-1], bounds[1:])]
     return np.concatenate([est.truth for est in estimates]), estimates
 
 
-def resilience_gap(updates: Sequence[np.ndarray], f: int,
+def resilience_gap(updates: Updates, f: int,
                    aggregate: np.ndarray,
                    rng: Optional[np.random.Generator] = None,
                    n_samples: int = 1000) -> float:
@@ -199,10 +191,10 @@ def resilience_gap(updates: Sequence[np.ndarray], f: int,
     non-positive result witnesses the resilience inequality on the tested
     subsets.
     """
-    n = len(updates)
+    X = update_matrix(updates)
+    n = len(X)
     if not 0 <= f < n / 2:
         raise ValueError(f"need 0 <= f < n/2, got f={f}, n={n}")
-    X = np.asarray(updates, dtype=np.float64)
     aggregate = np.asarray(aggregate, dtype=np.float64)
     pair_dist = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2)
 

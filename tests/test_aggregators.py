@@ -170,9 +170,12 @@ def test_fltrust_all_zero_trust_falls_back_to_server():
     assert np.all(scores == 0.0)
 
 
-def test_fltrust_zero_server_rejected():
-    with pytest.raises(ValueError):
-        fltrust(vecs([1.0, 0.0]), np.zeros(2))
+def test_fltrust_zero_server_falls_back_to_server():
+    # no client aligns with a zero reference: the all-zero trust rule
+    server = np.zeros(2)
+    out, scores = fltrust(vecs([1.0, 0.0], [0.0, -2.0]), server)
+    assert np.array_equal(out, server) and out is not server
+    assert scores.tolist() == [0.0, 0.0]
 
 
 def test_fltrust_output_norm_bounded():
@@ -286,3 +289,30 @@ def test_flame_survivors_match_threshold_oracle():
         updates = list(X)
         assert flame_survivors(updates).tolist() == \
             threshold_majority_oracle(_cosine_distance_matrix(X))
+
+
+# -- update sets ------------------------------------------------------------------
+
+AGGREGATOR_CALLS = {
+    "fedavg": lambda X: fedavg(X, list(range(1, 10))),
+    "krum_select": lambda X: krum_select(X, 2),
+    "median": coordinate_median,
+    "trimmed_mean": lambda X: trimmed_mean(X, 2),
+    "fltrust": lambda X: fltrust(X, np.linspace(-1.0, 1.0, 42)),
+    "flame_survivors": flame_survivors,
+    "flame": lambda X: flame(X, 0.01, stream(3, "flame", 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AGGREGATOR_CALLS))
+def test_list_and_stacked_array_give_identical_results(name):
+    rng = np.random.default_rng(21)
+    updates = [rng.normal(size=42) for _ in range(9)]
+    updates[4] = updates[4] * 10.0
+    updates[7] = np.zeros(42)
+    call = AGGREGATOR_CALLS[name]
+    from_list, from_array = call(updates), call(np.stack(updates))
+    if not isinstance(from_list, tuple):
+        from_list, from_array = (from_list,), (from_array,)
+    for a, b in zip(from_list, from_array, strict=True):
+        assert np.array_equal(a, b)

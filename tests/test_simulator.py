@@ -401,6 +401,32 @@ PINNED_RUNS = {
                     "backdoor": {"flavor": "edge", "target_label": 1,
                                  "edge_ratio": 0.3}}},
         "0c02f8a0f4674aa7646d4ed55ef824b7653b213642e2ebebede23ac5f24561c7"),
+    # the distance kinds and the coefficient that no golden output covers
+    "manhattan-boost": (
+        {"aggregator": {"kind": "fedtruth", "distance": "manhattan"},
+         "attack": {"kind": "model_boost", "strategy": "with_boosting",
+                    "n_adversaries": 2, "boosting_factor": 5.0}},
+        "3412389c91d3351796ade88fbe9771aadbec55d2c83931309d019beb08ab4925"),
+    "angular-layer-noise": (
+        {"model": {"kind": "mlp", "hidden_units": 4},
+         "aggregator": {"kind": "fedtruth_layer", "distance": "angular"},
+         "attack": {"kind": "gaussian_noise", "strategy": "base",
+                    "n_adversaries": 2, "sigma": 0.5}},
+        "a42c98e5855ec164583a607b89d80e54281fbb1a0432489ea28358cb0aa62d73"),
+    "custom-trigger": (
+        {"aggregator": {"kind": "fedtruth", "distance": "custom"},
+         "attack": {"kind": "backdoor", "strategy": "with_boosting",
+                    "n_adversaries": 2, "boosting_factor": 2.0,
+                    "backdoor": {"flavor": "trigger", "n_trigger_features": 2,
+                                 "trigger_value": 1.0, "target_label": 0,
+                                 "poison_fraction": 0.5}}},
+        "ef5ebf627861645a8fd107e24052ce7055d2762cf698920f06392327bd97e72f"),
+    "inverse-fedavg-init": (
+        {"aggregator": {"kind": "fedtruth", "coefficient": "inverse",
+                        "init": "fedavg_weighted"},
+         "attack": {"kind": "model_boost", "strategy": "with_boosting",
+                    "n_adversaries": 2, "boosting_factor": 5.0}},
+        "fbb4d33d51744754184ba69e28b78294171f8ac94a0f2550bf1bf97a2d48c059"),
 }
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,35 @@ def test_estimate_truth_errors():
         FedTruthConfig(max_iterations=0)
 
 
+def assert_same_estimate(a, b):
+    assert np.array_equal(a.truth, b.truth)
+    assert np.array_equal(a.weights, b.weights)
+    assert np.array_equal(a.performances, b.performances)
+    assert (a.iterations, a.converged) == (b.iterations, b.converged)
+
+
+@pytest.mark.parametrize("coeff", list(CoefficientFunction))
+@pytest.mark.parametrize("kind", list(DistanceKind))
+def test_list_and_stacked_array_give_identical_estimates(kind, coeff):
+    rng = np.random.default_rng(31)
+    updates = [rng.normal(size=42) for _ in range(10)]
+    updates[3] = updates[3] * 20.0  # a boosted outlier
+    updates[6] = np.zeros(42)
+    for init in InitScheme:
+        cfg = FedTruthConfig(distance=kind, coefficient=coeff, init=init)
+        counts = list(range(1, 11))
+        try:
+            est = estimate_truth(updates, cfg, counts)
+        except ValueError as err:
+            # cosine + inverse: a distance that rounds below zero has no
+            # square root, so this input fails; it must fail alike
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                estimate_truth(np.stack(updates), cfg, counts)
+            continue
+        assert_same_estimate(est, estimate_truth(np.stack(updates), cfg,
+                                                 counts))
+
+
 def test_convergence_stays_in_budget():
     rng = np.random.default_rng(100)
     iters = []
@@ -228,6 +259,23 @@ def test_layered_total_iterations_sum():
     updates = [rng.normal(size=9) for _ in range(5)]
     _, ests = estimate_truth_layered(updates, [6, 3], FedTruthConfig())
     assert sum(e.iterations for e in ests) >= max(e.iterations for e in ests)
+
+
+@pytest.mark.parametrize("kind", list(DistanceKind))
+def test_layered_column_blocks_match_contiguous_layer_copies(kind):
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(7, 15))
+    X[2, 4:10] = 0.0  # a zero row in the middle layer
+    sizes = [4, 6, 5]
+    cfg = FedTruthConfig(distance=kind)
+    combined, ests = estimate_truth_layered(X, sizes, cfg)
+    from_list, _ = estimate_truth_layered(list(X), sizes, cfg)
+    assert np.array_equal(combined, from_list)
+    bounds = np.cumsum([0] + sizes)
+    for est, lo, hi in zip(ests, bounds[:-1], bounds[1:]):
+        copies = [np.ascontiguousarray(u[lo:hi]) for u in X]
+        assert_same_estimate(est, estimate_truth(copies, cfg))
+        assert np.array_equal(combined[lo:hi], est.truth)
 
 
 def test_layered_structure_mismatch():

@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedtruth.truth import FedTruthConfig, estimate_truth_layered
-from fedtruth.vectors import (DistanceKind, cosine_similarity, distance,
-                              weighted_sum)
+from fedtruth.vectors import (DistanceKind, distance, distances_to,
+                              update_matrix, weighted_sum)
 
 ALL_KINDS = list(DistanceKind)
 
@@ -25,6 +27,24 @@ def test_from_flat_rejects_wrong_length():
         estimate_truth_layered([u, u], [2], FedTruthConfig())
 
 
+def test_update_matrix_stacks_lists_and_keeps_fitting_arrays():
+    X = np.arange(6.0).reshape(2, 3)
+    assert update_matrix(X) is X
+    block = X[:, 1:]
+    assert update_matrix(block) is block
+    stacked = update_matrix([X[0], X[1]])
+    assert stacked.dtype == np.float64 and np.array_equal(stacked, X)
+    assert update_matrix([[1, 2]]).dtype == np.float64
+
+
+@pytest.mark.parametrize("bad", [[], np.zeros((0, 3)), np.zeros(3),
+                                 np.zeros((2, 2, 2)),
+                                 [np.zeros(2), np.zeros(3)]])
+def test_update_matrix_rejects_bad_update_sets(bad):
+    with pytest.raises(ValueError):
+        update_matrix(bad)
+
+
 def test_weighted_sum_examples():
     assert weighted_sum([np.array([1.0, 1.0])], [1.0]).tolist() == [1.0, 1.0]
     out = weighted_sum([np.array([1.0, 0.0]), np.array([0.0, 1.0])],
@@ -42,6 +62,21 @@ def test_weighted_sum_errors():
         weighted_sum([np.zeros(2), np.zeros(3)], [0.5, 0.5])
     with pytest.raises(ValueError):
         weighted_sum([np.zeros(2)], [0.5, 0.5])
+
+
+def test_weighted_sum_list_and_array_bit_identical():
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(9, 42))
+    w = rng.dirichlet(np.ones(9))
+    out = weighted_sum(X, w)
+    assert np.array_equal(out, weighted_sum(list(X), w))
+    expected = np.zeros(42)
+    for k in range(9):
+        expected += w[k] * X[k]
+    assert np.array_equal(out, expected)
+    block = X[:, 5:20]
+    assert np.array_equal(weighted_sum(block, w),
+                          weighted_sum([u[5:20].copy() for u in X], w))
 
 
 def test_distance_examples():
@@ -64,8 +99,7 @@ def test_distance_dimension_mismatch():
 def test_zero_vector_cosine_convention():
     z = np.zeros(3)
     v = np.array([1.0, 2.0, 3.0])
-    assert cosine_similarity(z, v) == 0.0
-    assert distance(DistanceKind.COSINE, z, v) == 1.0
+    assert distance(DistanceKind.COSINE, z, v) == 1.0  # similarity 0
     assert distance(DistanceKind.ANGULAR, z, v) == 0.5
 
 
@@ -114,3 +148,69 @@ def test_angular_clamps_float_drift():
     # nearly parallel vectors can push raw cosine a hair above 1
     u = np.full(1000, 0.1)
     assert distance(DistanceKind.ANGULAR, u, u * (1 + 1e-16)) >= 0.0
+
+
+def reference_distance(kind, u, v):
+    """Per-pair restatement of each distance formula."""
+    if kind is DistanceKind.EUCLIDEAN:
+        return float(np.linalg.norm(u - v))
+    if kind is DistanceKind.MANHATTAN:
+        return float(np.abs(u - v).sum())
+    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+    zero = nu == 0.0 or nv == 0.0
+    if kind is DistanceKind.COSINE:
+        return 1.0 - (0.0 if zero else float(np.dot(u, v) / (nu * nv)))
+    angular = 0.5 if zero else 2.0 * math.atan2(
+        float(np.linalg.norm(u / nu - v / nv)),
+        float(np.linalg.norm(u / nu + v / nv))) / math.pi
+    if kind is DistanceKind.ANGULAR:
+        return angular
+    return 0.5 * angular + 0.5 * float(np.linalg.norm(u - v))
+
+
+@st.composite
+def reference_and_rows(draw):
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 9))
+    value = st.floats(min_value=-100.0, max_value=100.0,
+                      allow_nan=False, allow_infinity=False)
+    ref = np.array(draw(st.lists(value, min_size=d, max_size=d)))
+    X = np.array(draw(st.lists(st.lists(value, min_size=d, max_size=d),
+                               min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        ref[:] = 0.0
+    for k in range(n):
+        if draw(st.integers(0, 3)) == 0:
+            X[k] = 0.0
+        elif draw(st.integers(0, 3)) == 0:
+            X[k] = ref * draw(st.sampled_from([1.0, -1.0, 2.5]))
+    return ref, X
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=reference_and_rows(), kind=st.sampled_from(ALL_KINDS))
+def test_distances_to_matches_per_pair_formula_bitwise(case, kind):
+    ref, X = case
+    expected = np.array([reference_distance(kind, ref, x) for x in X])
+    assert np.array_equal(distances_to(kind, ref, X), expected)
+    assert np.array_equal(distances_to(kind, ref, list(X)), expected)
+    assert [distance(kind, ref, x) for x in X] == expected.tolist()
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_distances_to_bitwise_at_model_sizes(kind):
+    # long rows take the blocked paths of dot and sum; rows of a column
+    # block start at unaligned offsets
+    rng = np.random.default_rng(14)
+    X = rng.normal(size=(100, 6762))
+    ref = X.mean(axis=0)
+    for rows in (X, X[:, 3:5000]):
+        r = ref[:rows.shape[1]]
+        expected = np.array([reference_distance(kind, r, x.copy())
+                             for x in rows])
+        assert np.array_equal(distances_to(kind, r, rows), expected)
+
+
+def test_distances_to_rejects_mismatched_reference():
+    with pytest.raises(ValueError):
+        distances_to(DistanceKind.EUCLIDEAN, np.zeros(3), np.zeros((2, 4)))
