@@ -260,6 +260,7 @@ def cmd_sweep(args) -> int:
 # -- bench ----------------------------------------------------------------
 
 BENCH_LAYER_COUNT = 8  # synthetic layered split used for the per-layer variant
+BENCH_MIN_CLIENTS = 3  # krum and flame need at least 3 updates
 
 
 def bench_aggregation(n_clients_list: List[int], dim: int,
@@ -303,6 +304,10 @@ def bench_aggregation(n_clients_list: List[int], dim: int,
 def cmd_bench(args) -> int:
     try:
         n_list = [int(x) for x in args.clients.split(",")]
+        if min(n_list) < BENCH_MIN_CLIENTS:
+            raise ValueError(
+                f"--clients: each count must be at least "
+                f"{BENCH_MIN_CLIENTS}, got {min(n_list)}")
         rows = bench_aggregation(n_list, args.dim, args.reps)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)

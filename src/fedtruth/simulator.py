@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Callable, Dict, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .data import (Dataset, TriggerSpec, apply_trigger, backdoor_eval_set,
                    synth_blobs, load_idx, PartitionPlan)
 from .rng import stream
 from .training import (ModelSpec, TrainConfig, evaluate, extract_update,
-                       init_model, local_train, predict)
+                       init_model, local_train, predict, train_roster)
 from .truth import estimate_truth, estimate_truth_layered
 from .vectors import Updates
 
@@ -54,6 +54,21 @@ def _require_finite(vector: np.ndarray, round_index: int,
     if not np.isfinite(vector).all():
         raise NonFiniteUpdate(round_index, client)
     return vector
+
+
+# Local training stacks at most this many parameters per block of clients
+# (9 clients at d = 6762). The bound keeps the stacked state cache-sized:
+# a whole 100-client roster at d = 6762 in one block raised peak memory by
+# about 30% for no speed gain.
+TRAIN_BLOCK_ELEMENTS = 2 ** 16
+
+
+class _TrainingJob(NamedTuple):
+    """One roster client's local training: its data, its train stream, and
+    for an adversary the map from its trained model to its update."""
+    ds: Dataset
+    rng: np.random.Generator
+    finish: Optional[Callable[[np.ndarray], np.ndarray]]
 
 
 @dataclass
@@ -273,12 +288,6 @@ class _Experiment:
 
     # -- per-round pieces ------------------------------------------------
 
-    def _benign_update(self, round_index: int, client: int) -> np.ndarray:
-        trained = local_train(self.global_model, self.shards[client],
-                              self.model_spec, self.train_cfg,
-                              stream(self.seed, "train", round_index, client))
-        return extract_update(self.global_model, trained)
-
     def _poisoned_shard(self, round_index: int, client: int,
                         adv_position: int, n_adv: int) -> Dataset:
         bd = self.cfg.attack.backdoor
@@ -293,23 +302,27 @@ class _Experiment:
                                     bd.poison_fraction, rng)
         return poisoned
 
-    def _adversarial_update(self, round_index: int, client: int,
-                            adv_position: int, n_adv: int) -> np.ndarray:
-        """Attack pipeline: train -> model transform -> projection ->
-        update extraction -> update boosting."""
+    def _adversarial_job(self, round_index: int, client: int,
+                         adv_position: int, n_adv: int) -> _TrainingJob:
+        """What an adversary trains on, and its attack pipeline."""
         atk = self.attack
-        w = self.global_model
-        factor = atk.resolve_factor(self.cfg.fl.clients_per_round, n_adv)
-        train_rng = stream(self.seed, "train", round_index, client)
-
         if atk.kind is AttackKind.BACKDOOR:
             local_ds = self._poisoned_shard(round_index, client,
                                             adv_position, n_adv)
         else:
             local_ds = self.shards[client]
-        model = local_train(w, local_ds, self.model_spec, self.train_cfg,
-                            train_rng)
+        factor = atk.resolve_factor(self.cfg.fl.clients_per_round, n_adv)
+        return _TrainingJob(
+            local_ds, stream(self.seed, "train", round_index, client),
+            lambda model: self._attack_pipeline(model, round_index, client,
+                                                factor))
 
+    def _attack_pipeline(self, model: np.ndarray, round_index: int,
+                         client: int, factor: float) -> np.ndarray:
+        """Trained model -> model transform -> projection -> update
+        extraction -> update boosting."""
+        atk = self.attack
+        w = self.global_model
         if atk.kind is AttackKind.GAUSSIAN_NOISE:
             noise_rng = stream(self.seed, "noise", round_index, client)
             model = gaussian_noise(model, atk.sigma, noise_rng)
@@ -329,6 +342,46 @@ class _Experiment:
                 or atk.strategy is AttackStrategy.WITH_BOOSTING:
             delta = boost_update(delta, factor)
         return delta
+
+    def _client_updates(self, round_index: int, roster: Sequence[int],
+                        adversaries: Sequence[int]) -> np.ndarray:
+        """The round's (n, d) update matrix, one row per roster client in
+        roster order, not yet checked.
+
+        Clients whose training sets have the same length train together,
+        in blocks of at most TRAIN_BLOCK_ELEMENTS // d clients.
+        """
+        adv_set = set(int(a) for a in adversaries)
+        attacked = self.attack.kind is not AttackKind.NONE
+        jobs, adv_position = [], 0
+        for client in roster:
+            client = int(client)
+            if attacked and client in adv_set:
+                jobs.append(self._adversarial_job(
+                    round_index, client, adv_position, len(adv_set)))
+                adv_position += 1
+            else:
+                jobs.append(_TrainingJob(
+                    self.shards[client],
+                    stream(self.seed, "train", round_index, client), None))
+
+        w = self.global_model
+        updates = np.empty((len(jobs), w.size))
+        groups: Dict[int, List[int]] = {}
+        for row, job in enumerate(jobs):
+            groups.setdefault(len(job.ds), []).append(row)
+        block = max(1, TRAIN_BLOCK_ELEMENTS // w.size)
+        for rows in groups.values():
+            for lo in range(0, len(rows), block):
+                part = rows[lo:lo + block]
+                trained = train_roster(
+                    w, [jobs[r].ds for r in part], self.model_spec,
+                    self.train_cfg, [jobs[r].rng for r in part])
+                updates[part] = w - trained
+                for row, model in zip(part, trained):
+                    if jobs[row].finish is not None:
+                        updates[row] = jobs[row].finish(model)
+        return updates
 
     def _aggregate(self, updates: Updates, counts: List[int],
                    round_index: int):
@@ -357,22 +410,10 @@ class _Experiment:
             roster, adversaries = select_round_roster(
                 self.cfg.fl.total_clients, self.cfg.fl.clients_per_round,
                 self.cfg.attack.n_adversaries, t, self.seed)
-            adv_set = set(int(a) for a in adversaries)
-            # one checked row per roster client, in roster order
-            updates = np.empty((len(roster), self.global_model.size))
-            counts = []
-            adv_position = 0
+            updates = self._client_updates(t, roster, adversaries)
             for row, client in enumerate(roster):
-                client = int(client)
-                if client in adv_set \
-                        and self.attack.kind is not AttackKind.NONE:
-                    update = self._adversarial_update(
-                        t, client, adv_position, len(adv_set))
-                    adv_position += 1
-                else:
-                    update = self._benign_update(t, client)
-                updates[row] = _require_finite(update, t, client)
-                counts.append(len(self.shards[client]))
+                _require_finite(updates[row], t, int(client))
+            counts = [len(self.shards[int(c)]) for c in roster]
 
             t0 = time.perf_counter()
             delta, weights, iterations = self._aggregate(updates, counts, t)
@@ -397,7 +438,7 @@ class _Experiment:
                 fedtruth_iterations=iterations,
                 weights=None if weights is None else [float(x) for x in weights],
                 client_ids=[int(c) for c in roster],
-                adversary_ids=sorted(adv_set),
+                adversary_ids=[int(a) for a in adversaries],
             ))
         return reports
 

@@ -5,6 +5,13 @@ Model parameters are one flat float64 vector: the layers of
 `ModelSpec.layer_shapes()` in order, each flattened row-major. The forward
 and backward passes work on reshaped views of that vector, so a model, a
 trained model and an update all share one representation.
+
+`train_roster` trains K clients whose datasets have the same length as one
+stack: parameters (K, d), batches (K, batch, features), one batched matrix
+product per layer and step. Each client keeps its own shuffle, and every
+slice of a batched product and reduction is the computation a single
+client makes, so row k equals training client k alone bit for bit.
+`local_train` is the one-client case of it.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -78,55 +85,104 @@ def init_model(spec: ModelSpec,
 
 
 def _unpack(spec: ModelSpec, params: np.ndarray) -> List[np.ndarray]:
-    """Views of the flat parameter vector, one per layer, in layer shape."""
+    """Views of the flat parameter vector, one per layer, in layer shape.
+
+    A stack of vectors, shape (K, d), gives (K, *shape) views.
+    """
     out, offset = [], 0
+    lead = params.shape[:-1]
     for _, shape in spec.layer_shapes():
         size = math.prod(shape)
-        out.append(params[offset:offset + size].reshape(shape))
+        out.append(params[..., offset:offset + size].reshape(lead + shape))
         offset += size
-    if params.shape != (offset,):
+    if params.shape[-1:] != (offset,):
         raise ValueError(
             f"parameter vector has shape {params.shape}, expected ({offset},)")
     return out
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exps = np.exp(shifted)
-    return exps / exps.sum(axis=1, keepdims=True)
+    return exps / exps.sum(axis=-1, keepdims=True)
+
+
+def _affine(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """X @ W.T + b, also for stacks: (K, B, i) by (K, o, i) and (K, o)."""
+    return np.matmul(X, W.swapaxes(-1, -2)) + b[..., None, :]
 
 
 def _forward(spec: ModelSpec, params: np.ndarray, X: np.ndarray):
-    """Returns (probabilities, cache for backprop)."""
+    """Returns (probabilities, cache for backprop).
+
+    Either one model, (d,) with X (B, features), or a stack of K models,
+    (K, d) with X (K, B, features); each slice of a stack computes exactly
+    what the single model computes on it.
+    """
     if spec.kind is ModelKind.LOGREG:
         W, b = _unpack(spec, params)
-        logits = X @ W.T + b
-        return _softmax(logits), (X,)
+        return _softmax(_affine(X, W, b)), (X,)
     W1, b1, W2, b2 = _unpack(spec, params)
-    z1 = X @ W1.T + b1
+    z1 = _affine(X, W1, b1)
     h = np.maximum(z1, 0.0)
-    logits = h @ W2.T + b2
-    return _softmax(logits), (X, z1, h, W2)
+    return _softmax(_affine(h, W2, b2)), (X, z1, h, W2)
 
 
-def _gradients(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
-               y: np.ndarray) -> np.ndarray:
-    """Mean cross-entropy gradient, laid out like the parameter vector."""
-    probs, cache = _forward(spec, params, X)
-    n = X.shape[0]
-    g = probs.copy()
-    g[np.arange(n), y] -= 1.0
+def _roster_gradients(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
+                      y: np.ndarray) -> np.ndarray:
+    """Mean cross-entropy gradients of K models on K equal-size batches.
+
+    params (K, d), X (K, B, features), y (K, B); returns (K, d), each row
+    laid out like the parameter vector.
+    """
+    g, cache = _forward(spec, params, X)
+    K, n = y.shape
+    g[np.arange(K)[:, None], np.arange(n), y] -= 1.0
     g /= n
+    gT = g.transpose(0, 2, 1)
     if spec.kind is ModelKind.LOGREG:
         (X,) = cache
-        return np.concatenate([(g.T @ X).reshape(-1), g.sum(axis=0)])
+        return np.concatenate([(gT @ X).reshape(K, -1), g.sum(axis=1)],
+                              axis=1)
     X, z1, h, W2 = cache
-    d_w2 = g.T @ h
-    d_b2 = g.sum(axis=0)
+    d_w2 = gT @ h
+    d_b2 = g.sum(axis=1)
     dz1 = (g @ W2) * (z1 > 0.0)
-    d_w1 = dz1.T @ X
-    d_b1 = dz1.sum(axis=0)
-    return np.concatenate([d_w1.reshape(-1), d_b1, d_w2.reshape(-1), d_b2])
+    d_w1 = dz1.transpose(0, 2, 1) @ X
+    d_b1 = dz1.sum(axis=1)
+    return np.concatenate([d_w1.reshape(K, -1), d_b1, d_w2.reshape(K, -1),
+                           d_b2], axis=1)
+
+
+def train_roster(params: np.ndarray, datasets: Sequence[Dataset],
+                 spec: ModelSpec, cfg: TrainConfig,
+                 rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Mini-batch SGD of K clients from one start, as stacked steps.
+
+    All K datasets must have the same length. Client k shuffles with its
+    own rngs[k] each epoch, exactly as it would alone, so row k of the
+    (K, d) result equals training that client by itself bit for bit. The
+    input is untouched.
+    """
+    if len(datasets) != len(rngs) or not datasets:
+        raise ValueError("need one generator per dataset, and a dataset")
+    n = len(datasets[0])
+    if n == 0:
+        raise ValueError("cannot train on an empty dataset")
+    if any(len(ds) != n for ds in datasets):
+        raise ValueError("a roster block needs equal-size datasets")
+    feats = np.stack([ds.features for ds in datasets])
+    labels = np.stack([ds.labels for ds in datasets])
+    rows = np.arange(len(datasets))[:, None]
+    current = np.broadcast_to(params, (len(datasets), params.size))
+    for _ in range(cfg.local_epochs):
+        orders = np.stack([rng.permutation(n) for rng in rngs])
+        for start in range(0, n, cfg.batch_size):
+            batch = orders[:, start:start + cfg.batch_size]
+            grad = _roster_gradients(spec, current, feats[rows, batch],
+                                     labels[rows, batch])
+            current = current - cfg.learning_rate * grad
+    return current
 
 
 def local_train(params: np.ndarray, ds: Dataset, spec: ModelSpec,
@@ -135,17 +191,7 @@ def local_train(params: np.ndarray, ds: Dataset, spec: ModelSpec,
 
     Batches come from a seed-deterministic shuffle each epoch.
     """
-    if len(ds) == 0:
-        raise ValueError("cannot train on an empty dataset")
-    current = params
-    for _ in range(cfg.local_epochs):
-        order = rng.permutation(len(ds))
-        for start in range(0, len(ds), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            grad = _gradients(spec, current, ds.features[batch],
-                              ds.labels[batch])
-            current = current - cfg.learning_rate * grad
-    return current
+    return train_roster(params, [ds], spec, cfg, [rng])[0]
 
 
 def evaluate(params: np.ndarray, ds: Dataset,

@@ -53,7 +53,9 @@ class CoefficientFunction(Enum):
         """
         d = np.asarray(distances, dtype=np.float64)
         if self is CoefficientFunction.INVERSE:
-            d = np.sqrt(d)
+            # 1 - cos of parallel vectors can round to -2.2e-16, whose
+            # square root is NaN
+            d = np.sqrt(np.maximum(d, 0.0))
         total = d.sum()
         if total <= 0.0:
             p = np.full(d.size, 1.0 / d.size)

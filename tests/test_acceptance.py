@@ -272,15 +272,7 @@ def test_criterion_09_layered_cost_and_agreement():
     })
     exp = _Experiment(cfg)
     roster, advs = select_round_roster(10, 10, 3, 0, 0)
-    adv_set = set(int(a) for a in advs)
-    updates, pos = [], 0
-    for c in roster:
-        c = int(c)
-        if c in adv_set:
-            updates.append(exp._adversarial_update(0, c, pos, 3))
-            pos += 1
-        else:
-            updates.append(exp._benign_update(0, c))
+    updates = exp._client_updates(0, roster, advs)
     ftcfg = FedTruthConfig()
     flat_est = estimate_truth([u.flatten() for u in updates], ftcfg)
     _, layer_ests = estimate_truth_layered(updates, exp.layer_sizes, ftcfg)

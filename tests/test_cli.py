@@ -216,6 +216,17 @@ def test_bench_cli_smoke(tmp_path, capsys):
     assert "fedtruth" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("clients", ["2", "4,1", "0"])
+def test_bench_cli_rejects_fewer_than_three_clients(clients, capsys):
+    # krum and flame cannot run below 3 clients, so the table is refused
+    # before any row is timed
+    assert main(["bench", "--clients", clients, "--dim", "8",
+                 "--reps", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "at least 3" in captured.err
+    assert captured.out == ""
+
+
 def test_bench_rejects_bad_sizes():
     with pytest.raises(ValueError):
         bench_aggregation([0], dim=16)

@@ -127,8 +127,8 @@ def test_fedavg_all_benign_conservation():
     cfg = base_config()
     exp = _Experiment(cfg)
     w_before = exp.global_model
-    roster, _ = select_round_roster(8, 5, 0, 0, cfg.master_seed)
-    updates = [exp._benign_update(0, int(c)) for c in roster]
+    roster, advs = select_round_roster(8, 5, 0, 0, cfg.master_seed)
+    updates = exp._client_updates(0, roster, advs)
     counts = [len(exp.shards[int(c)]) for c in roster]
     expected = fedavg(updates, counts)
     reports = run_experiment(cfg)
@@ -202,8 +202,8 @@ def test_every_aggregator_completes(agg):
 def test_report_weights_come_from_the_aggregate(kind):
     cfg = base_config(**{"aggregator.kind": kind})
     exp = _Experiment(cfg)
-    roster, _ = select_round_roster(8, 5, 0, 0, cfg.master_seed)
-    updates = [exp._benign_update(0, int(c)) for c in roster]
+    roster, advs = select_round_roster(8, 5, 0, 0, cfg.master_seed)
+    updates = exp._client_updates(0, roster, advs)
     counts = [len(exp.shards[int(c)]) for c in roster]
     delta, weights, _ = exp._aggregate(updates, counts, 0)
     if kind == "flame":
@@ -330,15 +330,15 @@ def test_nonfinite_client_update_names_round_and_client(bad, monkeypatch):
     cfg = base_config()
     roster, _ = select_round_roster(8, 5, 0, 1, cfg.master_seed)
     victim = int(roster[2])
-    benign_update = _Experiment._benign_update
+    client_updates = _Experiment._client_updates
 
-    def one_bad_entry(self, round_index, client):
-        update = benign_update(self, round_index, client)
-        if (round_index, client) == (1, victim):
-            update[3] = bad
-        return update
+    def one_bad_entry(self, round_index, roster, adversaries):
+        updates = client_updates(self, round_index, roster, adversaries)
+        if round_index == 1:
+            updates[list(roster).index(victim), 3] = bad
+        return updates
 
-    monkeypatch.setattr(_Experiment, "_benign_update", one_bad_entry)
+    monkeypatch.setattr(_Experiment, "_client_updates", one_bad_entry)
     with pytest.raises(NonFiniteUpdate) as info:
         run_experiment(cfg)
     assert info.value.round_index == 1
@@ -427,6 +427,20 @@ PINNED_RUNS = {
          "attack": {"kind": "model_boost", "strategy": "with_boosting",
                     "n_adversaries": 2, "boosting_factor": 5.0}},
         "fbb4d33d51744754184ba69e28b78294171f8ac94a0f2550bf1bf97a2d48c059"),
+    # d = 6564, so local training splits each 20-client roster into blocks
+    # of 9, 9 and 2 clients
+    "mlp-multi-block": (
+        {"dataset": {"noniid_bias": 0.8, "samples_per_client": 40,
+                     "synth": {"n_train": 1200, "n_test": 200,
+                               "n_features": 200, "n_classes": 4,
+                               "spread": 0.2}},
+         "model": {"kind": "mlp", "hidden_units": 32},
+         "fl": {"total_clients": 24, "clients_per_round": 20, "rounds": 2,
+                "learning_rate": 0.3, "local_epochs": 1, "batch_size": 16},
+         "attack": {"kind": "gaussian_noise", "strategy": "base",
+                    "n_adversaries": 4, "sigma": 0.5},
+         "aggregator": {"kind": "fedtruth"}},
+        "908036976ef304d814616d651194604a20e86892c236e8955eb6c2e89c2ff121"),
 }
 
 
@@ -436,6 +450,7 @@ def test_small_runs_match_pinned_digests(name, tmp_path):
     # compared: a refactor of training, attacks or aggregation that changes
     # any float in any round changes the digest
     over, digest = PINNED_RUNS[name]
+    # 4 rounds, unless the case replaces the whole "fl" section
     cfg = base_config(**{"fl.rounds": 4}, **over)
     path = tmp_path / "run.csv"
     write_round_csv(path, cfg, run_experiment(cfg))

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedtruth.data import Dataset, synth_blobs
 from fedtruth.rng import stream
 from fedtruth.training import (ModelKind, ModelSpec, TrainConfig, evaluate,
                                extract_update, init_model, local_train,
-                               _forward, _gradients, _unpack)
+                               train_roster, _forward, _roster_gradients,
+                               _unpack)
 
 LOGREG = ModelSpec(ModelKind.LOGREG, n_features=6, n_classes=3)
 MLP = ModelSpec(ModelKind.MLP, n_features=6, n_classes=3, hidden_units=5)
@@ -74,7 +77,7 @@ def finite_difference_check(spec, n_coords=100, h=1e-6, seed=5):
         true = probs[np.arange(len(y)), y]
         return float(-np.log(np.maximum(true, 1e-15)).mean())
 
-    grad = _gradients(spec, params, X, y)
+    grad = _roster_gradients(spec, params[None], X[None], y[None])[0]
     rng = np.random.default_rng(seed)
     coords = rng.choice(params.size, size=min(n_coords, params.size),
                         replace=False)
@@ -143,6 +146,89 @@ def test_train_empty_dataset_rejected():
                     TrainConfig(), stream(0, "t"))
     with pytest.raises(ValueError):
         evaluate(init_model(LOGREG, 0), empty, LOGREG)
+
+
+def test_train_roster_rejects_unequal_or_missing_inputs():
+    params = init_model(LOGREG, 0)
+    with pytest.raises(ValueError):
+        train_roster(params, [blobs(40), blobs(41)], LOGREG, TrainConfig(),
+                     [stream(0, "t", 0), stream(0, "t", 1)])
+    with pytest.raises(ValueError):
+        train_roster(params, [blobs(40)], LOGREG, TrainConfig(), [])
+    with pytest.raises(ValueError):
+        train_roster(params, [], LOGREG, TrainConfig(), [])
+
+
+# -- batched training against the per-client reference ---------------------------
+
+def reference_train(params, ds, spec, cfg, rng):
+    """One client's SGD with 2-D products, as a single client trains."""
+    current = params
+    for _ in range(cfg.local_epochs):
+        order = rng.permutation(len(ds))
+        for start in range(0, len(ds), cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            X, y = ds.features[batch], ds.labels[batch]
+            probs, cache = _forward(spec, current, X)
+            g = probs.copy()
+            g[np.arange(len(y)), y] -= 1.0
+            g /= len(y)
+            if spec.kind is ModelKind.LOGREG:
+                grad = np.concatenate([(g.T @ X).reshape(-1), g.sum(axis=0)])
+            else:
+                _, z1, h, W2 = cache
+                dz1 = (g @ W2) * (z1 > 0.0)
+                grad = np.concatenate([(dz1.T @ X).reshape(-1),
+                                       dz1.sum(axis=0),
+                                       (g.T @ h).reshape(-1), g.sum(axis=0)])
+            current = current - cfg.learning_rate * grad
+    return current
+
+
+def assert_roster_matches_per_client(spec, params, datasets, cfg, seed):
+    def rngs():
+        return [stream(seed, "train", 0, k) for k in range(len(datasets))]
+    block = train_roster(params, datasets, spec, cfg, rngs())
+    alone = np.stack([local_train(params, ds, spec, cfg, rng)
+                      for ds, rng in zip(datasets, rngs())])
+    reference = np.stack([reference_train(params, ds, spec, cfg, rng)
+                          for ds, rng in zip(datasets, rngs())])
+    assert block.shape == (len(datasets), params.size)
+    assert np.array_equal(block, alone)
+    assert np.array_equal(block, reference)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mlp=st.booleans(), n_features=st.integers(1, 12),
+       n_classes=st.integers(2, 5), hidden=st.integers(1, 9),
+       clients=st.integers(1, 10), shard=st.integers(1, 45),
+       batch=st.integers(1, 50), epochs=st.sampled_from([1, 1, 2, 3]),
+       lr=st.sampled_from([0.0, 0.05, 0.7]), seed=st.integers(0, 2 ** 16))
+def test_train_roster_matches_per_client_training_bitwise(
+        mlp, n_features, n_classes, hidden, clients, shard, batch, epochs,
+        lr, seed):
+    spec = ModelSpec(ModelKind.MLP if mlp else ModelKind.LOGREG,
+                     n_features, n_classes, hidden)
+    rng = np.random.default_rng(seed)
+    datasets = [Dataset(rng.random((shard, n_features)),
+                        rng.integers(0, n_classes, shard), n_classes)
+                for _ in range(clients)]
+    cfg = TrainConfig(local_epochs=epochs, batch_size=batch,
+                      learning_rate=lr)
+    assert_roster_matches_per_client(spec, init_model(spec, seed), datasets,
+                                     cfg, seed)
+
+
+@pytest.mark.parametrize("kind", [ModelKind.LOGREG, ModelKind.MLP])
+def test_train_roster_bitwise_at_model_sizes(kind):
+    # 200 features and 32 hidden units take larger BLAS kernels than the
+    # small shapes above; a 60-row shard leaves a short last batch of 28
+    spec = ModelSpec(kind, 200, 10, 32)
+    datasets = [synth_blobs(60, 200, 10, 0.15, stream(k, "shard"))
+                for k in range(9)]
+    cfg = TrainConfig(local_epochs=2, batch_size=32, learning_rate=0.5)
+    assert_roster_matches_per_client(spec, init_model(spec, 4), datasets,
+                                     cfg, 4)
 
 
 # -- evaluate ---------------------------------------------------------------------

@@ -1,7 +1,7 @@
-import re
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedtruth.truth import (CoefficientFunction, FedTruthConfig, InitScheme,
                             estimate_truth, estimate_truth_layered,
@@ -203,16 +203,38 @@ def test_list_and_stacked_array_give_identical_estimates(kind, coeff):
     for init in InitScheme:
         cfg = FedTruthConfig(distance=kind, coefficient=coeff, init=init)
         counts = list(range(1, 11))
-        try:
-            est = estimate_truth(updates, cfg, counts)
-        except ValueError as err:
-            # cosine + inverse: a distance that rounds below zero has no
-            # square root, so this input fails; it must fail alike
-            with pytest.raises(ValueError, match=re.escape(str(err))):
-                estimate_truth(np.stack(updates), cfg, counts)
-            continue
-        assert_same_estimate(est, estimate_truth(np.stack(updates), cfg,
-                                                 counts))
+        assert_same_estimate(estimate_truth(updates, cfg, counts),
+                             estimate_truth(np.stack(updates), cfg, counts))
+
+
+@st.composite
+def updates_with_parallel_rows(draw):
+    n = draw(st.integers(2, 8))
+    d = draw(st.integers(1, 8))
+    value = st.floats(min_value=-100.0, max_value=100.0,
+                      allow_nan=False, allow_infinity=False)
+    X = np.array(draw(st.lists(st.lists(value, min_size=d, max_size=d),
+                               min_size=n, max_size=n)))
+    for k in range(1, n):
+        pick = draw(st.integers(0, 3))
+        if pick == 0:  # parallel to an earlier row, as a converged truth is
+            X[k] = X[draw(st.integers(0, k - 1))] * draw(
+                st.sampled_from([1.0, 0.1, 3.0, 20.0]))
+        elif pick == 1:
+            X[k] = 0.0
+    return X
+
+
+@settings(max_examples=150, deadline=None)
+@given(X=updates_with_parallel_rows(), kind=st.sampled_from(list(DistanceKind)),
+       init=st.sampled_from(list(InitScheme)))
+def test_inverse_coefficient_never_gives_nan_weights(X, kind, init):
+    cfg = FedTruthConfig(distance=kind,
+                         coefficient=CoefficientFunction.INVERSE, init=init)
+    est = estimate_truth(X, cfg, list(range(1, len(X) + 1)))
+    assert np.isfinite(est.weights).all()
+    assert np.isfinite(est.truth).all()
+    assert est.weights.sum() == pytest.approx(1.0)
 
 
 def test_convergence_stays_in_budget():
