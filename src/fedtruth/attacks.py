@@ -8,9 +8,7 @@ sharding, edge-case pools) lives in the data module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
@@ -26,37 +24,6 @@ class AttackStrategy(Enum):
     BASE = "base"
     WITH_BOOSTING = "with_boosting"
     CONSTRAIN_AND_SCALE = "constrain_and_scale"
-
-
-@dataclass(frozen=True)
-class AttackSpec:
-    """How adversarial clients transform their contribution.
-
-    boosting_factor None means "auto": the round's total client count over
-    its adversary count. pgd_radius None disables the projection step.
-    """
-
-    kind: AttackKind = AttackKind.NONE
-    strategy: AttackStrategy = AttackStrategy.BASE
-    boosting_factor: Optional[float] = None
-    sigma: float = 1.0
-    alpha: float = 0.5
-    pgd_radius: Optional[float] = None
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must be in [0, 1]")
-        if self.boosting_factor is not None and not self.boosting_factor > 0:
-            raise ValueError("fixed boosting_factor must be > 0")
-        if self.pgd_radius is not None and self.pgd_radius < 0:
-            raise ValueError("pgd_radius must be >= 0")
-
-    def resolve_factor(self, n_clients: int, n_adversaries: int) -> float:
-        if self.boosting_factor is not None:
-            return self.boosting_factor
-        return boosting_factor(n_clients, n_adversaries)
 
 
 def boosting_factor(c_total: int, c_adv: int) -> float:

@@ -25,11 +25,12 @@ from typing import List, Optional
 import numpy as np
 import yaml
 
-from .config import (AggregatorConfig, ExperimentConfig, apply_overrides,
-                     load_config)
+from .attacks import AttackKind
+from .config import AggregatorConfig, ExperimentConfig, load_config
 from .rng import stream
 from .simulator import (AGGREGATORS, AggregationContext, RoundReport,
                         run_experiment)
+from .vectors import DistanceKind
 
 TIMING_COLUMNS = ("agg_time_s",)
 
@@ -43,12 +44,12 @@ def _fmt(value) -> str:
 
 
 def _attack_label(cfg: ExperimentConfig) -> str:
-    if cfg.attack.kind == "none" or cfg.attack.n_adversaries == 0:
+    if cfg.attack.kind is AttackKind.NONE or cfg.attack.n_adversaries == 0:
         return "none"
-    label = cfg.attack.kind
-    if cfg.attack.kind == "backdoor":
-        label += f"-{cfg.attack.backdoor.flavor}"
-    return f"{label}/{cfg.attack.strategy}"
+    label = cfg.attack.kind.value
+    if cfg.attack.kind is AttackKind.BACKDOOR:
+        label += f"-{cfg.attack.backdoor.flavor.value}"
+    return f"{label}/{cfg.attack.strategy.value}"
 
 
 def write_round_csv(path: Path, cfg: ExperimentConfig,
@@ -57,15 +58,15 @@ def write_round_csv(path: Path, cfg: ExperimentConfig,
     header = ["round", "aggregator", "distance", "coefficient",
               "n_adversaries", "attack", "main_acc", "backdoor_acc",
               "agg_time_s", "iters"] + [f"weight_c{i}" for i in range(k)]
-    attack = _attack_label(cfg)
+    run_columns = [cfg.aggregator.kind, cfg.aggregator.distance.value,
+                   cfg.aggregator.coefficient.value, cfg.attack.n_adversaries,
+                   _attack_label(cfg)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for r in reports:
             weights = r.weights if r.weights is not None else [None] * k
-            writer.writerow([
-                r.round_index, cfg.aggregator.kind, cfg.aggregator.distance,
-                cfg.aggregator.coefficient, cfg.attack.n_adversaries, attack,
+            writer.writerow([r.round_index] + run_columns + [
                 _fmt(r.main_accuracy), _fmt(r.backdoor_accuracy),
                 _fmt(r.aggregation_wall_time), _fmt(r.fedtruth_iterations),
             ] + [_fmt(w) for w in weights])
@@ -100,8 +101,7 @@ def _run_single(cfg: ExperimentConfig, out_dir: Path,
 
 def cmd_run(args) -> int:
     try:
-        cfg = load_config(args.config)
-        cfg = apply_overrides(cfg, args.set or [])
+        cfg = load_config(args.config, args.set or ())
         out_dir = cfg.output.resolved_dir()
         reports = _run_single(cfg, out_dir, cfg.output.name)
     except (OSError, ValueError, RuntimeError) as err:
@@ -138,6 +138,9 @@ class SweepSpec:
         unknown = set(self.aggregators) - set(AGGREGATORS)
         if unknown:
             raise ValueError(f"unknown aggregators in sweep: {sorted(unknown)}")
+        unknown = set(self.distances) - {kind.value for kind in DistanceKind}
+        if unknown:
+            raise ValueError(f"unknown distances in sweep: {sorted(unknown)}")
 
     def cells(self) -> List[tuple]:
         out = []
@@ -212,8 +215,7 @@ def cmd_sweep(args) -> int:
         aggregator, adv, bias, dist, seed = cell
         name = _cell_name(cell)
         try:
-            cfg = load_config(spec.base)
-            cfg = apply_overrides(cfg, [
+            cfg = load_config(spec.base, [
                 f"aggregator.kind={aggregator}",
                 f"attack.n_adversaries={adv}",
                 f"dataset.noniid_bias={bias}",

@@ -1,29 +1,31 @@
-"""Experiment configuration: defaults, YAML loading, dotted overrides,
-and validation.
+"""Experiment configuration: typed sections with defaults, YAML loading
+with dotted overrides, and validation.
 
-Every field has a default, so an empty config file runs. Unknown keys are
-rejected to catch typos early.
+Every field has a default, so an empty config file runs. A config file's
+mapping takes its `section.key=value` overrides, then is built and
+validated once. Each value is coerced to its field's type, so the choice
+fields (data source, model, attack kind and strategy, backdoor flavour,
+distance, coefficient, init) hold their enums. Unknown keys and bad values
+raise a ValueError that names the dotted key.
 """
-
-from __future__ import annotations
 
 import dataclasses
 import os
 from dataclasses import dataclass, field
+from enum import EnumMeta
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Optional, Sequence, Union
 
 import yaml
 
-from .attacks import AttackKind, AttackSpec, AttackStrategy
+from .attacks import AttackKind, AttackStrategy, boosting_factor
+from .data import BackdoorFlavor, DataSource
 from .simulator import AGGREGATORS
 from .truth import CoefficientFunction, FedTruthConfig, InitScheme
-from .training import ModelKind, ModelSpec, TrainConfig
+from .training import ModelKind, TrainConfig
 from .vectors import DistanceKind
 
 OUTPUT_ROOT_ENV = "FEDTRUTH_OUT_ROOT"
-
-BACKDOOR_FLAVORS = ("trigger", "dba", "edge")
 
 
 @dataclass
@@ -45,7 +47,7 @@ class IdxConfig:
 
 @dataclass
 class DatasetConfig:
-    source: str = "synth"  # synth | idx
+    source: DataSource = DataSource.SYNTH
     noniid_bias: float = 0.8
     samples_per_client: int = 60
     synth: SynthConfig = field(default_factory=SynthConfig)
@@ -54,12 +56,8 @@ class DatasetConfig:
 
 @dataclass
 class ModelConfig:
-    kind: str = "logreg"  # logreg | mlp
+    kind: ModelKind = ModelKind.LOGREG
     hidden_units: int = 16
-
-    def to_spec(self, n_features: int, n_classes: int) -> ModelSpec:
-        return ModelSpec(kind=ModelKind(self.kind), n_features=n_features,
-                         n_classes=n_classes, hidden_units=self.hidden_units)
 
 
 @dataclass
@@ -80,7 +78,7 @@ class FLConfig:
 
 @dataclass
 class BackdoorConfig:
-    flavor: str = "trigger"  # trigger | dba | edge
+    flavor: BackdoorFlavor = BackdoorFlavor.TRIGGER
     feature_indices: Optional[List[int]] = None  # default: last k features
     n_trigger_features: int = 3
     trigger_value: float = 1.0
@@ -99,42 +97,40 @@ class BackdoorConfig:
 
 @dataclass
 class AttackConfig:
-    kind: str = "none"  # none | model_boost | gaussian_noise | backdoor
-    strategy: str = "base"  # base | with_boosting | constrain_and_scale
+    kind: AttackKind = AttackKind.NONE
+    strategy: AttackStrategy = AttackStrategy.BASE
     n_adversaries: int = 0
-    boosting_factor: Union[str, float] = "auto"  # "auto" or positive number
+    # "auto" (roster size over adversary count) or a positive number
+    boosting_factor: Union[float, str] = "auto"
     sigma: float = 1.0
     alpha: float = 0.5
-    pgd_radius: Optional[float] = None
+    pgd_radius: Optional[float] = None  # None: no projection
     backdoor: BackdoorConfig = field(default_factory=BackdoorConfig)
 
-    def to_spec(self) -> AttackSpec:
-        factor = None if self.boosting_factor == "auto" \
-            else float(self.boosting_factor)
-        return AttackSpec(kind=AttackKind(self.kind),
-                          strategy=AttackStrategy(self.strategy),
-                          boosting_factor=factor, sigma=self.sigma,
-                          alpha=self.alpha, pgd_radius=self.pgd_radius)
+    def resolve_factor(self, n_clients: int, n_adversaries: int) -> float:
+        if self.boosting_factor == "auto":
+            return boosting_factor(n_clients, n_adversaries)
+        return self.boosting_factor
 
 
 @dataclass
 class AggregatorConfig:
     kind: str = "fedtruth"
-    distance: str = "euclidean"
-    coefficient: str = "neglog"
+    distance: DistanceKind = DistanceKind.EUCLIDEAN
+    coefficient: CoefficientFunction = CoefficientFunction.NEG_LOG
     epsilon: float = 1e-6
     max_iterations: int = 100
-    init: str = "simple_average"
+    init: InitScheme = InitScheme.SIMPLE_AVERAGE
     trim_k: Optional[int] = None  # default: floor(0.2 * n) per side
     krum_f: Optional[int] = None  # default: the attack's adversary count
     flame_noise_factor: float = 0.001
 
     def fedtruth_config(self) -> FedTruthConfig:
-        return FedTruthConfig(distance=DistanceKind(self.distance),
-                              coefficient=CoefficientFunction(self.coefficient),
+        return FedTruthConfig(distance=self.distance,
+                              coefficient=self.coefficient,
                               epsilon=self.epsilon,
                               max_iterations=self.max_iterations,
-                              init=InitScheme(self.init))
+                              init=self.init)
 
 
 @dataclass
@@ -161,39 +157,56 @@ class ExperimentConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
     def validate(self) -> "ExperimentConfig":
+        _check_choices(self)
         fl, attack, agg, ds = self.fl, self.attack, self.aggregator, self.dataset
-        if ds.source not in ("synth", "idx"):
-            raise ValueError(f"unknown dataset source {ds.source!r}")
         if not 0.0 <= ds.noniid_bias <= 1.0:
-            raise ValueError("noniid_bias must be in [0, 1]")
-        ModelKind(self.model.kind)  # raises on an unknown model kind
+            raise ValueError("dataset.noniid_bias must be in [0, 1]")
         if fl.clients_per_round > fl.total_clients:
-            raise ValueError("clients_per_round cannot exceed total_clients")
+            raise ValueError("fl.clients_per_round exceeds fl.total_clients")
         if fl.clients_per_round < 1 or fl.rounds < 1:
-            raise ValueError("clients_per_round and rounds must be >= 1")
-        attack.to_spec()  # raises on a bad kind, strategy or parameter
+            raise ValueError("fl.clients_per_round and fl.rounds must be >= 1")
         if attack.n_adversaries < 0 or attack.n_adversaries > fl.clients_per_round:
-            raise ValueError("n_adversaries outside [0, clients_per_round]")
+            raise ValueError("attack.n_adversaries outside [0, roster size]")
         if (attack.n_adversaries >= fl.clients_per_round / 2
-                and attack.kind != "none" and attack.n_adversaries > 0
+                and attack.kind is not AttackKind.NONE
+                and attack.n_adversaries > 0
                 and not self.allow_majority_adversaries):
             raise ValueError(
                 "threat model: adversaries must stay below half the round "
                 "roster (set allow_majority_adversaries to override)")
-        if attack.kind == "gaussian_noise" \
-                and attack.strategy == "constrain_and_scale":
+        if attack.kind is AttackKind.GAUSSIAN_NOISE \
+                and attack.strategy is AttackStrategy.CONSTRAIN_AND_SCALE:
             raise ValueError("the noise attack has no adversarial dataset to "
                              "blend; constrain_and_scale does not apply")
-        if attack.backdoor.flavor not in BACKDOOR_FLAVORS:
-            raise ValueError(f"unknown backdoor flavor {attack.backdoor.flavor!r}")
+        factor = attack.boosting_factor
+        if factor != "auto" and (isinstance(factor, str) or not factor > 0):
+            raise ValueError("attack.boosting_factor: expected a positive "
+                             f"number or 'auto', got {factor!r}")
+        if attack.sigma < 0:
+            raise ValueError("attack.sigma must be >= 0")
+        if not 0.0 <= attack.alpha <= 1.0:
+            raise ValueError("attack.alpha must be in [0, 1]")
+        if attack.pgd_radius is not None and attack.pgd_radius < 0:
+            raise ValueError("attack.pgd_radius must be >= 0")
         if not 0.0 <= attack.backdoor.poison_fraction <= 1.0:
-            raise ValueError("poison_fraction must be in [0, 1]")
+            raise ValueError("attack.backdoor.poison_fraction outside [0, 1]")
         if agg.kind not in AGGREGATORS:
-            raise ValueError(f"unknown aggregator {agg.kind!r}")
-        agg.fedtruth_config()  # raises on bad distance/coefficient/init
+            raise ValueError(f"aggregator.kind: unknown kind {agg.kind!r}")
+        agg.fedtruth_config()  # raises on a bad epsilon or max_iterations
         if not 0.0 < self.fltrust_root_fraction < 1.0:
             raise ValueError("fltrust_root_fraction must be in (0, 1)")
         return self
+
+
+def _check_choices(section, path: str = "") -> None:
+    """Refuse a choice field set in code to anything but its enum."""
+    for f in dataclasses.fields(section):
+        value, sub_path = getattr(section, f.name), path + f.name
+        if dataclasses.is_dataclass(f.type):
+            _check_choices(value, sub_path + ".")
+        elif isinstance(f.type, EnumMeta) and not isinstance(value, f.type):
+            raise ValueError(f"{sub_path}: expected a {f.type.__name__}, "
+                             f"got {value!r}")
 
 
 def _coerce(value, target_type, path: str):
@@ -215,6 +228,13 @@ def _coerce(value, target_type, path: str):
             raise ValueError(f"{path}: expected a list, got {value!r}")
         inner = target_type.__args__[0]
         return [_coerce(v, inner, path) for v in value]
+    if isinstance(target_type, EnumMeta):
+        try:
+            return target_type(value)
+        except ValueError:
+            allowed = " | ".join(member.value for member in target_type)
+            raise ValueError(f"{path}: expected one of {allowed}, "
+                             f"got {value!r}") from None
     if target_type is bool:
         if isinstance(value, bool):
             return value
@@ -226,6 +246,11 @@ def _coerce(value, target_type, path: str):
             raise ValueError(f"{path}: expected an integer, got {value!r}")
         return int(value)
     if target_type is float:
+        if isinstance(value, str):  # YAML 1.1 reads 1e-6 as a string
+            try:
+                return float(value)
+            except ValueError:
+                pass
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{path}: expected a number, got {value!r}")
         return float(value)
@@ -242,21 +267,19 @@ def _build(cls, data: dict, path: str = ""):
     if not isinstance(data, dict):
         raise ValueError(f"{path or 'config'}: expected a mapping, got {data!r}")
     known = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(known)
+    unknown = [f"{path}.{key}" if path else str(key)
+               for key in data if key not in known]
     if unknown:
-        raise ValueError(f"{path or 'config'}: unknown keys {sorted(unknown)}")
+        raise ValueError(f"unknown config keys {sorted(unknown)}")
     kwargs = {}
-    import typing
-    hints = typing.get_type_hints(cls)
     for name, f in known.items():
         if name not in data:
             continue
         sub_path = f"{path}.{name}" if path else name
-        ftype = hints[name]
-        if dataclasses.is_dataclass(ftype):
-            kwargs[name] = _build(ftype, data[name], sub_path)
+        if dataclasses.is_dataclass(f.type):
+            kwargs[name] = _build(f.type, data[name], sub_path)
         else:
-            kwargs[name] = _coerce(data[name], ftype, sub_path)
+            kwargs[name] = _coerce(data[name], f.type, sub_path)
     return cls(**kwargs)
 
 
@@ -264,36 +287,35 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return _build(ExperimentConfig, data).validate()
 
 
-def load_config(path) -> ExperimentConfig:
+def _set(data: dict, key: str, value, replace: bool = True) -> None:
+    """Set a dotted key in a config mapping, adding missing sections."""
+    *sections, leaf = key.split(".")
+    for depth, part in enumerate(sections, start=1):
+        if data.get(part) is None:
+            data[part] = {}
+        data = data[part]
+        if not isinstance(data, dict):
+            raise ValueError(f"{'.'.join(sections[:depth])}: expected a "
+                             f"mapping, got {data!r}")
+    if replace or leaf not in data:
+        data[leaf] = value
+
+
+def load_config(path, overrides: Sequence[str] = ()) -> ExperimentConfig:
+    """Load a YAML config, apply 'section.key=value' overrides to it (values
+    parse as YAML scalars), default output.name to the file's stem, then
+    build and validate the result once."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
     with open(path) as fh:
         data = yaml.safe_load(fh) or {}
-    cfg = config_from_dict(data)
-    if "name" not in (data.get("output") or {}):
-        cfg.output.name = path.stem
-    return cfg
-
-
-def apply_overrides(cfg: ExperimentConfig,
-                    overrides: List[str]) -> ExperimentConfig:
-    """Apply 'section.key=value' overrides; values parse as YAML scalars."""
+    if not isinstance(data, dict):
+        raise ValueError(f"config: expected a mapping, got {data!r}")
     for item in overrides:
-        if "=" not in item:
+        key, eq, raw = item.partition("=")
+        if not eq:
             raise ValueError(f"override {item!r} must look like key=value")
-        key, raw = item.split("=", 1)
-        value = yaml.safe_load(raw)
-        parts = key.strip().split(".")
-        target = cfg
-        for part in parts[:-1]:
-            if not hasattr(target, part):
-                raise ValueError(f"unknown config section {key!r}")
-            target = getattr(target, part)
-        leaf = parts[-1]
-        if not dataclasses.is_dataclass(target) or not hasattr(target, leaf):
-            raise ValueError(f"unknown config key {key!r}")
-        import typing
-        hints = typing.get_type_hints(type(target))
-        setattr(target, leaf, _coerce(value, hints[leaf], key))
-    return cfg.validate()
+        _set(data, key.strip(), yaml.safe_load(raw))
+    _set(data, "output.name", path.stem, replace=False)
+    return config_from_dict(data)

@@ -7,12 +7,18 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from enum import Enum
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
+
+
+class DataSource(Enum):
+    SYNTH = "synth"  # synth_blobs
+    IDX = "idx"  # load_idx
 
 
 @dataclass(frozen=True)
@@ -261,6 +267,12 @@ def backdoor_eval_set(ds: Dataset, trig: TriggerSpec) -> Dataset:
     feats = ds.features[keep].copy()
     feats[:, list(trig.feature_indices)] = trig.trigger_value
     return Dataset(feats, ds.labels[keep].copy(), ds.n_classes)
+
+
+class BackdoorFlavor(Enum):  # how an adversary poisons its shard
+    TRIGGER = "trigger"  # apply_trigger
+    DBA = "dba"  # dba_shards, then apply_trigger
+    EDGE = "edge"  # edge_case_augment
 
 
 def dba_shards(trig: TriggerSpec, n_adversaries: int) -> List[TriggerSpec]:

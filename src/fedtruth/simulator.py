@@ -21,9 +21,10 @@ import numpy as np
 from . import aggregators as agg
 from .attacks import (AttackKind, AttackStrategy, boost_update,
                       constrain_and_scale, gaussian_noise, pgd_project)
-from .data import (Dataset, TriggerSpec, apply_trigger, backdoor_eval_set,
-                   dba_shards, edge_case_augment, partition_label_skew,
-                   synth_blobs, load_idx, PartitionPlan)
+from .data import (BackdoorFlavor, DataSource, Dataset, TriggerSpec,
+                   apply_trigger, backdoor_eval_set, dba_shards,
+                   edge_case_augment, partition_label_skew, synth_blobs,
+                   load_idx, PartitionPlan)
 from .rng import stream
 from .training import (ModelSpec, TrainConfig, evaluate, extract_update,
                        init_model, local_train, predict, train_roster)
@@ -209,11 +210,11 @@ class _Experiment:
         cfg.validate()
         self.cfg = cfg
         self.seed = cfg.master_seed
-        self.attack = cfg.attack.to_spec()
         self.train_cfg = cfg.fl.train_config()
         self._build_data()
-        self.model_spec = cfg.model.to_spec(self.train_pool.n_features,
-                                            self.train_pool.n_classes)
+        self.model_spec = ModelSpec(cfg.model.kind, self.train_pool.n_features,
+                                    self.train_pool.n_classes,
+                                    cfg.model.hidden_units)
         self.layer_sizes = [math.prod(shape) for _, shape
                             in self.model_spec.layer_shapes()]
         self.global_model = init_model(self.model_spec,
@@ -224,7 +225,7 @@ class _Experiment:
 
     def _build_data(self) -> None:
         ds_cfg = self.cfg.dataset
-        if ds_cfg.source == "synth":
+        if ds_cfg.source is DataSource.SYNTH:
             s = ds_cfg.synth
             self.train_pool = synth_blobs(s.n_train, s.n_features,
                                           s.n_classes, s.spread,
@@ -241,8 +242,8 @@ class _Experiment:
         self.backdoor_test: Optional[Dataset] = None
         self.edge_pool: Optional[Dataset] = None
         bd = self.cfg.attack.backdoor
-        if self.attack.kind is AttackKind.BACKDOOR:
-            if bd.flavor in ("trigger", "dba"):
+        if self.cfg.attack.kind is AttackKind.BACKDOOR:
+            if bd.flavor is not BackdoorFlavor.EDGE:
                 self.trigger = TriggerSpec(
                     tuple(bd.resolve_indices(self.train_pool.n_features)),
                     bd.trigger_value, bd.target_label)
@@ -254,7 +255,7 @@ class _Experiment:
     def _edge_sets(self) -> Tuple[Dataset, Dataset]:
         """Edge-case pool (inverted-contrast blobs labelled target) plus an
         evaluation split of inverted samples whose true label differs."""
-        if self.cfg.dataset.source != "synth":
+        if self.cfg.dataset.source is not DataSource.SYNTH:
             raise ValueError("edge-case attack needs the synth source")
         s = self.cfg.dataset.synth
         bd = self.cfg.attack.backdoor
@@ -292,11 +293,11 @@ class _Experiment:
                         adv_position: int, n_adv: int) -> Dataset:
         bd = self.cfg.attack.backdoor
         rng = stream(self.seed, "poison", round_index, client)
-        if bd.flavor == "edge":
+        if bd.flavor is BackdoorFlavor.EDGE:
             return edge_case_augment(self.shards[client], self.edge_pool,
                                      bd.edge_ratio, rng)
         trig = self.trigger
-        if bd.flavor == "dba":
+        if bd.flavor is BackdoorFlavor.DBA:
             trig = dba_shards(trig, n_adv)[adv_position]
         poisoned, _ = apply_trigger(self.shards[client], trig,
                                     bd.poison_fraction, rng)
@@ -305,7 +306,7 @@ class _Experiment:
     def _adversarial_job(self, round_index: int, client: int,
                          adv_position: int, n_adv: int) -> _TrainingJob:
         """What an adversary trains on, and its attack pipeline."""
-        atk = self.attack
+        atk = self.cfg.attack
         if atk.kind is AttackKind.BACKDOOR:
             local_ds = self._poisoned_shard(round_index, client,
                                             adv_position, n_adv)
@@ -321,7 +322,7 @@ class _Experiment:
                          client: int, factor: float) -> np.ndarray:
         """Trained model -> model transform -> projection -> update
         extraction -> update boosting."""
-        atk = self.attack
+        atk = self.cfg.attack
         w = self.global_model
         if atk.kind is AttackKind.GAUSSIAN_NOISE:
             noise_rng = stream(self.seed, "noise", round_index, client)
@@ -352,7 +353,7 @@ class _Experiment:
         in blocks of at most TRAIN_BLOCK_ELEMENTS // d clients.
         """
         adv_set = set(int(a) for a in adversaries)
-        attacked = self.attack.kind is not AttackKind.NONE
+        attacked = self.cfg.attack.kind is not AttackKind.NONE
         jobs, adv_position = [], 0
         for client in roster:
             client = int(client)

@@ -100,15 +100,6 @@ def _distance_from(kind: DistanceKind,
     raise ValueError(f"unknown distance kind: {kind!r}")
 
 
-def distance(kind: DistanceKind, u, v) -> float:
-    """Distance between two equal-length parameter vectors."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.ndim != 1 or u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return _distance_from(kind, u)(v)
-
-
 def distances_to(kind: DistanceKind, reference: np.ndarray,
                  updates: Updates) -> np.ndarray:
     """Distance from a reference vector to each update (row)."""

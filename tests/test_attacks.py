@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from fedtruth.attacks import (AttackKind, AttackSpec, AttackStrategy,
-                              boost_update, boosting_factor,
-                              constrain_and_scale, gaussian_noise,
-                              pgd_project)
+from fedtruth.attacks import (AttackKind, AttackStrategy, boost_update,
+                              boosting_factor, constrain_and_scale,
+                              gaussian_noise, pgd_project)
+from fedtruth.config import AttackConfig, config_from_dict
 from fedtruth.rng import stream
 
 
@@ -101,15 +101,11 @@ def test_pgd_projection_stays_in_ball():
 
 
 def test_attack_spec_validation():
-    spec = AttackSpec(kind=AttackKind.MODEL_BOOST,
-                      strategy=AttackStrategy.WITH_BOOSTING)
+    spec = AttackConfig(kind=AttackKind.MODEL_BOOST,
+                        strategy=AttackStrategy.WITH_BOOSTING)
     assert spec.resolve_factor(10, 3) == pytest.approx(10 / 3)
-    assert AttackSpec(boosting_factor=10.0).resolve_factor(10, 3) == 10.0
-    with pytest.raises(ValueError):
-        AttackSpec(sigma=-1.0)
-    with pytest.raises(ValueError):
-        AttackSpec(alpha=1.5)
-    with pytest.raises(ValueError):
-        AttackSpec(boosting_factor=0.0)
-    with pytest.raises(ValueError):
-        AttackSpec(pgd_radius=-0.1)
+    assert AttackConfig(boosting_factor=10.0).resolve_factor(10, 3) == 10.0
+    for key, bad in [("sigma", -1.0), ("alpha", 1.5),
+                     ("boosting_factor", 0.0), ("pgd_radius", -0.1)]:
+        with pytest.raises(ValueError, match=f"attack.{key}"):
+            config_from_dict({"attack": {key: bad}})

@@ -108,6 +108,18 @@ def test_unknown_aggregator_kind_rejected(tmp_path, capsys):
     assert not (tmp_path / "out" / "sweep").exists()
 
 
+def test_misspelt_sweep_distance_refused_before_execution(tmp_path, capsys):
+    path = write_config(tmp_path)
+    spec = tmp_path / "sweep.yaml"
+    spec.write_text(yaml.safe_dump({
+        "base": str(path), "aggregators": ["fedtruth"],
+        "adversary_counts": [0], "biases": [0.8],
+        "distances": ["euclidean", "cosin"], "seeds": [0]}))
+    assert main(["sweep", str(spec)]) == 1
+    assert "cosin" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep").exists()
+
+
 def test_runs_byte_identical_modulo_timing(tmp_path):
     path_a = write_config(tmp_path, "a")
     path_b = write_config(tmp_path, "b")
@@ -248,3 +260,18 @@ def test_sweep_example_matches_committed_golden(tmp_path, monkeypatch):
     name = "sweep_example/sweep_example_merged.csv"
     assert without_timing_bytes(tmp_path / name) == \
         without_timing_bytes(ROOT / "runs" / name)
+
+
+def test_baseline_run_matches_committed_golden(tmp_path):
+    # the committed runs/baseline.* came from this exact command
+    assert main(["run", str(ROOT / "configs" / "baseline.yaml"),
+                 "--set", "fl.rounds=5",
+                 "--set", f"output.directory={tmp_path}"]) == 0
+    assert without_timing_bytes(tmp_path / "baseline.csv") == \
+        without_timing_bytes(ROOT / "runs" / "baseline.csv")
+    timing = {"mean_aggregation_time_s"}
+    ours = json.loads((tmp_path / "baseline.json").read_text())
+    golden = json.loads((ROOT / "runs" / "baseline.json").read_text())
+    assert ours.keys() == golden.keys()
+    assert {k: v for k, v in ours.items() if k not in timing} == \
+        {k: v for k, v in golden.items() if k not in timing}

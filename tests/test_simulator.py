@@ -278,9 +278,8 @@ def test_auto_boosting_factor_resolves_per_round():
     cfg = base_config(
         attack={"kind": "model_boost", "strategy": "with_boosting",
                 "n_adversaries": 2, "boosting_factor": "auto"})
-    spec = cfg.attack.to_spec()
-    assert spec.boosting_factor is None
-    assert spec.resolve_factor(5, 2) == pytest.approx(2.5)
+    assert cfg.attack.boosting_factor == "auto"
+    assert cfg.attack.resolve_factor(5, 2) == pytest.approx(2.5)
     reports = run_experiment(cfg)
     assert len(reports) == 3
 

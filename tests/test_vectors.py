@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedtruth.truth import FedTruthConfig, estimate_truth_layered
-from fedtruth.vectors import (DistanceKind, distance, distances_to,
-                              update_matrix, weighted_sum)
+from fedtruth.vectors import (DistanceKind, distances_to, update_matrix,
+                              weighted_sum)
 
 ALL_KINDS = list(DistanceKind)
 
@@ -80,27 +80,29 @@ def test_weighted_sum_list_and_array_bit_identical():
 
 
 def test_distance_examples():
-    assert distance(DistanceKind.EUCLIDEAN, [0.0, 0.0], [3.0, 4.0]) == 5.0
-    assert distance(DistanceKind.ANGULAR, [1.0, 0.0], [0.0, 1.0]) == 0.5
-    assert distance(DistanceKind.COSINE, [1.0, 0.0], [-1.0, 0.0]) == 2.0
-    assert distance(DistanceKind.MANHATTAN, [1.0, -1.0], [0.0, 1.0]) == 3.0
+    E, A, C, M = (DistanceKind.EUCLIDEAN, DistanceKind.ANGULAR,
+                  DistanceKind.COSINE, DistanceKind.MANHATTAN)
+    assert distances_to(E, [0.0, 0.0], [[3.0, 4.0]])[0] == 5.0
+    assert distances_to(A, [1.0, 0.0], [[0.0, 1.0]])[0] == 0.5
+    assert distances_to(C, [1.0, 0.0], [[-1.0, 0.0]])[0] == 2.0
+    assert distances_to(M, [1.0, -1.0], [[0.0, 1.0]])[0] == 3.0
     u, v = np.array([1.0, 0.0]), np.array([0.0, 2.0])
     expected = 0.5 * 0.5 + 0.5 * np.sqrt(5.0)
-    assert distance(DistanceKind.CUSTOM_HALF_HALF, u, v) == pytest.approx(
-        expected, abs=1e-12)
+    assert distances_to(DistanceKind.CUSTOM_HALF_HALF, u, [v])[0] == \
+        pytest.approx(expected, abs=1e-12)
 
 
 def test_distance_dimension_mismatch():
     for kind in ALL_KINDS:
         with pytest.raises(ValueError):
-            distance(kind, [1.0], [1.0, 2.0])
+            distances_to(kind, [1.0], [[1.0, 2.0]])
 
 
 def test_zero_vector_cosine_convention():
     z = np.zeros(3)
     v = np.array([1.0, 2.0, 3.0])
-    assert distance(DistanceKind.COSINE, z, v) == 1.0  # similarity 0
-    assert distance(DistanceKind.ANGULAR, z, v) == 0.5
+    assert distances_to(DistanceKind.COSINE, z, [v])[0] == 1.0  # similarity 0
+    assert distances_to(DistanceKind.ANGULAR, z, [v])[0] == 0.5
 
 
 def test_distances_symmetric_and_zero_at_self():
@@ -109,10 +111,11 @@ def test_distances_symmetric_and_zero_at_self():
         u = rng.normal(size=6)
         v = rng.normal(size=6)
         for kind in ALL_KINDS:
-            assert distance(kind, u, v) == pytest.approx(
-                distance(kind, v, u), abs=1e-12)
-            assert distance(kind, u, u) == pytest.approx(0.0, abs=1e-12)
-            assert distance(kind, u, v) >= 0.0
+            assert distances_to(kind, u, [v])[0] == pytest.approx(
+                distances_to(kind, v, [u])[0], abs=1e-12)
+            assert distances_to(kind, u, [u])[0] == pytest.approx(
+                0.0, abs=1e-12)
+            assert distances_to(kind, u, [v])[0] >= 0.0
 
 
 def test_distance_ranges():
@@ -120,8 +123,8 @@ def test_distance_ranges():
     for _ in range(200):
         u = rng.normal(size=4)
         v = rng.normal(size=4)
-        assert 0.0 <= distance(DistanceKind.ANGULAR, u, v) <= 1.0
-        assert 0.0 <= distance(DistanceKind.COSINE, u, v) <= 2.0
+        assert 0.0 <= distances_to(DistanceKind.ANGULAR, u, [v])[0] <= 1.0
+        assert 0.0 <= distances_to(DistanceKind.COSINE, u, [v])[0] <= 2.0
 
 
 finite_vec = st.lists(
@@ -140,14 +143,14 @@ def test_angular_and_cosine_scale_invariant(u, v, scale):
     if np.linalg.norm(u) < 1e-6 or np.linalg.norm(v) < 1e-6:
         return
     for kind in (DistanceKind.COSINE, DistanceKind.ANGULAR):
-        assert distance(kind, u, scale * v) == pytest.approx(
-            distance(kind, u, v), abs=1e-9)
+        assert distances_to(kind, u, [scale * v])[0] == pytest.approx(
+            distances_to(kind, u, [v])[0], abs=1e-9)
 
 
 def test_angular_clamps_float_drift():
     # nearly parallel vectors can push raw cosine a hair above 1
     u = np.full(1000, 0.1)
-    assert distance(DistanceKind.ANGULAR, u, u * (1 + 1e-16)) >= 0.0
+    assert distances_to(DistanceKind.ANGULAR, u, [u * (1 + 1e-16)])[0] >= 0.0
 
 
 def reference_distance(kind, u, v):
@@ -194,7 +197,6 @@ def test_distances_to_matches_per_pair_formula_bitwise(case, kind):
     expected = np.array([reference_distance(kind, ref, x) for x in X])
     assert np.array_equal(distances_to(kind, ref, X), expected)
     assert np.array_equal(distances_to(kind, ref, list(X)), expected)
-    assert [distance(kind, ref, x) for x in X] == expected.tolist()
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
