@@ -133,8 +133,10 @@ class SweepSpec:
     def __post_init__(self):
         for field_name in ("aggregators", "adversary_counts", "biases",
                            "distances", "seeds"):
-            if not getattr(self, field_name):
-                raise ValueError(f"sweep list {field_name!r} must be non-empty")
+            value = getattr(self, field_name)
+            if not isinstance(value, list) or not value:
+                raise ValueError(f"sweep list {field_name!r} must be a "
+                                 f"non-empty list, got {value!r}")
         unknown = set(self.aggregators) - set(AGGREGATORS)
         if unknown:
             raise ValueError(f"unknown aggregators in sweep: {sorted(unknown)}")

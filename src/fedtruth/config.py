@@ -5,11 +5,12 @@ Every field has a default, so an empty config file runs. A config file's
 mapping takes its `section.key=value` overrides, then is built and
 validated once. Each value is coerced to its field's type, so the choice
 fields (data source, model, attack kind and strategy, backdoor flavour,
-distance, coefficient, init) hold their enums. Unknown keys and bad values
-raise a ValueError that names the dotted key.
+distance, coefficient, init) hold their enums. Unknown keys and bad values,
+NaN and +-inf included, raise a ValueError that names the dotted key.
 """
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass, field
 from enum import EnumMeta
@@ -157,7 +158,7 @@ class ExperimentConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
     def validate(self) -> "ExperimentConfig":
-        _check_choices(self)
+        _check_fields(self)
         fl, attack, agg, ds = self.fl, self.attack, self.aggregator, self.dataset
         if not 0.0 <= ds.noniid_bias <= 1.0:
             raise ValueError("dataset.noniid_bias must be in [0, 1]")
@@ -192,20 +193,28 @@ class ExperimentConfig:
             raise ValueError("attack.backdoor.poison_fraction outside [0, 1]")
         if agg.kind not in AGGREGATORS:
             raise ValueError(f"aggregator.kind: unknown kind {agg.kind!r}")
-        agg.fedtruth_config()  # raises on a bad epsilon or max_iterations
+        if not agg.epsilon > 0:
+            raise ValueError("aggregator.epsilon must be > 0")
+        if agg.max_iterations < 1:
+            raise ValueError("aggregator.max_iterations must be >= 1")
         if not 0.0 < self.fltrust_root_fraction < 1.0:
             raise ValueError("fltrust_root_fraction must be in (0, 1)")
         return self
 
 
-def _check_choices(section, path: str = "") -> None:
-    """Refuse a choice field set in code to anything but its enum."""
+def _check_fields(section, path: str = "") -> None:
+    """Refuse a choice field set in code to anything but its enum, and NaN
+    or +-inf in any number field (`nan < 0` is false, so no range check
+    would catch it)."""
     for f in dataclasses.fields(section):
         value, sub_path = getattr(section, f.name), path + f.name
         if dataclasses.is_dataclass(f.type):
-            _check_choices(value, sub_path + ".")
+            _check_fields(value, sub_path + ".")
         elif isinstance(f.type, EnumMeta) and not isinstance(value, f.type):
             raise ValueError(f"{sub_path}: expected a {f.type.__name__}, "
+                             f"got {value!r}")
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{sub_path}: expected a finite number, "
                              f"got {value!r}")
 
 

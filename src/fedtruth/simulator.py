@@ -28,8 +28,8 @@ from .data import (BackdoorFlavor, DataSource, Dataset, TriggerSpec,
 from .rng import stream
 from .training import (ModelSpec, TrainConfig, evaluate, extract_update,
                        init_model, local_train, predict, train_roster)
-from .truth import estimate_truth, estimate_truth_layered
-from .vectors import Updates
+from .truth import NonFiniteWeights, estimate_truth, estimate_truth_layered
+from .vectors import BLOCK_ELEMENTS, Updates
 
 if TYPE_CHECKING:
     from .config import AggregatorConfig, ExperimentConfig
@@ -39,13 +39,14 @@ class NonFiniteUpdate(RuntimeError):
     """A NaN or Inf reached the aggregation boundary or the global model.
 
     `client` is the id of the client whose update it was, or None when the
-    global model went non-finite in the server step.
+    server step went non-finite: the estimator's weights or the new global
+    model.
     """
 
     def __init__(self, round_index: int, client: Optional[int] = None):
         self.round_index = round_index
         self.client = client
-        where = "global model" if client is None \
+        where = "server step" if client is None \
             else f"update of client {client}"
         super().__init__(f"non-finite {where} in round {round_index}")
 
@@ -55,13 +56,6 @@ def _require_finite(vector: np.ndarray, round_index: int,
     if not np.isfinite(vector).all():
         raise NonFiniteUpdate(round_index, client)
     return vector
-
-
-# Local training stacks at most this many parameters per block of clients
-# (9 clients at d = 6762). The bound keeps the stacked state cache-sized:
-# a whole 100-client roster at d = 6762 in one block raised peak memory by
-# about 30% for no speed gain.
-TRAIN_BLOCK_ELEMENTS = 2 ** 16
 
 
 class _TrainingJob(NamedTuple):
@@ -350,7 +344,7 @@ class _Experiment:
         roster order, not yet checked.
 
         Clients whose training sets have the same length train together,
-        in blocks of at most TRAIN_BLOCK_ELEMENTS // d clients.
+        in blocks of at most BLOCK_ELEMENTS // d clients.
         """
         adv_set = set(int(a) for a in adversaries)
         attacked = self.cfg.attack.kind is not AttackKind.NONE
@@ -371,7 +365,7 @@ class _Experiment:
         groups: Dict[int, List[int]] = {}
         for row, job in enumerate(jobs):
             groups.setdefault(len(job.ds), []).append(row)
-        block = max(1, TRAIN_BLOCK_ELEMENTS // w.size)
+        block = max(1, BLOCK_ELEMENTS // w.size)
         for rows in groups.values():
             for lo in range(0, len(rows), block):
                 part = rows[lo:lo + block]
@@ -401,7 +395,10 @@ class _Experiment:
                 self.train_cfg,
                 stream(self.seed, "fltrust", round_index)),
             flame_rng=lambda: stream(self.seed, "flame", round_index))
-        return AGGREGATORS[cfg.kind](updates, ctx)
+        try:
+            return AGGREGATORS[cfg.kind](updates, ctx)
+        except NonFiniteWeights as err:
+            raise NonFiniteUpdate(round_index) from err
 
     # -- driver ----------------------------------------------------------
 

@@ -41,6 +41,8 @@ class ModelSpec:
     hidden_units: int = 32
 
     def __post_init__(self):
+        if not isinstance(self.kind, ModelKind):
+            raise ValueError(f"kind: expected a ModelKind, got {self.kind!r}")
         if self.n_features < 1 or self.n_classes < 2:
             raise ValueError("need n_features >= 1 and n_classes >= 2")
         if self.kind is ModelKind.MLP and self.hidden_units < 1:

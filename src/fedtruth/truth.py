@@ -8,9 +8,12 @@ the current truth receive small weights, which suppresses boosted, noised,
 or backdoored updates without discarding benign outliers entirely.
 
 The updates arrive as one (n, d) update matrix (see `vectors`), checked
-once per call; every iteration works on its rows. The layered variant runs
-the same estimator independently on each layer's column block of that
-matrix, so the weight a client receives may differ from layer to layer.
+once per call and wrapped as `UpdateRows`, so the row norms and unit rows
+the distances need are computed once. Every iteration is a handful of
+whole-matrix numpy calls, bit-identical to working row by row, and tests
+only its weights for finiteness. The layered variant runs the same
+estimator independently on each layer's column block of that matrix, so
+the weight a client receives may differ from layer to layer.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .vectors import (DistanceKind, Updates, distances_to, update_matrix,
-                      weighted_sum)
+from .vectors import DistanceKind, UpdateRows, Updates, distances_to, norm, \
+    update_matrix
 
 # Performance values are floored here before the coefficient function is
 # applied; both coefficient functions blow up at 0, and an exact match
@@ -56,13 +59,14 @@ class CoefficientFunction(Enum):
             # 1 - cos of parallel vectors can round to -2.2e-16, whose
             # square root is NaN
             d = np.sqrt(np.maximum(d, 0.0))
-        total = d.sum()
+        total = np.add.reduce(d)  # d.sum() without its Python wrapper
         if total <= 0.0:
             p = np.full(d.size, 1.0 / d.size)
         else:
             p = d / total
-        p = np.maximum(p, PERFORMANCE_FLOOR)
-        return p / p.sum()
+        np.maximum(p, PERFORMANCE_FLOOR, out=p)
+        p /= np.add.reduce(p)
+        return p
 
 
 class InitScheme(Enum):
@@ -79,10 +83,27 @@ class FedTruthConfig:
     init: InitScheme = InitScheme.SIMPLE_AVERAGE
 
     def __post_init__(self):
+        for name, choice in (("distance", DistanceKind),
+                             ("coefficient", CoefficientFunction),
+                             ("init", InitScheme)):
+            value = getattr(self, name)
+            if not isinstance(value, choice):
+                raise ValueError(f"{name}: expected a {choice.__name__}, "
+                                 f"got {value!r}")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+
+
+class NonFiniteWeights(ValueError):
+    """The estimator's weights went NaN or Inf in `iteration`: the distances
+    overflowed (a hugely boosted update, say), so no finite truth follows."""
+
+    def __init__(self, iteration: int):
+        self.iteration = iteration
+        super().__init__(
+            f"estimator weights went non-finite in iteration {iteration}")
 
 
 @dataclass(frozen=True)
@@ -105,22 +126,26 @@ def performances_to_weights(p: Sequence[float],
     p = np.asarray(p, dtype=np.float64)
     if np.any(p <= 0.0):
         raise ValueError("performance values must be positive after flooring")
+    return _weights(p, g)
+
+
+def _weights(p: np.ndarray, g: CoefficientFunction) -> np.ndarray:
     raw = g.weight(p)
-    total = raw.sum()
+    total = np.add.reduce(raw)
     if total <= 0.0:
         return np.full(p.size, 1.0 / p.size)
     return raw / total
 
 
-def _initial_truth(X: np.ndarray, cfg: FedTruthConfig,
+def _initial_truth(rows: UpdateRows, cfg: FedTruthConfig,
                    sample_counts: Optional[Sequence[int]]) -> np.ndarray:
-    n = len(X)
+    n = len(rows)
     if cfg.init is InitScheme.FEDAVG_WEIGHTED and sample_counts is not None:
         counts = np.asarray(sample_counts, dtype=np.float64)
         if counts.size != n or counts.sum() <= 0:
             raise ValueError("sample_counts must align with updates")
-        return weighted_sum(X, counts / counts.sum())
-    return weighted_sum(X, np.full(n, 1.0 / n))
+        return rows.weighted_sum(counts / counts.sum())
+    return rows.weighted_sum(np.full(n, 1.0 / n))
 
 
 def estimate_truth(updates: Updates, cfg: FedTruthConfig,
@@ -132,19 +157,22 @@ def estimate_truth(updates: Updates, cfg: FedTruthConfig,
     cfg.epsilon, or cfg.max_iterations is hit. The reported performances and
     weights are recomputed once from the returned truth, so the estimate
     satisfies its own update equations exactly. `updates` is an (n, d)
-    array or a list of n equal-length vectors.
+    array or a list of n equal-length vectors. Raises NonFiniteWeights when
+    an iteration's weights are not all finite.
     """
-    X = update_matrix(updates)
-    truth = _initial_truth(X, cfg, sample_counts)
+    rows = UpdateRows(update_matrix(updates))
+    g = cfg.coefficient
+    truth = _initial_truth(rows, cfg, sample_counts)
     converged = False
     iterations = 0
     for _ in range(cfg.max_iterations):
         iterations += 1
-        d = distances_to(cfg.distance, truth, X)
-        p = cfg.coefficient.performance_shares(d)
-        a = performances_to_weights(p, cfg.coefficient)
-        new_truth = weighted_sum(X, a)
-        delta = float(np.linalg.norm(new_truth - truth))
+        p = g.performance_shares(distances_to(cfg.distance, truth, rows))
+        a = _weights(p, g)
+        if not np.isfinite(a).all():
+            raise NonFiniteWeights(iterations)
+        new_truth = rows.weighted_sum(a)
+        delta = norm(new_truth - truth)
         truth = new_truth
         if delta <= cfg.epsilon:
             converged = True
@@ -152,9 +180,8 @@ def estimate_truth(updates: Updates, cfg: FedTruthConfig,
 
     # Self-consistent report: performances/weights evaluated at the final
     # truth (they differ from the producing weights by at most O(epsilon)).
-    d = distances_to(cfg.distance, truth, X)
-    p = cfg.coefficient.performance_shares(d)
-    a = performances_to_weights(p, cfg.coefficient)
+    p = g.performance_shares(distances_to(cfg.distance, truth, rows))
+    a = _weights(p, g)
     return TruthEstimate(truth=truth, weights=a, performances=p,
                          iterations=iterations, converged=converged)
 

@@ -180,6 +180,22 @@ def test_sweep_rejects_empty_lists(tmp_path):
     assert main(["sweep", str(spec)]) == 1
 
 
+@pytest.mark.parametrize("field", ["seeds", "aggregators", "biases"])
+def test_sweep_refuses_non_list_field(field, tmp_path, capsys):
+    base = write_config(tmp_path)
+    spec = {"base": str(base), "aggregators": ["fedtruth"],
+            "adversary_counts": [0], "biases": [0.8],
+            "distances": ["euclidean"], "seeds": [0]}
+    spec[field] = 3
+    path = tmp_path / "sweep.yaml"
+    path.write_text(yaml.safe_dump(spec))
+    assert main(["sweep", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(field) in err
+    assert not (tmp_path / "out" / "sweep").exists()
+
+
 def test_sweep_partial_failure_recorded(tmp_path):
     # krum needs n >= f + 3; an oversized adversary count fails that cell
     base = write_config(tmp_path, extra={

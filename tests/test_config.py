@@ -1,3 +1,5 @@
+import dataclasses
+import typing
 from pathlib import Path
 
 import pytest
@@ -8,8 +10,8 @@ from fedtruth.config import (AttackConfig, BackdoorConfig, ExperimentConfig,
                              ModelConfig, config_from_dict, load_config)
 from fedtruth.data import BackdoorFlavor, DataSource
 from fedtruth.simulator import run_experiment
-from fedtruth.training import ModelKind
-from fedtruth.truth import CoefficientFunction, InitScheme
+from fedtruth.training import ModelKind, ModelSpec
+from fedtruth.truth import CoefficientFunction, FedTruthConfig, InitScheme
 from fedtruth.vectors import DistanceKind
 
 from test_cli import write_config
@@ -154,3 +156,73 @@ def test_choice_set_in_code_must_be_its_enum():
         backdoor=BackdoorConfig(flavor="edge")))
     with pytest.raises(ValueError, match="attack.backdoor.flavor"):
         run_experiment(cfg)
+
+
+def test_library_types_refuse_strings_for_choices():
+    with pytest.raises(ValueError, match="kind: expected a ModelKind"):
+        ModelSpec("logreg", 4, 2, 3)
+    with pytest.raises(ValueError, match="distance: expected a DistanceKind"):
+        FedTruthConfig(distance="cosine")
+    with pytest.raises(ValueError, match="coefficient"):
+        FedTruthConfig(coefficient="inverse")
+    with pytest.raises(ValueError, match="init"):
+        FedTruthConfig(init="simple_average")
+
+
+def float_keys(cls=ExperimentConfig, path=""):
+    """Dotted keys of every field that can hold a float."""
+    for f in dataclasses.fields(cls):
+        key = path + f.name
+        if dataclasses.is_dataclass(f.type):
+            yield from float_keys(f.type, key + ".")
+        elif f.type is float or float in typing.get_args(f.type):
+            yield key
+
+
+FLOAT_KEYS = list(float_keys())
+
+
+def test_float_keys_cover_the_known_fields():
+    assert {"attack.sigma", "attack.boosting_factor", "attack.pgd_radius",
+            "aggregator.epsilon", "fl.server_lr",
+            "fltrust_root_fraction"} <= set(FLOAT_KEYS)
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf"), "nan"])
+def test_non_finite_number_refused_with_its_key(key, value):
+    with pytest.raises(ValueError) as err:
+        config_from_dict(nested(key, value))
+    assert str(err.value).startswith(f"{key}: expected a finite number")
+
+
+@pytest.mark.parametrize("text, override, key", [
+    ("attack: {kind: gaussian_noise, n_adversaries: 2, sigma: .nan}\n",
+     "attack.sigma=nan", "attack.sigma"),
+    ("aggregator: {epsilon: .inf}\n", "aggregator.epsilon=.inf",
+     "aggregator.epsilon"),
+    ("fl: {learning_rate: -.inf}\n", "fl.learning_rate=-.inf",
+     "fl.learning_rate"),
+])
+def test_non_finite_number_refused_in_file_and_override(
+        text, override, key, tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{key}: expected a finite"):
+        load_config(path)
+    assert main(["run", str(path)]) == 1
+    assert f"error: {key}: expected a finite" in capsys.readouterr().err
+    good = write_config(tmp_path)
+    with pytest.raises(ValueError, match=f"^{key}: expected a finite"):
+        load_config(good, [override])
+    assert main(["run", str(good), "--set", override]) == 1
+    assert f"error: {key}: expected a finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["aggregator.epsilon",
+                                 "aggregator.max_iterations"])
+def test_estimator_range_errors_start_with_their_key(key):
+    with pytest.raises(ValueError) as err:
+        config_from_dict(nested(key, 0))
+    assert str(err.value).startswith(f"{key} must be")

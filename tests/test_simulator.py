@@ -10,6 +10,7 @@ from fedtruth.rng import stream
 from fedtruth.simulator import (NonFiniteUpdate, _Experiment,
                                 apply_global_update, fltrust_server_step,
                                 run_experiment, select_round_roster)
+from fedtruth.truth import NonFiniteWeights
 from fedtruth.training import (ModelKind, ModelSpec, TrainConfig,
                                extract_update, init_model, local_train)
 from fedtruth.aggregators import fedavg, flame, fltrust
@@ -355,6 +356,21 @@ def test_nonfinite_global_model_names_round_without_client():
             run_experiment(cfg)
     assert info.value.round_index == 0
     assert info.value.client is None
+
+
+@pytest.mark.parametrize("kind", ["fedtruth", "fedtruth_layer"])
+def test_nonfinite_estimator_weights_name_round_without_client(kind):
+    # a boosted update of 1e305 * u is finite, but its distances overflow
+    cfg = base_config(
+        attack={"kind": "model_boost", "strategy": "with_boosting",
+                "n_adversaries": 2, "boosting_factor": 1e305},
+        **{"aggregator.kind": kind})
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteUpdate) as info:
+            run_experiment(cfg)
+    assert info.value.round_index == 0
+    assert info.value.client is None
+    assert isinstance(info.value.__cause__, NonFiniteWeights)
 
 
 def test_fltrust_zero_server_update_falls_back():

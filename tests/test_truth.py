@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedtruth.truth import (CoefficientFunction, FedTruthConfig, InitScheme,
-                            estimate_truth, estimate_truth_layered,
-                            performances_to_weights, resilience_gap)
+                            NonFiniteWeights, estimate_truth,
+                            estimate_truth_layered, performances_to_weights,
+                            resilience_gap)
 from fedtruth.vectors import DistanceKind, distances_to
 
 
@@ -184,6 +185,17 @@ def test_estimate_truth_errors():
         FedTruthConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         FedTruthConfig(max_iterations=0)
+
+
+@pytest.mark.parametrize("kind", [DistanceKind.EUCLIDEAN,
+                                  DistanceKind.CUSTOM_HALF_HALF])
+def test_overflowing_distances_raise_typed_error(kind):
+    # finite updates whose distances overflow to inf make the weights NaN
+    X = np.array([[1e305, -1e305], [-1e305, 1e305], [3.0, 1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteWeights) as info:
+            estimate_truth(X, FedTruthConfig(distance=kind))
+    assert info.value.iteration == 1
 
 
 def assert_same_estimate(a, b):
