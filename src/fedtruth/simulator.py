@@ -60,10 +60,15 @@ def _require_finite(vector: np.ndarray, round_index: int,
 
 class _TrainingJob(NamedTuple):
     """One roster client's local training: its data, its train stream, and
-    for an adversary the map from its trained model to its update."""
+    for an adversary the map from its trained model to its update. An
+    adversary under constrain-and-scale also trains a benign model, on
+    `benign` (data, stream); `finish` receives it as its second argument
+    (None for every other job)."""
     ds: Dataset
     rng: np.random.Generator
-    finish: Optional[Callable[[np.ndarray], np.ndarray]]
+    finish: Optional[Callable[[np.ndarray, Optional[np.ndarray]],
+                              np.ndarray]] = None
+    benign: Optional[Tuple[Dataset, np.random.Generator]] = None
 
 
 @dataclass
@@ -307,26 +312,29 @@ class _Experiment:
         else:
             local_ds = self.shards[client]
         factor = atk.resolve_factor(self.cfg.fl.clients_per_round, n_adv)
+        benign = None
+        if (atk.kind is AttackKind.BACKDOOR
+                and atk.strategy is AttackStrategy.CONSTRAIN_AND_SCALE):
+            benign = (self.shards[client],
+                      stream(self.seed, "train-benign", round_index, client))
         return _TrainingJob(
             local_ds, stream(self.seed, "train", round_index, client),
-            lambda model: self._attack_pipeline(model, round_index, client,
-                                                factor))
+            lambda model, benign_model: self._attack_pipeline(
+                model, benign_model, round_index, client, factor),
+            benign)
 
-    def _attack_pipeline(self, model: np.ndarray, round_index: int,
+    def _attack_pipeline(self, model: np.ndarray,
+                         benign: Optional[np.ndarray], round_index: int,
                          client: int, factor: float) -> np.ndarray:
         """Trained model -> model transform -> projection -> update
-        extraction -> update boosting."""
+        extraction -> update boosting. `benign` is the client's benign
+        model under constrain-and-scale, else None."""
         atk = self.cfg.attack
         w = self.global_model
         if atk.kind is AttackKind.GAUSSIAN_NOISE:
             noise_rng = stream(self.seed, "noise", round_index, client)
             model = gaussian_noise(model, atk.sigma, noise_rng)
-        elif (atk.kind is AttackKind.BACKDOOR
-              and atk.strategy is AttackStrategy.CONSTRAIN_AND_SCALE):
-            benign = local_train(w, self.shards[client], self.model_spec,
-                                 self.train_cfg,
-                                 stream(self.seed, "train-benign",
-                                        round_index, client))
+        elif benign is not None:
             model = constrain_and_scale(benign, model, atk.alpha, factor)
 
         if atk.pgd_radius is not None:
@@ -343,8 +351,10 @@ class _Experiment:
         """The round's (n, d) update matrix, one row per roster client in
         roster order, not yet checked.
 
-        Clients whose training sets have the same length train together,
-        in blocks of at most BLOCK_ELEMENTS // d clients.
+        Every model the round trains (the roster's, then the benign models
+        of constrain-and-scale adversaries) joins the group of models whose
+        training sets have the same length; a group trains together, in
+        blocks of at most BLOCK_ELEMENTS // d models.
         """
         adv_set = set(int(a) for a in adversaries)
         attacked = self.cfg.attack.kind is not AttackKind.NONE
@@ -358,24 +368,37 @@ class _Experiment:
             else:
                 jobs.append(_TrainingJob(
                     self.shards[client],
-                    stream(self.seed, "train", round_index, client), None))
+                    stream(self.seed, "train", round_index, client)))
 
+        # row r < n of `models` is roster client r's; the benign models
+        # follow, in roster order
+        n = len(jobs)
+        tasks = [(job.ds, job.rng) for job in jobs]
+        tasks += [job.benign for job in jobs if job.benign is not None]
         w = self.global_model
-        updates = np.empty((len(jobs), w.size))
+        models = np.empty((len(tasks), w.size))
         groups: Dict[int, List[int]] = {}
-        for row, job in enumerate(jobs):
-            groups.setdefault(len(job.ds), []).append(row)
+        for row, (ds, _) in enumerate(tasks):
+            groups.setdefault(len(ds), []).append(row)
         block = max(1, BLOCK_ELEMENTS // w.size)
         for rows in groups.values():
             for lo in range(0, len(rows), block):
                 part = rows[lo:lo + block]
-                trained = train_roster(
-                    w, [jobs[r].ds for r in part], self.model_spec,
-                    self.train_cfg, [jobs[r].rng for r in part])
-                updates[part] = w - trained
-                for row, model in zip(part, trained):
-                    if jobs[row].finish is not None:
-                        updates[row] = jobs[row].finish(model)
+                models[part] = train_roster(
+                    w, [tasks[r][0] for r in part], self.model_spec,
+                    self.train_cfg, [tasks[r][1] for r in part])
+
+        benign_rows = iter(range(n, len(tasks)))
+        finished = {}
+        for row, job in enumerate(jobs):
+            if job.finish is not None:
+                benign = None if job.benign is None \
+                    else models[next(benign_rows)]
+                finished[row] = job.finish(models[row], benign)
+        updates = models[:n]
+        np.subtract(w, updates, out=updates)
+        for row, update in finished.items():
+            updates[row] = update
         return updates
 
     def _aggregate(self, updates: Updates, counts: List[int],

@@ -12,6 +12,13 @@ product per layer and step. Each client keeps its own shuffle, and every
 slice of a batched product and reduction is the computation a single
 client makes, so row k equals training client k alone bit for bit.
 `local_train` is the one-client case of it.
+
+A client's shuffles for all its epochs come from one `Generator.permuted`
+call on an (epochs, n) table of 0..n-1: the same orders, and the same
+generator state after, as one `permutation(n)` per epoch. A batch is
+gathered with `np.take` from the K clients' rows stacked into one array,
+and the gradient subtracts one-hot labels from the softmax, which only
+changes the true class (p - 0.0 is p).
 """
 
 from __future__ import annotations
@@ -104,8 +111,14 @@ def _unpack(spec: ModelSpec, params: np.ndarray) -> List[np.ndarray]:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exps = np.exp(shifted)
+    # The class-axis max as elementwise maxima of the class columns: the
+    # value of logits.max(axis=-1) without a reduction call per row. The
+    # sum stays a reduction: from 8 terms on numpy adds pairwise, which a
+    # chain of adds would not reproduce.
+    top = logits[..., 0]
+    for c in range(1, logits.shape[-1]):
+        top = np.maximum(top, logits[..., c])
+    exps = np.exp(logits - top[..., None])
     return exps / exps.sum(axis=-1, keepdims=True)
 
 
@@ -131,15 +144,15 @@ def _forward(spec: ModelSpec, params: np.ndarray, X: np.ndarray):
 
 
 def _roster_gradients(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
-                      y: np.ndarray) -> np.ndarray:
+                      onehot: np.ndarray) -> np.ndarray:
     """Mean cross-entropy gradients of K models on K equal-size batches.
 
-    params (K, d), X (K, B, features), y (K, B); returns (K, d), each row
-    laid out like the parameter vector.
+    params (K, d), X (K, B, features), one-hot labels (K, B, classes);
+    returns (K, d), each row laid out like the parameter vector.
     """
     g, cache = _forward(spec, params, X)
-    K, n = y.shape
-    g[np.arange(K)[:, None], np.arange(n), y] -= 1.0
+    K, n = onehot.shape[:2]
+    g -= onehot  # p - 0.0 is p: only the true class changes
     g /= n
     gT = g.transpose(0, 2, 1)
     if spec.kind is ModelKind.LOGREG:
@@ -162,9 +175,9 @@ def train_roster(params: np.ndarray, datasets: Sequence[Dataset],
     """Mini-batch SGD of K clients from one start, as stacked steps.
 
     All K datasets must have the same length. Client k shuffles with its
-    own rngs[k] each epoch, exactly as it would alone, so row k of the
-    (K, d) result equals training that client by itself bit for bit. The
-    input is untouched.
+    own rngs[k], drawing the same orders as it would alone, so row k of
+    the (K, d) result equals training that client by itself bit for bit.
+    The input is untouched.
     """
     if len(datasets) != len(rngs) or not datasets:
         raise ValueError("need one generator per dataset, and a dataset")
@@ -173,16 +186,22 @@ def train_roster(params: np.ndarray, datasets: Sequence[Dataset],
         raise ValueError("cannot train on an empty dataset")
     if any(len(ds) != n for ds in datasets):
         raise ValueError("a roster block needs equal-size datasets")
-    feats = np.stack([ds.features for ds in datasets])
-    labels = np.stack([ds.labels for ds in datasets])
-    rows = np.arange(len(datasets))[:, None]
-    current = np.broadcast_to(params, (len(datasets), params.size))
-    for _ in range(cfg.local_epochs):
-        orders = np.stack([rng.permutation(n) for rng in rngs])
+    K = len(datasets)
+    feats = np.concatenate([ds.features for ds in datasets])
+    onehot = np.eye(spec.n_classes)[
+        np.concatenate([ds.labels for ds in datasets])]
+    # orders[e, k]: client k's shuffle in epoch e, as rows of feats; one
+    # permuted() call per client draws all epochs' shuffles at once
+    epochs = np.tile(np.arange(n), (cfg.local_epochs, 1))
+    orders = np.stack([rng.permuted(epochs, axis=1) for rng in rngs],
+                      axis=1) + np.arange(0, K * n, n)[:, None]
+    current = np.broadcast_to(params, (K, params.size))
+    for order in orders:
         for start in range(0, n, cfg.batch_size):
-            batch = orders[:, start:start + cfg.batch_size]
-            grad = _roster_gradients(spec, current, feats[rows, batch],
-                                     labels[rows, batch])
+            batch = order[:, start:start + cfg.batch_size]
+            grad = _roster_gradients(spec, current,
+                                     feats.take(batch, axis=0),
+                                     onehot.take(batch, axis=0))
             current = current - cfg.learning_rate * grad
     return current
 

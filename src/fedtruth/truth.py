@@ -158,25 +158,30 @@ def estimate_truth(updates: Updates, cfg: FedTruthConfig,
     weights are recomputed once from the returned truth, so the estimate
     satisfies its own update equations exactly. `updates` is an (n, d)
     array or a list of n equal-length vectors. Raises NonFiniteWeights when
-    an iteration's weights are not all finite.
+    an iteration's weights are not all finite, without numpy's overflow
+    and invalid-value warnings.
     """
     rows = UpdateRows(update_matrix(updates))
     g = cfg.coefficient
     truth = _initial_truth(rows, cfg, sample_counts)
     converged = False
     iterations = 0
-    for _ in range(cfg.max_iterations):
-        iterations += 1
-        p = g.performance_shares(distances_to(cfg.distance, truth, rows))
-        a = _weights(p, g)
-        if not np.isfinite(a).all():
-            raise NonFiniteWeights(iterations)
-        new_truth = rows.weighted_sum(a)
-        delta = norm(new_truth - truth)
-        truth = new_truth
-        if delta <= cfg.epsilon:
-            converged = True
-            break
+    # Overflowing distances make NaN weights, which the finiteness test
+    # turns into NonFiniteWeights; numpy's own warnings on the way say
+    # nothing more.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.max_iterations):
+            iterations += 1
+            p = g.performance_shares(distances_to(cfg.distance, truth, rows))
+            a = _weights(p, g)
+            if not np.isfinite(a).all():
+                raise NonFiniteWeights(iterations)
+            new_truth = rows.weighted_sum(a)
+            delta = norm(new_truth - truth)
+            truth = new_truth
+            if delta <= cfg.epsilon:
+                converged = True
+                break
 
     # Self-consistent report: performances/weights evaluated at the final
     # truth (they differ from the producing weights by at most O(epsilon)).

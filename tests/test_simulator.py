@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -365,12 +366,14 @@ def test_nonfinite_estimator_weights_name_round_without_client(kind):
         attack={"kind": "model_boost", "strategy": "with_boosting",
                 "n_adversaries": 2, "boosting_factor": 1e305},
         **{"aggregator.kind": kind})
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         with pytest.raises(NonFiniteUpdate) as info:
             run_experiment(cfg)
     assert info.value.round_index == 0
     assert info.value.client is None
     assert isinstance(info.value.__cause__, NonFiniteWeights)
+    assert caught == []  # numpy's overflow warnings stay in the estimator
 
 
 def test_fltrust_zero_server_update_falls_back():

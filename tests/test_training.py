@@ -1,14 +1,17 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedtruth.data import Dataset, synth_blobs
 from fedtruth.rng import stream
 from fedtruth.training import (ModelKind, ModelSpec, TrainConfig, evaluate,
                                extract_update, init_model, local_train,
                                train_roster, _forward, _roster_gradients,
-                               _unpack)
+                               _softmax, _unpack)
 
 LOGREG = ModelSpec(ModelKind.LOGREG, n_features=6, n_classes=3)
 MLP = ModelSpec(ModelKind.MLP, n_features=6, n_classes=3, hidden_units=5)
@@ -65,6 +68,34 @@ def test_softmax_stable_at_large_logits():
     assert np.all(np.isfinite(probs))
 
 
+def reference_softmax(logits):
+    """Softmax with both class-axis reductions as numpy reductions."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    exps = np.exp(shifted)
+    return exps / exps.sum(axis=-1, keepdims=True)
+
+
+# moderate logits, and logits that overflow exp or are infinite
+LOGITS = st.one_of(st.floats(-30.0, 30.0),
+                   st.sampled_from([1e308, -1e308, 710.0, -746.0, 0.0, -0.0,
+                                    np.inf, -np.inf]),
+                   st.floats(allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), classes=st.integers(2, 12),
+       lead=st.sampled_from([(), (1,), (7,), (3, 5), (10, 1)]))
+def test_softmax_matches_reduction_form_bitwise(data, classes, lead):
+    # () is one sample, (B,) what evaluate passes, (K, B) a roster stack
+    logits = data.draw(hnp.arrays(np.float64, lead + (classes,),
+                                  elements=LOGITS))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _softmax(logits)
+        want = reference_softmax(logits)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 # -- gradients ------------------------------------------------------------------
 
 def finite_difference_check(spec, n_coords=100, h=1e-6, seed=5):
@@ -77,7 +108,8 @@ def finite_difference_check(spec, n_coords=100, h=1e-6, seed=5):
         true = probs[np.arange(len(y)), y]
         return float(-np.log(np.maximum(true, 1e-15)).mean())
 
-    grad = _roster_gradients(spec, params[None], X[None], y[None])[0]
+    grad = _roster_gradients(spec, params[None], X[None],
+                             np.eye(spec.n_classes)[y][None])[0]
     rng = np.random.default_rng(seed)
     coords = rng.choice(params.size, size=min(n_coords, params.size),
                         replace=False)
@@ -161,22 +193,37 @@ def test_train_roster_rejects_unequal_or_missing_inputs():
 
 # -- batched training against the per-client reference ---------------------------
 
+def reference_layers(spec, params):
+    out, offset = [], 0
+    for _, shape in spec.layer_shapes():
+        size = math.prod(shape)
+        out.append(params[offset:offset + size].reshape(shape))
+        offset += size
+    return out
+
+
 def reference_train(params, ds, spec, cfg, rng):
-    """One client's SGD with 2-D products, as a single client trains."""
+    """One client's SGD with 2-D products and its own forward pass: a
+    permutation per epoch, reduction-form softmax, fancy-index labels."""
     current = params
     for _ in range(cfg.local_epochs):
         order = rng.permutation(len(ds))
         for start in range(0, len(ds), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             X, y = ds.features[batch], ds.labels[batch]
-            probs, cache = _forward(spec, current, X)
-            g = probs.copy()
+            if spec.kind is ModelKind.LOGREG:
+                W, b = reference_layers(spec, current)
+                g = reference_softmax(X @ W.T + b)
+            else:
+                W1, b1, W2, b2 = reference_layers(spec, current)
+                z1 = X @ W1.T + b1
+                h = np.maximum(z1, 0.0)
+                g = reference_softmax(h @ W2.T + b2)
             g[np.arange(len(y)), y] -= 1.0
             g /= len(y)
             if spec.kind is ModelKind.LOGREG:
                 grad = np.concatenate([(g.T @ X).reshape(-1), g.sum(axis=0)])
             else:
-                _, z1, h, W2 = cache
                 dz1 = (g @ W2) * (z1 > 0.0)
                 grad = np.concatenate([(dz1.T @ X).reshape(-1),
                                        dz1.sum(axis=0),
@@ -198,12 +245,18 @@ def assert_roster_matches_per_client(spec, params, datasets, cfg, seed):
     assert np.array_equal(block, reference)
 
 
+# n_classes crosses 8, where numpy's class-axis sum turns pairwise; a batch
+# at least as long as the shard makes one batch per epoch
 @settings(max_examples=150, deadline=None)
 @given(mlp=st.booleans(), n_features=st.integers(1, 12),
-       n_classes=st.integers(2, 5), hidden=st.integers(1, 9),
+       n_classes=st.integers(2, 12), hidden=st.integers(1, 9),
        clients=st.integers(1, 10), shard=st.integers(1, 45),
        batch=st.integers(1, 50), epochs=st.sampled_from([1, 1, 2, 3]),
        lr=st.sampled_from([0.0, 0.05, 0.7]), seed=st.integers(0, 2 ** 16))
+@example(mlp=False, n_features=3, n_classes=12, hidden=1, clients=4,
+         shard=9, batch=9, epochs=3, lr=0.7, seed=1)
+@example(mlp=True, n_features=5, n_classes=9, hidden=4, clients=3,
+         shard=20, batch=50, epochs=2, lr=0.7, seed=2)
 def test_train_roster_matches_per_client_training_bitwise(
         mlp, n_features, n_classes, hidden, clients, shard, batch, epochs,
         lr, seed):
