@@ -189,8 +189,20 @@ class ExperimentConfig:
             raise ValueError("attack.alpha must be in [0, 1]")
         if attack.pgd_radius is not None and attack.pgd_radius < 0:
             raise ValueError("attack.pgd_radius must be >= 0")
-        if not 0.0 <= attack.backdoor.poison_fraction <= 1.0:
+        bd = attack.backdoor
+        if not 0.0 <= bd.poison_fraction <= 1.0:
             raise ValueError("attack.backdoor.poison_fraction outside [0, 1]")
+        if (attack.kind is AttackKind.BACKDOOR
+                and bd.flavor is BackdoorFlavor.DBA
+                and attack.n_adversaries >= 1):
+            key, width = ("feature_indices", len(bd.feature_indices)) \
+                if bd.feature_indices is not None \
+                else ("n_trigger_features", bd.n_trigger_features)
+            if width < attack.n_adversaries:
+                raise ValueError(
+                    f"attack.backdoor.{key}: a DBA trigger of {width} "
+                    f"features cannot be split among "
+                    f"{attack.n_adversaries} adversaries")
         if agg.kind not in AGGREGATORS:
             raise ValueError(f"aggregator.kind: unknown kind {agg.kind!r}")
         if not agg.epsilon > 0:

@@ -117,11 +117,15 @@ def synth_blobs(n_samples: int, n_features: int, n_classes: int,
     labels = np.empty(n_samples, dtype=np.int64)
     row = 0
     for c in range(n_classes):
-        mean = np.zeros(n_features)
-        mean[c] = 1.0
         count = int(per_class[c])
-        feats[row:row + count] = mean + rng.normal(0.0, spread,
-                                                   size=(count, n_features))
+        # the bits of mean + rng.normal(0.0, spread, ...), drawn in place:
+        # normal() computes 0.0 + spread * z, and the + 0.0 keeps its
+        # sign of zero
+        block = feats[row:row + count]
+        rng.standard_normal(out=block)
+        block *= spread
+        block += 0.0
+        block[:, c] += 1.0
         labels[row:row + count] = c
         row += count
     np.clip(feats, 0.0, 1.0, out=feats)
@@ -294,13 +298,24 @@ def dba_shards(trig: TriggerSpec, n_adversaries: int) -> List[TriggerSpec]:
             for part in parts]
 
 
+def edge_label_mask(edge_ds: Dataset, n_classes: int) -> np.ndarray:
+    """Boolean mask over the class ids below max(n_classes, the pool's):
+    True for each label the edge pool holds."""
+    mask = np.zeros(max(n_classes, edge_ds.n_classes), dtype=bool)
+    mask[edge_ds.labels] = True
+    return mask
+
+
 def edge_case_augment(client_ds: Dataset, edge_ds: Dataset, ratio: float,
-                      rng: np.random.Generator) -> Dataset:
+                      rng: np.random.Generator,
+                      pool_labels: Optional[np.ndarray] = None) -> Dataset:
     """Append edge-case rows sized relative to the matching benign rows.
 
     Counts the client's rows whose label appears in the edge pool and
     appends floor(ratio * count) edge rows, drawn without replacement when
-    the pool is large enough.
+    the pool is large enough. `pool_labels` is the pool's
+    `edge_label_mask` over at least the client's classes, built here when
+    None; a caller that augments from one pool many times builds it once.
     """
     if ratio < 0:
         raise ValueError("ratio must be >= 0")
@@ -308,8 +323,9 @@ def edge_case_augment(client_ds: Dataset, edge_ds: Dataset, ratio: float,
         return client_ds
     if len(edge_ds) == 0:
         raise ValueError("edge pool is empty")
-    targeted = np.unique(edge_ds.labels)
-    matches = int(np.isin(client_ds.labels, targeted).sum())
+    if pool_labels is None:
+        pool_labels = edge_label_mask(edge_ds, client_ds.n_classes)
+    matches = int(np.count_nonzero(pool_labels[client_ds.labels]))
     n_extra = int(ratio * matches)
     if n_extra == 0:
         return client_ds

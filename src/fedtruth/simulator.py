@@ -23,8 +23,8 @@ from .attacks import (AttackKind, AttackStrategy, boost_update,
                       constrain_and_scale, gaussian_noise, pgd_project)
 from .data import (BackdoorFlavor, DataSource, Dataset, TriggerSpec,
                    apply_trigger, backdoor_eval_set, dba_shards,
-                   edge_case_augment, partition_label_skew, synth_blobs,
-                   load_idx, PartitionPlan)
+                   edge_case_augment, edge_label_mask, partition_label_skew,
+                   synth_blobs, load_idx, PartitionPlan)
 from .rng import stream
 from .training import (ModelSpec, TrainConfig, evaluate, extract_update,
                        init_model, local_train, predict, train_roster)
@@ -237,19 +237,31 @@ class _Experiment:
             self.train_pool = load_idx(idx.train_images, idx.train_labels)
             self.test_set = load_idx(idx.test_images, idx.test_labels)
 
-        self.trigger: Optional[TriggerSpec] = None
+        # the poisoning inputs, built once per run: the trigger each
+        # adversary applies, by its position among the round's adversaries
+        # (a DBA shard, else the whole trigger), or the edge-case pool and
+        # its label mask
+        self.adversary_triggers: List[TriggerSpec] = []
         self.backdoor_test: Optional[Dataset] = None
         self.edge_pool: Optional[Dataset] = None
-        bd = self.cfg.attack.backdoor
-        if self.cfg.attack.kind is AttackKind.BACKDOOR:
+        self.edge_labels: Optional[np.ndarray] = None
+        atk = self.cfg.attack
+        bd = atk.backdoor
+        if atk.kind is AttackKind.BACKDOOR:
             if bd.flavor is not BackdoorFlavor.EDGE:
-                self.trigger = TriggerSpec(
+                trigger = TriggerSpec(
                     tuple(bd.resolve_indices(self.train_pool.n_features)),
                     bd.trigger_value, bd.target_label)
-                self.backdoor_test = backdoor_eval_set(self.test_set,
-                                                       self.trigger)
+                self.backdoor_test = backdoor_eval_set(self.test_set, trigger)
+                if bd.flavor is not BackdoorFlavor.DBA:
+                    self.adversary_triggers = [trigger] * atk.n_adversaries
+                elif atk.n_adversaries >= 1:
+                    self.adversary_triggers = dba_shards(trigger,
+                                                         atk.n_adversaries)
             else:  # edge: a shifted pool, relabelled to the target
                 self.edge_pool, self.backdoor_test = self._edge_sets()
+                self.edge_labels = edge_label_mask(self.edge_pool,
+                                                   self.train_pool.n_classes)
 
     def _edge_sets(self) -> Tuple[Dataset, Dataset]:
         """Edge-case pool (inverted-contrast blobs labelled target) plus an
@@ -289,16 +301,14 @@ class _Experiment:
     # -- per-round pieces ------------------------------------------------
 
     def _poisoned_shard(self, round_index: int, client: int,
-                        adv_position: int, n_adv: int) -> Dataset:
+                        adv_position: int) -> Dataset:
         bd = self.cfg.attack.backdoor
         rng = stream(self.seed, "poison", round_index, client)
         if bd.flavor is BackdoorFlavor.EDGE:
             return edge_case_augment(self.shards[client], self.edge_pool,
-                                     bd.edge_ratio, rng)
-        trig = self.trigger
-        if bd.flavor is BackdoorFlavor.DBA:
-            trig = dba_shards(trig, n_adv)[adv_position]
-        poisoned, _ = apply_trigger(self.shards[client], trig,
+                                     bd.edge_ratio, rng, self.edge_labels)
+        poisoned, _ = apply_trigger(self.shards[client],
+                                    self.adversary_triggers[adv_position],
                                     bd.poison_fraction, rng)
         return poisoned
 
@@ -308,7 +318,7 @@ class _Experiment:
         atk = self.cfg.attack
         if atk.kind is AttackKind.BACKDOOR:
             local_ds = self._poisoned_shard(round_index, client,
-                                            adv_position, n_adv)
+                                            adv_position)
         else:
             local_ds = self.shards[client]
         factor = atk.resolve_factor(self.cfg.fl.clients_per_round, n_adv)
@@ -432,8 +442,10 @@ class _Experiment:
                 self.cfg.fl.total_clients, self.cfg.fl.clients_per_round,
                 self.cfg.attack.n_adversaries, t, self.seed)
             updates = self._client_updates(t, roster, adversaries)
-            for row, client in enumerate(roster):
-                _require_finite(updates[row], t, int(client))
+            if not np.isfinite(updates).all():
+                # name the first non-finite client in roster order
+                for row, client in enumerate(roster):
+                    _require_finite(updates[row], t, int(client))
             counts = [len(self.shards[int(c)]) for c in roster]
 
             t0 = time.perf_counter()

@@ -18,7 +18,10 @@ call on an (epochs, n) table of 0..n-1: the same orders, and the same
 generator state after, as one `permutation(n)` per epoch. A batch is
 gathered with `np.take` from the K clients' rows stacked into one array,
 and the gradient subtracts one-hot labels from the softmax, which only
-changes the true class (p - 0.0 is p).
+changes the true class (p - 0.0 is p). The softmax takes its class-axis
+max as elementwise maxima and, below 8 classes, its class-axis sum as a
+chain of adds: the values of the numpy reductions, whose sum is a plain
+left-to-right loop below 8 terms and pairwise from 8 on.
 """
 
 from __future__ import annotations
@@ -112,14 +115,21 @@ def _unpack(spec: ModelSpec, params: np.ndarray) -> List[np.ndarray]:
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     # The class-axis max as elementwise maxima of the class columns: the
-    # value of logits.max(axis=-1) without a reduction call per row. The
-    # sum stays a reduction: from 8 terms on numpy adds pairwise, which a
-    # chain of adds would not reproduce.
+    # value of logits.max(axis=-1) without a reduction call per row. Below
+    # 8 classes the sum is a chain of adds too, which is numpy's own
+    # left-to-right loop; from 8 terms on numpy adds pairwise, so the sum
+    # stays a reduction there.
+    classes = logits.shape[-1]
     top = logits[..., 0]
-    for c in range(1, logits.shape[-1]):
+    for c in range(1, classes):
         top = np.maximum(top, logits[..., c])
     exps = np.exp(logits - top[..., None])
-    return exps / exps.sum(axis=-1, keepdims=True)
+    if classes >= 8:
+        return exps / exps.sum(axis=-1, keepdims=True)
+    total = exps[..., 0]
+    for c in range(1, classes):
+        total = total + exps[..., c]
+    return exps / total[..., None]
 
 
 def _affine(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:

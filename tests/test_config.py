@@ -226,3 +226,45 @@ def test_estimator_range_errors_start_with_their_key(key):
     with pytest.raises(ValueError) as err:
         config_from_dict(nested(key, 0))
     assert str(err.value).startswith(f"{key} must be")
+
+
+@pytest.mark.parametrize("backdoor, key", [
+    ({"n_trigger_features": 2}, "attack.backdoor.n_trigger_features"),
+    ({"feature_indices": [4, 5]}, "attack.backdoor.feature_indices"),
+    ({"feature_indices": [4, 5], "n_trigger_features": 6},
+     "attack.backdoor.feature_indices"),
+])
+def test_dba_trigger_shorter_than_adversaries_refused(backdoor, key):
+    data = nested("attack.backdoor", backdoor)
+    data["attack"].update(kind="backdoor", n_adversaries=3)
+    data["attack"]["backdoor"]["flavor"] = "dba"
+    with pytest.raises(ValueError) as err:
+        config_from_dict(data)
+    assert str(err.value).startswith(f"{key}: ")
+
+
+@pytest.mark.parametrize("attack", [
+    {"kind": "backdoor", "n_adversaries": 3,
+     "backdoor": {"flavor": "dba", "n_trigger_features": 3}},
+    {"kind": "backdoor", "n_adversaries": 0,
+     "backdoor": {"flavor": "dba", "n_trigger_features": 2}},
+    {"kind": "backdoor", "n_adversaries": 3,
+     "backdoor": {"flavor": "trigger", "n_trigger_features": 2}},
+    {"kind": "model_boost", "n_adversaries": 3,
+     "backdoor": {"flavor": "dba", "n_trigger_features": 2}},
+])
+def test_dba_trigger_check_only_where_it_splits(attack):
+    config_from_dict({"attack": attack})
+
+
+def test_dba_trigger_refused_through_run_set(capsys):
+    path = ROOT / "configs" / "dba_backdoor.yaml"
+    key = "attack.backdoor.n_trigger_features"
+    overrides = [f"{key}=2", "attack.n_adversaries=3"]
+    with pytest.raises(ValueError, match=f"^{key}: "):
+        load_config(path, overrides)
+    argv = ["run", str(path)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")

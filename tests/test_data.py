@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedtruth.data import (Dataset, PartitionPlan, TriggerSpec, apply_trigger,
                            backdoor_eval_set, dba_shards, edge_case_augment,
@@ -40,6 +42,37 @@ def test_synth_blobs_deterministic_in_seed():
     b = synth_blobs(50, 4, 2, 0.1, stream(5, "blobs"))
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
+
+
+def reference_blobs(n_samples, n_features, n_classes, spread, rng):
+    """synth_blobs as one normal() draw per class added to its mean."""
+    per_class = np.full(n_classes, n_samples // n_classes)
+    per_class[: n_samples % n_classes] += 1
+    feats, labels = [], []
+    for c in range(n_classes):
+        mean = np.zeros(n_features)
+        mean[c] = 1.0
+        count = int(per_class[c])
+        feats.append(mean + rng.normal(0.0, spread, size=(count, n_features)))
+        labels.append(np.full(count, c))
+    return np.clip(np.concatenate(feats), 0.0, 1.0), np.concatenate(labels)
+
+
+# spreads so small that spread * z underflows to -0.0 check the sign of zero
+@settings(max_examples=150, deadline=None)
+@given(n_samples=st.integers(1, 60), n_features=st.integers(2, 12),
+       classes=st.integers(2, 12), seed=st.integers(0, 2 ** 32),
+       spread=st.one_of(st.sampled_from([5e-324, 1e-320, 1e-300, 0.15]),
+                        st.floats(1e-12, 1e3)))
+def test_synth_blobs_match_normal_draw_bitwise(n_samples, n_features,
+                                               classes, seed, spread):
+    n_classes = min(classes, n_features)
+    got = synth_blobs(n_samples, n_features, n_classes, spread,
+                      stream(seed, "blobs"))
+    feats, labels = reference_blobs(n_samples, n_features, n_classes, spread,
+                                    stream(seed, "blobs"))
+    assert got.features.tobytes() == feats.tobytes()
+    assert np.array_equal(got.labels, labels)
 
 
 def test_synth_blobs_rejects_bad_args():

@@ -82,13 +82,26 @@ LOGITS = st.one_of(st.floats(-30.0, 30.0),
                    st.floats(allow_nan=False))
 
 
+# () is one sample, (B,) what evaluate passes, (K, B) a roster stack
+SOFTMAX_INPUTS = st.tuples(
+    st.sampled_from([(), (1,), (7,), (3, 5), (10, 1)]),
+    st.integers(2, 12)).flatmap(
+        lambda shape: hnp.arrays(np.float64, shape[0] + (shape[1],),
+                                 elements=LOGITS))
+
+
+def boundary_logits(classes):
+    # spread-out logits, so a chain of adds and a pairwise sum of their
+    # exponentials differ in the last bit on several rows
+    return np.random.default_rng(classes).normal(size=(3, 5, classes)) * 3.0
+
+
+# 7 classes is the longest chain of adds, 8 the first pairwise reduction
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), classes=st.integers(2, 12),
-       lead=st.sampled_from([(), (1,), (7,), (3, 5), (10, 1)]))
-def test_softmax_matches_reduction_form_bitwise(data, classes, lead):
-    # () is one sample, (B,) what evaluate passes, (K, B) a roster stack
-    logits = data.draw(hnp.arrays(np.float64, lead + (classes,),
-                                  elements=LOGITS))
+@given(logits=SOFTMAX_INPUTS)
+@example(logits=boundary_logits(7))
+@example(logits=boundary_logits(8))
+def test_softmax_matches_reduction_form_bitwise(logits):
     with np.errstate(over="ignore", invalid="ignore"):
         got = _softmax(logits)
         want = reference_softmax(logits)
