@@ -12,8 +12,7 @@ from .data import (BackdoorFlavor, DataSource, Dataset, PartitionPlan,
                    edge_case_augment, load_idx, partition_label_skew,
                    save_idx, synth_blobs)
 from .simulator import (NonFiniteUpdate, RoundReport, apply_global_update,
-                        fltrust_server_step, run_experiment,
-                        select_round_roster)
+                        run_experiment, select_round_roster)
 from .training import (ModelKind, ModelSpec, TrainConfig, evaluate,
                        extract_update, init_model, local_train)
 from .truth import (CoefficientFunction, FedTruthConfig, InitScheme,

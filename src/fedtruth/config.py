@@ -203,6 +203,15 @@ class ExperimentConfig:
                     f"attack.backdoor.{key}: a DBA trigger of {width} "
                     f"features cannot be split among "
                     f"{attack.n_adversaries} adversaries")
+        if ds.source is DataSource.IDX:
+            for f in dataclasses.fields(ds.idx):
+                if getattr(ds.idx, f.name) is None:
+                    raise ValueError(f"dataset.idx.{f.name}: required when "
+                                     "dataset.source is idx")
+            if (attack.kind is AttackKind.BACKDOOR
+                    and bd.flavor is BackdoorFlavor.EDGE):
+                raise ValueError("attack.backdoor.flavor: the edge-case pool "
+                                 "needs dataset.source synth")
         if agg.kind not in AGGREGATORS:
             raise ValueError(f"aggregator.kind: unknown kind {agg.kind!r}")
         if not agg.epsilon > 0:

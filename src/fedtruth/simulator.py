@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Callable, Dict, List, NamedTuple,
-                    Optional, Sequence, Tuple)
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from .data import (BackdoorFlavor, DataSource, Dataset, TriggerSpec,
                    edge_case_augment, edge_label_mask, partition_label_skew,
                    synth_blobs, load_idx, PartitionPlan)
 from .rng import stream
-from .training import (ModelSpec, TrainConfig, evaluate, extract_update,
-                       init_model, local_train, predict, train_roster)
+from .training import (ModelSpec, extract_update, init_model, predict,
+                       train_roster)
 from .truth import NonFiniteWeights, estimate_truth, estimate_truth_layered
 from .vectors import BLOCK_ELEMENTS, Updates
 
@@ -49,26 +49,6 @@ class NonFiniteUpdate(RuntimeError):
         where = "server step" if client is None \
             else f"update of client {client}"
         super().__init__(f"non-finite {where} in round {round_index}")
-
-
-def _require_finite(vector: np.ndarray, round_index: int,
-                    client: Optional[int] = None) -> np.ndarray:
-    if not np.isfinite(vector).all():
-        raise NonFiniteUpdate(round_index, client)
-    return vector
-
-
-class _TrainingJob(NamedTuple):
-    """One roster client's local training: its data, its train stream, and
-    for an adversary the map from its trained model to its update. An
-    adversary under constrain-and-scale also trains a benign model, on
-    `benign` (data, stream); `finish` receives it as its second argument
-    (None for every other job)."""
-    ds: Dataset
-    rng: np.random.Generator
-    finish: Optional[Callable[[np.ndarray, Optional[np.ndarray]],
-                              np.ndarray]] = None
-    benign: Optional[Tuple[Dataset, np.random.Generator]] = None
 
 
 @dataclass
@@ -107,16 +87,6 @@ def apply_global_update(w: np.ndarray, delta: np.ndarray,
                         eta: float) -> np.ndarray:
     """Server step w - eta * delta."""
     return w - eta * delta
-
-
-def fltrust_server_step(root_ds: Dataset, w: np.ndarray, spec: ModelSpec,
-                        cfg: TrainConfig,
-                        rng: np.random.Generator) -> np.ndarray:
-    """Server-side reference update trained on the benign root split."""
-    if len(root_ds) == 0:
-        raise ValueError("fltrust root split is empty")
-    trained = local_train(w, root_ds, spec, cfg, rng)
-    return extract_update(w, trained)
 
 
 @dataclass
@@ -236,6 +206,9 @@ class _Experiment:
             idx = ds_cfg.idx
             self.train_pool = load_idx(idx.train_images, idx.train_labels)
             self.test_set = load_idx(idx.test_images, idx.test_labels)
+            if len(self.test_set) == 0:
+                raise ValueError(
+                    f"test set {idx.test_images} holds no images")
 
         # the poisoning inputs, built once per run: the trigger each
         # adversary applies, by its position among the round's adversaries
@@ -266,8 +239,6 @@ class _Experiment:
     def _edge_sets(self) -> Tuple[Dataset, Dataset]:
         """Edge-case pool (inverted-contrast blobs labelled target) plus an
         evaluation split of inverted samples whose true label differs."""
-        if self.cfg.dataset.source is not DataSource.SYNTH:
-            raise ValueError("edge-case attack needs the synth source")
         s = self.cfg.dataset.synth
         bd = self.cfg.attack.backdoor
         pool = synth_blobs(s.n_test, s.n_features, s.n_classes, s.spread,
@@ -282,7 +253,11 @@ class _Experiment:
         return pool, eval_set
 
     def _partition(self) -> None:
+        # the pool is setup-only: letting it go here keeps it out of every
+        # round, and frees it before the shards are drawn when fltrust
+        # splits off its root
         pool = self.train_pool
+        del self.train_pool
         self.root_ds: Optional[Dataset] = None
         if self.cfg.aggregator.kind == "fltrust":
             n_root = max(1, int(self.cfg.fltrust_root_fraction * len(pool)))
@@ -312,35 +287,16 @@ class _Experiment:
                                     bd.poison_fraction, rng)
         return poisoned
 
-    def _adversarial_job(self, round_index: int, client: int,
-                         adv_position: int, n_adv: int) -> _TrainingJob:
-        """What an adversary trains on, and its attack pipeline."""
-        atk = self.cfg.attack
-        if atk.kind is AttackKind.BACKDOOR:
-            local_ds = self._poisoned_shard(round_index, client,
-                                            adv_position)
-        else:
-            local_ds = self.shards[client]
-        factor = atk.resolve_factor(self.cfg.fl.clients_per_round, n_adv)
-        benign = None
-        if (atk.kind is AttackKind.BACKDOOR
-                and atk.strategy is AttackStrategy.CONSTRAIN_AND_SCALE):
-            benign = (self.shards[client],
-                      stream(self.seed, "train-benign", round_index, client))
-        return _TrainingJob(
-            local_ds, stream(self.seed, "train", round_index, client),
-            lambda model, benign_model: self._attack_pipeline(
-                model, benign_model, round_index, client, factor),
-            benign)
-
     def _attack_pipeline(self, model: np.ndarray,
                          benign: Optional[np.ndarray], round_index: int,
-                         client: int, factor: float) -> np.ndarray:
+                         client: int, n_adversaries: int) -> np.ndarray:
         """Trained model -> model transform -> projection -> update
         extraction -> update boosting. `benign` is the client's benign
         model under constrain-and-scale, else None."""
         atk = self.cfg.attack
         w = self.global_model
+        factor = atk.resolve_factor(self.cfg.fl.clients_per_round,
+                                    n_adversaries)
         if atk.kind is AttackKind.GAUSSIAN_NOISE:
             noise_rng = stream(self.seed, "noise", round_index, client)
             model = gaussian_noise(model, atk.sigma, noise_rng)
@@ -356,59 +312,61 @@ class _Experiment:
             delta = boost_update(delta, factor)
         return delta
 
-    def _client_updates(self, round_index: int, roster: Sequence[int],
-                        adversaries: Sequence[int]) -> np.ndarray:
-        """The round's (n, d) update matrix, one row per roster client in
-        roster order, not yet checked.
-
-        Every model the round trains (the roster's, then the benign models
-        of constrain-and-scale adversaries) joins the group of models whose
-        training sets have the same length; a group trains together, in
-        blocks of at most BLOCK_ELEMENTS // d models.
-        """
-        adv_set = set(int(a) for a in adversaries)
-        attacked = self.cfg.attack.kind is not AttackKind.NONE
-        jobs, adv_position = [], 0
-        for client in roster:
-            client = int(client)
-            if attacked and client in adv_set:
-                jobs.append(self._adversarial_job(
-                    round_index, client, adv_position, len(adv_set)))
-                adv_position += 1
-            else:
-                jobs.append(_TrainingJob(
-                    self.shards[client],
-                    stream(self.seed, "train", round_index, client)))
-
-        # row r < n of `models` is roster client r's; the benign models
-        # follow, in roster order
-        n = len(jobs)
-        tasks = [(job.ds, job.rng) for job in jobs]
-        tasks += [job.benign for job in jobs if job.benign is not None]
+    def _train(self, datasets: Sequence[Dataset],
+               rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """One model per (dataset, stream) task, trained from the global
+        model, as rows in task order. Tasks whose datasets have the same
+        length train together, in blocks of at most BLOCK_ELEMENTS // d."""
         w = self.global_model
-        models = np.empty((len(tasks), w.size))
+        models = np.empty((len(datasets), w.size))
         groups: Dict[int, List[int]] = {}
-        for row, (ds, _) in enumerate(tasks):
+        for row, ds in enumerate(datasets):
             groups.setdefault(len(ds), []).append(row)
         block = max(1, BLOCK_ELEMENTS // w.size)
         for rows in groups.values():
             for lo in range(0, len(rows), block):
                 part = rows[lo:lo + block]
                 models[part] = train_roster(
-                    w, [tasks[r][0] for r in part], self.model_spec,
-                    self.train_cfg, [tasks[r][1] for r in part])
+                    w, [datasets[r] for r in part], self.model_spec,
+                    self.train_cfg, [rngs[r] for r in part])
+        return models
 
-        benign_rows = iter(range(n, len(tasks)))
-        finished = {}
-        for row, job in enumerate(jobs):
-            if job.finish is not None:
-                benign = None if job.benign is None \
-                    else models[next(benign_rows)]
-                finished[row] = job.finish(models[row], benign)
+    def _client_updates(self, round_index: int, roster: Sequence[int],
+                        adversaries: Sequence[int]) -> np.ndarray:
+        """The round's (n, d) update matrix, one row per roster client in
+        roster order, not yet checked.
+
+        The round trains the roster's models, then the benign models of
+        constrain-and-scale adversaries, in one `_train` call.
+        """
+        atk = self.cfg.attack
+        roster = [int(c) for c in roster]
+        adv_set = set() if atk.kind is AttackKind.NONE \
+            else set(int(a) for a in adversaries)
+        # (row, client) of each adversary in roster order; its index here
+        # is its position among the round's adversaries
+        advs = [(row, c) for row, c in enumerate(roster) if c in adv_set]
+        datasets = [self.shards[c] for c in roster]
+        rngs = [stream(self.seed, "train", round_index, c) for c in roster]
+        blend = atk.kind is AttackKind.BACKDOOR \
+            and atk.strategy is AttackStrategy.CONSTRAIN_AND_SCALE
+        for position, (row, c) in enumerate(advs):
+            if atk.kind is AttackKind.BACKDOOR:
+                datasets[row] = self._poisoned_shard(round_index, c, position)
+            if blend:
+                datasets.append(self.shards[c])
+                rngs.append(stream(self.seed, "train-benign", round_index, c))
+        models = self._train(datasets, rngs)
+
+        n = len(roster)
+        attacked = [self._attack_pipeline(
+            models[row], models[n + position] if blend else None,
+            round_index, c, len(advs))
+            for position, (row, c) in enumerate(advs)]
         updates = models[:n]
-        np.subtract(w, updates, out=updates)
-        for row, update in finished.items():
-            updates[row] = update
+        np.subtract(self.global_model, updates, out=updates)
+        for (row, _), delta in zip(advs, attacked):
+            updates[row] = delta
         return updates
 
     def _aggregate(self, updates: Updates, counts: List[int],
@@ -423,10 +381,10 @@ class _Experiment:
             counts=counts, layer_sizes=self.layer_sizes, config=cfg,
             krum_f=self.cfg.attack.n_adversaries if cfg.krum_f is None
             else cfg.krum_f,
-            server_update=lambda: fltrust_server_step(
-                self.root_ds, self.global_model, self.model_spec,
-                self.train_cfg,
-                stream(self.seed, "fltrust", round_index)),
+            server_update=lambda: extract_update(
+                self.global_model, self._train(
+                    [self.root_ds],
+                    [stream(self.seed, "fltrust", round_index)])[0]),
             flame_rng=lambda: stream(self.seed, "flame", round_index))
         try:
             return AGGREGATORS[cfg.kind](updates, ctx)
@@ -444,18 +402,21 @@ class _Experiment:
             updates = self._client_updates(t, roster, adversaries)
             if not np.isfinite(updates).all():
                 # name the first non-finite client in roster order
-                for row, client in enumerate(roster):
-                    _require_finite(updates[row], t, int(client))
+                row = np.isfinite(updates).all(axis=1).argmin()
+                raise NonFiniteUpdate(t, int(roster[row]))
             counts = [len(self.shards[int(c)]) for c in roster]
 
             t0 = time.perf_counter()
             delta, weights, iterations = self._aggregate(updates, counts, t)
             agg_time = time.perf_counter() - t0
 
-            self.global_model = _require_finite(apply_global_update(
-                self.global_model, delta, self.cfg.fl.server_lr), t)
-            accuracy, _ = evaluate(self.global_model, self.test_set,
-                                   self.model_spec)
+            self.global_model = apply_global_update(
+                self.global_model, delta, self.cfg.fl.server_lr)
+            if not np.isfinite(self.global_model).all():
+                raise NonFiniteUpdate(t)
+            accuracy = float((predict(self.global_model, self.test_set,
+                                      self.model_spec)
+                              == self.test_set.labels).mean())
             backdoor_acc = None
             if self.backdoor_test is not None:
                 preds = predict(self.global_model, self.backdoor_test,

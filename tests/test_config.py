@@ -40,6 +40,19 @@ def nested(key, value):
     return data
 
 
+IDX_PATHS = {name: f"{name}.idx" for name in
+             ("train_images", "train_labels", "test_images", "test_labels")}
+
+
+def choice_config(key, value):
+    """A mapping that sets one choice field, plus the four file paths
+    that the idx source requires."""
+    data = nested(key, value)
+    if (key, value) == ("dataset.source", "idx"):
+        data["dataset"]["idx"] = dict(IDX_PATHS)
+    return data
+
+
 def field_of(cfg, key):
     for part in key.split("."):
         cfg = getattr(cfg, part)
@@ -62,7 +75,7 @@ def test_choice_fields_hold_their_enums(key):
     enum = ENUM_FIELDS[key]
     assert isinstance(field_of(config_from_dict({}), key), enum)
     for member in enum:
-        cfg = config_from_dict(nested(key, member.value))
+        cfg = config_from_dict(choice_config(key, member.value))
         assert field_of(cfg, key) is member
 
 
@@ -268,3 +281,34 @@ def test_dba_trigger_refused_through_run_set(capsys):
         argv += ["--set", item]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(f"error: {key}: ")
+
+
+@pytest.mark.parametrize("missing", sorted(IDX_PATHS))
+def test_idx_source_needs_every_path(missing):
+    idx = {name: path for name, path in IDX_PATHS.items() if name != missing}
+    with pytest.raises(ValueError) as err:
+        config_from_dict({"dataset": {"source": "idx", "idx": idx}})
+    assert str(err.value).startswith(f"dataset.idx.{missing}: ")
+
+
+def test_idx_source_without_paths_refused_through_run_set(capsys):
+    # before validate() checked the paths, this died in load_idx(None)
+    # with a TypeError traceback
+    path = ROOT / "configs" / "baseline.yaml"
+    assert main(["run", str(path), "--set", "dataset.source=idx"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: dataset.idx.train_images: ")
+
+
+def test_edge_backdoor_needs_the_synth_source():
+    attack = {"kind": "backdoor", "n_adversaries": 2,
+              "backdoor": {"flavor": "edge"}}
+    config_from_dict({"attack": attack})
+    with pytest.raises(ValueError) as err:
+        config_from_dict({"attack": attack,
+                          "dataset": {"source": "idx", "idx": IDX_PATHS}})
+    assert str(err.value).startswith("attack.backdoor.flavor: ")
+    # only the backdoor attack builds the edge-case pool
+    config_from_dict({"attack": {**attack, "kind": "model_boost"},
+                      "dataset": {"source": "idx", "idx": IDX_PATHS}})

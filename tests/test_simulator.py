@@ -8,9 +8,11 @@ import pytest
 from fedtruth.cli import write_round_csv
 from fedtruth.config import config_from_dict
 from fedtruth.rng import stream
+import fedtruth.simulator
+from fedtruth.data import Dataset, save_idx, synth_blobs
 from fedtruth.simulator import (NonFiniteUpdate, _Experiment,
-                                apply_global_update, fltrust_server_step,
-                                run_experiment, select_round_roster)
+                                apply_global_update, run_experiment,
+                                select_round_roster)
 from fedtruth.truth import NonFiniteWeights
 from fedtruth.training import (ModelKind, ModelSpec, TrainConfig,
                                extract_update, init_model, local_train)
@@ -82,7 +84,6 @@ def test_apply_global_update_identities():
 
 
 def test_eta_one_recovers_single_client_model():
-    from fedtruth.data import synth_blobs
     spec = ModelSpec(ModelKind.LOGREG, 6, 2)
     w = init_model(spec, 1)
     ds = synth_blobs(50, 6, 2, 0.2, stream(0, "d"))
@@ -93,28 +94,7 @@ def test_eta_one_recovers_single_client_model():
     assert np.array_equal(recovered, local)
 
 
-# -- fltrust server step --------------------------------------------------------
-
-def test_fltrust_server_step_zero_lr_gives_zero_update():
-    from fedtruth.data import synth_blobs
-    spec = ModelSpec(ModelKind.LOGREG, 6, 2)
-    w = init_model(spec, 2)
-    root = synth_blobs(30, 6, 2, 0.2, stream(1, "d"))
-    upd = fltrust_server_step(root, w, spec, TrainConfig(learning_rate=0.0),
-                              stream(1, "t"))
-    assert np.all(upd == 0.0)
-
-
-def test_fltrust_server_step_matches_identical_client():
-    from fedtruth.data import synth_blobs
-    spec = ModelSpec(ModelKind.LOGREG, 6, 2)
-    w = init_model(spec, 3)
-    ds = synth_blobs(40, 6, 2, 0.2, stream(2, "d"))
-    cfg = TrainConfig(local_epochs=2, batch_size=8, learning_rate=0.1)
-    server = fltrust_server_step(ds, w, spec, cfg, stream(9, "s"))
-    client = extract_update(w, local_train(w, ds, spec, cfg, stream(9, "s")))
-    assert np.array_equal(server, client)
-
+# -- fltrust server model -------------------------------------------------------
 
 def test_fltrust_small_root_still_trains():
     cfg = base_config(**{"aggregator.kind": "fltrust"})
@@ -214,9 +194,10 @@ def test_report_weights_come_from_the_aggregate(kind):
         want = np.zeros(len(updates))
         want[kept] = 1.0 / len(kept)
     else:
-        server = fltrust_server_step(
-            exp.root_ds, exp.global_model, exp.model_spec, exp.train_cfg,
-            stream(cfg.master_seed, "fltrust", 0))
+        w = exp.global_model
+        server = extract_update(w, local_train(
+            w, exp.root_ds, exp.model_spec, exp.train_cfg,
+            stream(cfg.master_seed, "fltrust", 0)))
         expected, scores = fltrust(updates, server)
         want = scores / scores.sum()
     assert np.array_equal(delta, expected)
@@ -248,6 +229,21 @@ def test_backdoor_run_reports_backdoor_accuracy():
         assert 0.0 <= r.backdoor_accuracy <= 1.0
         assert len(r.adversary_ids) == 2
         assert r.fedtruth_iterations >= 1
+
+
+def test_no_attack_trains_adversaries_benignly():
+    # the roster is drawn before the adversaries, so with no attack the
+    # designated adversaries change nothing but the reported ids
+    def run(n_adversaries):
+        cfg = base_config(**{"aggregator.kind": "fedtruth", "fl.rounds": 4},
+                          attack={"kind": "none",
+                                  "n_adversaries": n_adversaries})
+        return run_experiment(cfg)
+
+    attacked, clean = run(4), run(0)
+    assert all(len(r.adversary_ids) == 4 for r in attacked)
+    assert [(r.main_accuracy, r.weights) for r in attacked] == \
+        [(r.main_accuracy, r.weights) for r in clean]
 
 
 def test_no_attack_run_has_no_backdoor_column():
@@ -376,6 +372,40 @@ def test_nonfinite_estimator_weights_name_round_without_client(kind):
     assert caught == []  # numpy's overflow warnings stay in the estimator
 
 
+def test_every_model_trains_through_train_roster(tmp_path, monkeypatch):
+    # fltrust's server model and the benign models of constrain-and-scale
+    # adversaries go through the same module attribute as the roster's
+    cfg = base_config(
+        **{"aggregator.kind": "fltrust", "fl.rounds": 2},
+        attack={"kind": "backdoor", "strategy": "constrain_and_scale",
+                "n_adversaries": 2, "alpha": 0.5, "boosting_factor": 2.0,
+                "backdoor": {"flavor": "edge", "target_label": 1,
+                             "edge_ratio": 0.3}})
+    plain = tmp_path / "plain.csv"
+    write_round_csv(plain, cfg, run_experiment(cfg))
+
+    exp = _Experiment(cfg)
+    trained = {"client": 0, "server": 0}
+    train_roster = fedtruth.simulator.train_roster
+
+    def counting(params, datasets, *args):
+        if any(ds is exp.root_ds for ds in datasets):
+            trained["server"] += len(datasets)
+        else:
+            trained["client"] += len(datasets)
+        return train_roster(params, datasets, *args)
+
+    monkeypatch.setattr(fedtruth.simulator, "train_roster", counting)
+    counted = tmp_path / "counted.csv"
+    write_round_csv(counted, cfg, exp.run())
+    rounds = cfg.fl.rounds
+    assert trained == {
+        "client": rounds * (cfg.fl.clients_per_round
+                            + cfg.attack.n_adversaries),
+        "server": rounds}
+    assert without_timing_bytes(counted) == without_timing_bytes(plain)
+
+
 def test_fltrust_zero_server_update_falls_back():
     # zero local learning rate gives a zero server reference; the round
     # falls back to the (zero) server update and the model stays put
@@ -384,6 +414,28 @@ def test_fltrust_zero_server_update_falls_back():
     reports = run_experiment(cfg)
     accs = {r.main_accuracy for r in reports}
     assert len(accs) == 1  # model never moves
+
+
+def test_empty_idx_test_set_refused_at_setup(tmp_path):
+    # evaluating on no rows gives no accuracy, so setup refuses the file
+    train = synth_blobs(300, 4, 2, 0.2, stream(5, "d"))
+    train = Dataset(np.rint(train.features * 255.0) / 255.0, train.labels,
+                    train.n_classes)
+    empty = Dataset(np.zeros((0, 4)), np.zeros(0, dtype=int), 2)
+    save_idx(train, tmp_path / "train-img", tmp_path / "train-lab")
+    save_idx(empty, tmp_path / "test-img", tmp_path / "test-lab")
+    idx = {"train_images": str(tmp_path / "train-img"),
+           "train_labels": str(tmp_path / "train-lab"),
+           "test_images": str(tmp_path / "test-img"),
+           "test_labels": str(tmp_path / "test-lab")}
+    cfg = base_config(**{"dataset.source": "idx", "dataset.idx": idx,
+                         "dataset.samples_per_client": 20})
+    with pytest.raises(ValueError):
+        _Experiment(cfg)
+    # the same files with the training images as test set do run
+    cfg.dataset.idx.test_images = idx["train_images"]
+    cfg.dataset.idx.test_labels = idx["train_labels"]
+    assert len(run_experiment(cfg)) == cfg.fl.rounds
 
 
 def test_fedtruth_layer_uses_model_layers():
