@@ -15,8 +15,8 @@ from .simulator import (NonFiniteUpdate, RoundReport, apply_global_update,
                         run_experiment, select_round_roster)
 from .training import (ModelKind, ModelSpec, TrainConfig, evaluate,
                        extract_update, init_model, local_train)
-from .truth import (CoefficientFunction, FedTruthConfig, InitScheme,
-                    TruthEstimate, estimate_truth, estimate_truth_layered,
+from .truth import (CoefficientFunction, FedTruthConfig, TruthEstimate,
+                    estimate_truth, estimate_truth_layered,
                     performances_to_weights, resilience_gap)
 from .vectors import DistanceKind, weighted_sum
 

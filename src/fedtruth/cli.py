@@ -30,7 +30,6 @@ from .config import AggregatorConfig, ExperimentConfig, load_config
 from .rng import stream
 from .simulator import (AGGREGATORS, AggregationContext, RoundReport,
                         run_experiment)
-from .vectors import DistanceKind
 
 TIMING_COLUMNS = ("agg_time_s",)
 
@@ -137,12 +136,6 @@ class SweepSpec:
             if not isinstance(value, list) or not value:
                 raise ValueError(f"sweep list {field_name!r} must be a "
                                  f"non-empty list, got {value!r}")
-        unknown = set(self.aggregators) - set(AGGREGATORS)
-        if unknown:
-            raise ValueError(f"unknown aggregators in sweep: {sorted(unknown)}")
-        unknown = set(self.distances) - {kind.value for kind in DistanceKind}
-        if unknown:
-            raise ValueError(f"unknown distances in sweep: {sorted(unknown)}")
 
     def cells(self) -> List[tuple]:
         out = []
@@ -180,6 +173,21 @@ def _cell_name(cell) -> str:
     return f"{aggregator}_adv{adv}_bias{bias}_{dist}_seed{seed}"
 
 
+# the config key each field of a cell tuple overrides
+CELL_KEYS = ("aggregator.kind", "attack.n_adversaries", "dataset.noniid_bias",
+             "aggregator.distance", "master_seed")
+
+
+def _cell_config(spec: SweepSpec, cell) -> ExperimentConfig:
+    """The base config with the cell's overrides, built and validated."""
+    name = _cell_name(cell)
+    overrides = [f"{key}={value}" for key, value in zip(CELL_KEYS, cell)]
+    try:
+        return load_config(spec.base, overrides + [f"output.name={name}"])
+    except ValueError as err:
+        raise ValueError(f"sweep cell {name}: {err}") from None
+
+
 def _gnuplot_script(cell_files: List[str]) -> str:
     # per-round cell CSVs: column 1 = round, column 7 = main_acc
     plots = ", \\\n     ".join(
@@ -203,8 +211,9 @@ def cmd_sweep(args) -> int:
         if len(cells) > spec.cap:
             raise ValueError(
                 f"sweep has {len(cells)} cells, over the cap of {spec.cap}")
-        base = load_config(spec.base)
-        out_dir = base.output.resolved_dir() / spec.name
+        # every cell passes validation before the first one runs
+        configs = [_cell_config(spec, cell) for cell in cells]
+        out_dir = configs[0].output.resolved_dir() / spec.name
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -213,18 +222,10 @@ def cmd_sweep(args) -> int:
     merged_rows = []
     statuses = []
     failures = 0
-    for cell in cells:
+    for cell, cfg in zip(cells, configs):
         aggregator, adv, bias, dist, seed = cell
-        name = _cell_name(cell)
+        name = cfg.output.name
         try:
-            cfg = load_config(spec.base, [
-                f"aggregator.kind={aggregator}",
-                f"attack.n_adversaries={adv}",
-                f"dataset.noniid_bias={bias}",
-                f"aggregator.distance={dist}",
-                f"master_seed={seed}",
-                f"output.name={name}",
-            ])
             reports = _run_single(cfg, out_dir, name)
             for r in reports:
                 merged_rows.append([

@@ -5,7 +5,7 @@ Every field has a default, so an empty config file runs. A config file's
 mapping takes its `section.key=value` overrides, then is built and
 validated once. Each value is coerced to its field's type, so the choice
 fields (data source, model, attack kind and strategy, backdoor flavour,
-distance, coefficient, init) hold their enums. Unknown keys and bad values,
+distance, coefficient) hold their enums. Unknown keys and bad values,
 NaN and +-inf included, raise a ValueError that names the dotted key.
 """
 
@@ -22,7 +22,7 @@ import yaml
 from .attacks import AttackKind, AttackStrategy, boosting_factor
 from .data import BackdoorFlavor, DataSource
 from .simulator import AGGREGATORS
-from .truth import CoefficientFunction, FedTruthConfig, InitScheme
+from .truth import CoefficientFunction, FedTruthConfig
 from .training import ModelKind, TrainConfig
 from .vectors import DistanceKind
 
@@ -121,7 +121,6 @@ class AggregatorConfig:
     coefficient: CoefficientFunction = CoefficientFunction.NEG_LOG
     epsilon: float = 1e-6
     max_iterations: int = 100
-    init: InitScheme = InitScheme.SIMPLE_AVERAGE
     trim_k: Optional[int] = None  # default: floor(0.2 * n) per side
     krum_f: Optional[int] = None  # default: the attack's adversary count
     flame_noise_factor: float = 0.001
@@ -130,8 +129,7 @@ class AggregatorConfig:
         return FedTruthConfig(distance=self.distance,
                               coefficient=self.coefficient,
                               epsilon=self.epsilon,
-                              max_iterations=self.max_iterations,
-                              init=self.init)
+                              max_iterations=self.max_iterations)
 
 
 @dataclass
@@ -162,10 +160,21 @@ class ExperimentConfig:
         fl, attack, agg, ds = self.fl, self.attack, self.aggregator, self.dataset
         if not 0.0 <= ds.noniid_bias <= 1.0:
             raise ValueError("dataset.noniid_bias must be in [0, 1]")
+        if ds.samples_per_client < 1:
+            raise ValueError("dataset.samples_per_client must be >= 1")
+        if ds.source is DataSource.SYNTH and not ds.synth.spread > 0:
+            raise ValueError("dataset.synth.spread must be > 0")
+        if self.model.kind is ModelKind.MLP and self.model.hidden_units < 1:
+            raise ValueError("model.hidden_units must be >= 1")
         if fl.clients_per_round > fl.total_clients:
             raise ValueError("fl.clients_per_round exceeds fl.total_clients")
         if fl.clients_per_round < 1 or fl.rounds < 1:
             raise ValueError("fl.clients_per_round and fl.rounds must be >= 1")
+        for key in ("local_epochs", "batch_size"):
+            if getattr(fl, key) < 1:
+                raise ValueError(f"fl.{key} must be >= 1")
+        if fl.learning_rate < 0:
+            raise ValueError("fl.learning_rate must be >= 0")
         if attack.n_adversaries < 0 or attack.n_adversaries > fl.clients_per_round:
             raise ValueError("attack.n_adversaries outside [0, roster size]")
         if (attack.n_adversaries >= fl.clients_per_round / 2

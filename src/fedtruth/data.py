@@ -214,22 +214,18 @@ def partition_label_skew(ds: Dataset, plan: PartitionPlan,
         n_primary = int(take_primary.sum())
         counts = {primary: n_primary}
         if plan.samples_per_client - n_primary > 0:
-            if not others:
-                counts[primary] = plan.samples_per_client
-            else:
-                drawn = rng.choice(len(others),
-                                   size=plan.samples_per_client - n_primary)
-                for j in drawn:
-                    c = others[int(j)]
-                    counts[c] = counts.get(c, 0) + 1
+            drawn = rng.choice(len(others),
+                               size=plan.samples_per_client - n_primary)
+            for j in drawn:
+                c = others[int(j)]
+                counts[c] = counts.get(c, 0) + 1
         rows = []
         for c, k in counts.items():
             if k == 0:
                 continue
             pool = pools[c]
             rows.append(rng.choice(pool, size=k, replace=pool.size < k))
-        idx = np.concatenate(rows) if rows else np.empty(0, dtype=np.intp)
-        shards.append(ds.subset(idx))
+        shards.append(ds.subset(np.concatenate(rows)))
     return shards
 
 

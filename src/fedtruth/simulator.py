@@ -103,15 +103,13 @@ class AggregationContext:
 
 
 def _fedtruth(flats, ctx):
-    est = estimate_truth(flats, ctx.config.fedtruth_config(),
-                         sample_counts=ctx.counts)
+    est = estimate_truth(flats, ctx.config.fedtruth_config())
     return est.truth, est.weights, est.iterations
 
 
 def _fedtruth_layer(flats, ctx):
     truth, ests = estimate_truth_layered(
-        flats, ctx.layer_sizes, ctx.config.fedtruth_config(),
-        sample_counts=ctx.counts)
+        flats, ctx.layer_sizes, ctx.config.fedtruth_config())
     # a client's reported weight is its per-layer weight averaged by size
     sizes = np.asarray(ctx.layer_sizes, dtype=np.float64)
     stacked = np.stack([e.weights for e in ests])

@@ -69,23 +69,16 @@ class CoefficientFunction(Enum):
         return p
 
 
-class InitScheme(Enum):
-    SIMPLE_AVERAGE = "simple_average"
-    FEDAVG_WEIGHTED = "fedavg_weighted"
-
-
 @dataclass(frozen=True)
 class FedTruthConfig:
     distance: DistanceKind = DistanceKind.EUCLIDEAN
     coefficient: CoefficientFunction = CoefficientFunction.NEG_LOG
     epsilon: float = 1e-6
     max_iterations: int = 100
-    init: InitScheme = InitScheme.SIMPLE_AVERAGE
 
     def __post_init__(self):
         for name, choice in (("distance", DistanceKind),
-                             ("coefficient", CoefficientFunction),
-                             ("init", InitScheme)):
+                             ("coefficient", CoefficientFunction)):
             value = getattr(self, name)
             if not isinstance(value, choice):
                 raise ValueError(f"{name}: expected a {choice.__name__}, "
@@ -137,23 +130,12 @@ def _weights(p: np.ndarray, g: CoefficientFunction) -> np.ndarray:
     return raw / total
 
 
-def _initial_truth(rows: UpdateRows, cfg: FedTruthConfig,
-                   sample_counts: Optional[Sequence[int]]) -> np.ndarray:
-    n = len(rows)
-    if cfg.init is InitScheme.FEDAVG_WEIGHTED and sample_counts is not None:
-        counts = np.asarray(sample_counts, dtype=np.float64)
-        if counts.size != n or counts.sum() <= 0:
-            raise ValueError("sample_counts must align with updates")
-        return rows.weighted_sum(counts / counts.sum())
-    return rows.weighted_sum(np.full(n, 1.0 / n))
-
-
-def estimate_truth(updates: Updates, cfg: FedTruthConfig,
-                   sample_counts: Optional[Sequence[int]] = None) -> TruthEstimate:
+def estimate_truth(updates: Updates, cfg: FedTruthConfig) -> TruthEstimate:
     """Jointly estimate the aggregate update and per-client weights.
 
-    Alternates performance update -> weight update -> weighted average until
-    the L2 change of the truth between successive iterations drops to
+    Starts from the plain average of the updates, then alternates
+    performance update -> weight update -> weighted average until the L2
+    change of the truth between successive iterations drops to
     cfg.epsilon, or cfg.max_iterations is hit. The reported performances and
     weights are recomputed once from the returned truth, so the estimate
     satisfies its own update equations exactly. `updates` is an (n, d)
@@ -162,8 +144,9 @@ def estimate_truth(updates: Updates, cfg: FedTruthConfig,
     and invalid-value warnings.
     """
     rows = UpdateRows(update_matrix(updates))
+    n = len(rows)
     g = cfg.coefficient
-    truth = _initial_truth(rows, cfg, sample_counts)
+    truth = rows.weighted_sum(np.full(n, 1.0 / n))
     converged = False
     iterations = 0
     # Overflowing distances make NaN weights, which the finiteness test
@@ -192,8 +175,7 @@ def estimate_truth(updates: Updates, cfg: FedTruthConfig,
 
 
 def estimate_truth_layered(updates: Updates, layer_sizes: Sequence[int],
-                           cfg: FedTruthConfig,
-                           sample_counts: Optional[Sequence[int]] = None):
+                           cfg: FedTruthConfig):
     """Run the truth estimator independently on every layer.
 
     Layer l is the column block of the updates that `layer_sizes` assigns
@@ -207,7 +189,7 @@ def estimate_truth_layered(updates: Updates, layer_sizes: Sequence[int],
     if bounds[-1] != X.shape[1]:
         raise ValueError(f"updates have length {X.shape[1]}, but the layer "
                          f"sizes sum to {bounds[-1]}")
-    estimates = [estimate_truth(X[:, lo:hi], cfg, sample_counts)
+    estimates = [estimate_truth(X[:, lo:hi], cfg)
                  for lo, hi in zip(bounds[:-1], bounds[1:])]
     return np.concatenate([est.truth for est in estimates]), estimates
 

@@ -218,6 +218,25 @@ def test_sweep_partial_failure_recorded(tmp_path):
     assert sorted(by_status.values()) == ["failed", "ok"]
 
 
+def test_sweep_refused_when_a_cell_breaks_validation(tmp_path, capsys):
+    # 2 of 4 roster clients breaks the threat model; the sweep used to run
+    # the first cell and record the second as failed
+    base = write_config(tmp_path, extra={
+        "attack": {"kind": "model_boost", "strategy": "with_boosting"}})
+    spec = tmp_path / "sweep.yaml"
+    spec.write_text(yaml.safe_dump({
+        "base": str(base), "aggregators": ["fedtruth"],
+        "adversary_counts": [1, 2], "biases": [0.8],
+        "distances": ["euclidean"], "seeds": [0]}))
+    assert main(["sweep", str(spec)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: sweep cell "
+                               "fedtruth_adv2_bias0.8_euclidean_seed0: "
+                               "threat model: ")
+    assert not (tmp_path / "out" / "sweep").exists()
+
+
 def test_bench_rows_one_per_aggregator_and_n():
     rows = bench_aggregation([4, 6], dim=32, repetitions=1)
     keys = {(r["aggregator"], r["n_clients"]) for r in rows}

@@ -11,7 +11,7 @@ from fedtruth.config import (AttackConfig, BackdoorConfig, ExperimentConfig,
 from fedtruth.data import BackdoorFlavor, DataSource
 from fedtruth.simulator import run_experiment
 from fedtruth.training import ModelKind, ModelSpec
-from fedtruth.truth import CoefficientFunction, FedTruthConfig, InitScheme
+from fedtruth.truth import CoefficientFunction, FedTruthConfig
 from fedtruth.vectors import DistanceKind
 
 from test_cli import write_config
@@ -28,7 +28,6 @@ ENUM_FIELDS = {
     "attack.backdoor.flavor": BackdoorFlavor,
     "aggregator.distance": DistanceKind,
     "aggregator.coefficient": CoefficientFunction,
-    "aggregator.init": InitScheme,
 }
 
 
@@ -100,6 +99,10 @@ def test_unknown_key_names_dotted_path():
         config_from_dict({"fl": {"bogus": 1}})
     with pytest.raises(ValueError, match=r"\['attack.backdoor.x'\]"):
         config_from_dict({"attack": {"backdoor": {"x": 2}}})
+    # the estimator always starts from the plain average
+    with pytest.raises(ValueError,
+                       match=r"unknown config keys \['aggregator.init'\]"):
+        config_from_dict({"aggregator": {"init": "simple_average"}})
 
 
 @pytest.mark.parametrize("override, key", [
@@ -178,8 +181,6 @@ def test_library_types_refuse_strings_for_choices():
         FedTruthConfig(distance="cosine")
     with pytest.raises(ValueError, match="coefficient"):
         FedTruthConfig(coefficient="inverse")
-    with pytest.raises(ValueError, match="init"):
-        FedTruthConfig(init="simple_average")
 
 
 def float_keys(cls=ExperimentConfig, path=""):
@@ -233,12 +234,46 @@ def test_non_finite_number_refused_in_file_and_override(
     assert f"error: {key}: expected a finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["aggregator.epsilon",
-                                 "aggregator.max_iterations"])
+# an out-of-range value for each key, with the settings under which the key
+# is read
+RANGE_ERRORS = {
+    "aggregator.epsilon": (0, {}),
+    "aggregator.max_iterations": (0, {}),
+    "fl.local_epochs": (0, {}),
+    "fl.batch_size": (0, {}),
+    "fl.learning_rate": (-1, {}),
+    "dataset.samples_per_client": (0, {}),
+    "dataset.synth.spread": (0, {}),
+    "model.hidden_units": (0, {"model.kind": "mlp"}),
+}
+
+
+@pytest.mark.parametrize("key", list(RANGE_ERRORS))
 def test_estimator_range_errors_start_with_their_key(key):
+    # each of these used to pass validation and die in setup with a
+    # message that named no key
+    value, settings = RANGE_ERRORS[key]
+    data = nested(key, value)
+    for other, setting in settings.items():
+        section, leaf = other.split(".")
+        data[section][leaf] = setting
     with pytest.raises(ValueError) as err:
-        config_from_dict(nested(key, 0))
+        config_from_dict(data)
     assert str(err.value).startswith(f"{key} must be")
+
+
+def test_range_checks_only_where_the_key_is_read():
+    # logreg has no hidden layer, and the idx source draws no blobs
+    config_from_dict({"model": {"kind": "logreg", "hidden_units": 0}})
+    config_from_dict({"dataset": {"source": "idx", "idx": IDX_PATHS,
+                                  "synth": {"spread": 0}}})
+
+
+def test_range_error_refused_through_run_set(capsys):
+    path = ROOT / "configs" / "baseline.yaml"
+    assert main(["run", str(path), "--set", "fl.batch_size=0"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: fl.batch_size must be >= 1"]
 
 
 @pytest.mark.parametrize("backdoor, key", [

@@ -491,9 +491,8 @@ PINNED_RUNS = {
                                  "trigger_value": 1.0, "target_label": 0,
                                  "poison_fraction": 0.5}}},
         "ef5ebf627861645a8fd107e24052ce7055d2762cf698920f06392327bd97e72f"),
-    "inverse-fedavg-init": (
-        {"aggregator": {"kind": "fedtruth", "coefficient": "inverse",
-                        "init": "fedavg_weighted"},
+    "inverse-boost": (
+        {"aggregator": {"kind": "fedtruth", "coefficient": "inverse"},
          "attack": {"kind": "model_boost", "strategy": "with_boosting",
                     "n_adversaries": 2, "boosting_factor": 5.0}},
         "fbb4d33d51744754184ba69e28b78294171f8ac94a0f2550bf1bf97a2d48c059"),

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedtruth.truth import (CoefficientFunction, FedTruthConfig, InitScheme,
+from fedtruth.truth import (CoefficientFunction, FedTruthConfig,
                             estimate_truth, estimate_truth_layered,
                             performances_to_weights)
 from fedtruth.vectors import (BLOCK_ELEMENTS, DistanceKind, UpdateRows,
@@ -69,13 +69,9 @@ def row_weighted_sum(X, w):
     return acc
 
 
-def row_estimate_truth(X, cfg, counts):
+def row_estimate_truth(X, cfg):
     n = len(X)
-    if cfg.init is InitScheme.FEDAVG_WEIGHTED:
-        c = np.asarray(counts, dtype=np.float64)
-        truth = row_weighted_sum(X, c / c.sum())
-    else:
-        truth = row_weighted_sum(X, np.full(n, 1.0 / n))
+    truth = row_weighted_sum(X, np.full(n, 1.0 / n))
     g = cfg.coefficient
     converged, iterations = False, 0
     for _ in range(cfg.max_iterations):
@@ -187,19 +183,14 @@ def assert_same_estimate(est, oracle):
     assert est.converged == converged
 
 
-@pytest.mark.parametrize("init", list(InitScheme))
 @pytest.mark.parametrize("coefficient", list(CoefficientFunction))
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @settings(max_examples=20, deadline=None)
 @given(X=update_sets(), data=st.data())
-def test_estimate_truth_matches_row_loop_bitwise(kind, coefficient, init,
-                                                 X, data):
-    cfg = FedTruthConfig(distance=kind, coefficient=coefficient, init=init,
+def test_estimate_truth_matches_row_loop_bitwise(kind, coefficient, X, data):
+    cfg = FedTruthConfig(distance=kind, coefficient=coefficient,
                          max_iterations=iteration_cap(data, X))
-    counts = data.draw(st.lists(st.integers(1, 50), min_size=len(X),
-                                max_size=len(X)))
-    assert_same_estimate(estimate_truth(X, cfg, counts),
-                         row_estimate_truth(X, cfg, counts))
+    assert_same_estimate(estimate_truth(X, cfg), row_estimate_truth(X, cfg))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -209,16 +200,14 @@ def test_estimate_truth_layered_matches_row_loop_bitwise(kind, X, data):
     cfg = FedTruthConfig(
         distance=kind,
         coefficient=data.draw(st.sampled_from(list(CoefficientFunction))),
-        init=data.draw(st.sampled_from(list(InitScheme))),
         max_iterations=iteration_cap(data, X))
     d = X.shape[1]
     cuts = sorted(data.draw(st.sets(st.integers(1, d - 1), max_size=3))
                   if d > 1 else [])
     bounds = [0, *cuts, d]
     sizes = [hi - lo for lo, hi in zip(bounds[:-1], bounds[1:])]
-    counts = [10 + k for k in range(len(X))]
-    truth, estimates = estimate_truth_layered(X, sizes, cfg, counts)
-    oracles = [row_estimate_truth(X[:, lo:hi], cfg, counts)
+    truth, estimates = estimate_truth_layered(X, sizes, cfg)
+    oracles = [row_estimate_truth(X[:, lo:hi], cfg)
                for lo, hi in zip(bounds[:-1], bounds[1:])]
     assert bits(truth) == bits(np.concatenate([o[0] for o in oracles]))
     for est, oracle in zip(estimates, oracles):

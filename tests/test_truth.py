@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedtruth.truth import (CoefficientFunction, FedTruthConfig, InitScheme,
+from fedtruth.truth import (CoefficientFunction, FedTruthConfig,
                             NonFiniteWeights, estimate_truth,
                             estimate_truth_layered, performances_to_weights,
                             resilience_gap)
@@ -111,7 +111,7 @@ def test_identical_updates_fixed_point():
 
 
 def test_scalar_three_client_fixed_point():
-    # frozen output of the converged iteration from simple-average init
+    # frozen output of the converged iteration from the plain average
     updates = [np.array([0.0]), np.array([1.0]), np.array([10.0])]
     est = estimate_truth(updates, FedTruthConfig())
     assert est.converged
@@ -167,15 +167,6 @@ def test_non_convergence_reported_not_fatal():
     assert est.iterations == 1
 
 
-def test_fedavg_weighted_init_uses_counts():
-    updates = [np.array([0.0]), np.array([10.0])]
-    cfg = FedTruthConfig(init=InitScheme.FEDAVG_WEIGHTED, max_iterations=1)
-    est_skew = estimate_truth(updates, cfg, sample_counts=[99, 1])
-    cfg_avg = FedTruthConfig(init=InitScheme.SIMPLE_AVERAGE, max_iterations=1)
-    est_avg = estimate_truth(updates, cfg_avg)
-    assert est_skew.truth[0] != est_avg.truth[0]
-
-
 def test_estimate_truth_errors():
     with pytest.raises(ValueError):
         estimate_truth([], FedTruthConfig())
@@ -212,11 +203,9 @@ def test_list_and_stacked_array_give_identical_estimates(kind, coeff):
     updates = [rng.normal(size=42) for _ in range(10)]
     updates[3] = updates[3] * 20.0  # a boosted outlier
     updates[6] = np.zeros(42)
-    for init in InitScheme:
-        cfg = FedTruthConfig(distance=kind, coefficient=coeff, init=init)
-        counts = list(range(1, 11))
-        assert_same_estimate(estimate_truth(updates, cfg, counts),
-                             estimate_truth(np.stack(updates), cfg, counts))
+    cfg = FedTruthConfig(distance=kind, coefficient=coeff)
+    assert_same_estimate(estimate_truth(updates, cfg),
+                         estimate_truth(np.stack(updates), cfg))
 
 
 @st.composite
@@ -238,12 +227,11 @@ def updates_with_parallel_rows(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(X=updates_with_parallel_rows(), kind=st.sampled_from(list(DistanceKind)),
-       init=st.sampled_from(list(InitScheme)))
-def test_inverse_coefficient_never_gives_nan_weights(X, kind, init):
+@given(X=updates_with_parallel_rows(), kind=st.sampled_from(list(DistanceKind)))
+def test_inverse_coefficient_never_gives_nan_weights(X, kind):
     cfg = FedTruthConfig(distance=kind,
-                         coefficient=CoefficientFunction.INVERSE, init=init)
-    est = estimate_truth(X, cfg, list(range(1, len(X) + 1)))
+                         coefficient=CoefficientFunction.INVERSE)
+    est = estimate_truth(X, cfg)
     assert np.isfinite(est.weights).all()
     assert np.isfinite(est.truth).all()
     assert est.weights.sum() == pytest.approx(1.0)
