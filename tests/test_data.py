@@ -174,6 +174,17 @@ def test_partition_primary_share_within_three_sigma():
         assert abs(share - bias) <= 3 * sigma
 
 
+def test_partition_plan_validation():
+    # partition_label_skew relies on these: every client draws at least one row
+    with pytest.raises(ValueError, match="samples_per_client must be >= 1"):
+        PartitionPlan(n_clients=2, bias=0.5, samples_per_client=0)
+    with pytest.raises(ValueError, match="n_clients"):
+        PartitionPlan(n_clients=0, bias=0.5, samples_per_client=5)
+    for bias in (-0.1, 1.1):
+        with pytest.raises(ValueError, match="bias"):
+            PartitionPlan(n_clients=2, bias=bias, samples_per_client=5)
+
+
 def test_partition_empty_class_rejected():
     feats = np.random.default_rng(0).random((10, 3))
     ds = Dataset(feats, np.zeros(10, dtype=int), 2)  # class 1 empty

@@ -184,6 +184,22 @@ def test_training_deterministic():
     assert np.array_equal(a, b)
 
 
+# the config layer names the dotted key first; these library checks stay
+# for callers that build the types directly
+@pytest.mark.parametrize("build, message", [
+    (lambda: TrainConfig(local_epochs=0), "local_epochs and batch_size"),
+    (lambda: TrainConfig(batch_size=0), "local_epochs and batch_size"),
+    (lambda: TrainConfig(learning_rate=-1.0), "learning_rate must be >= 0"),
+    (lambda: ModelSpec(ModelKind.MLP, 6, 3, hidden_units=0),
+     "hidden_units must be >= 1"),
+], ids=["local_epochs", "batch_size", "learning_rate", "hidden_units"])
+def test_library_range_checks_refuse(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+    # logreg has no hidden layer, so its hidden_units is never read
+    ModelSpec(ModelKind.LOGREG, 6, 3, hidden_units=0)
+
+
 def test_train_empty_dataset_rejected():
     empty = Dataset(np.zeros((0, 6)), np.zeros(0, dtype=int), 3)
     with pytest.raises(ValueError):
