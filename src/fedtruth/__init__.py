@@ -13,8 +13,8 @@ from .data import (BackdoorFlavor, DataSource, Dataset, PartitionPlan,
                    save_idx, synth_blobs)
 from .simulator import (NonFiniteUpdate, RoundReport, apply_global_update,
                         run_experiment, select_round_roster)
-from .training import (ModelKind, ModelSpec, TrainConfig, evaluate,
-                       extract_update, init_model, local_train)
+from .training import (ModelKind, ModelSpec, TrainConfig, extract_update,
+                       init_model)
 from .truth import (CoefficientFunction, FedTruthConfig, TruthEstimate,
                     estimate_truth, estimate_truth_layered,
                     performances_to_weights, resilience_gap)

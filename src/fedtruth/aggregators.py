@@ -62,13 +62,11 @@ def trimmed_mean(updates: Updates, trim_k: int) -> np.ndarray:
         raise ValueError("trim_k must be >= 0")
     if 2 * trim_k >= n:
         raise ValueError(f"over-trimming: 2*{trim_k} >= {n}")
-    Xs = np.sort(X, axis=0)
-    # sequential accumulation in sorted order keeps the reduction
-    # order-deterministic (numpy's pairwise mean associates differently)
-    acc = np.zeros(X.shape[1])
-    for i in range(trim_k, n - trim_k):
-        acc += Xs[i]
-    return acc / (n - 2 * trim_k)
+    m = n - 2 * trim_k
+    # the kept rows summed in ascending sorted order from 0.0 (numpy's
+    # pairwise mean would associate differently)
+    kept = np.sort(X, axis=0)[trim_k:n - trim_k]
+    return weighted_sum(kept, np.ones(m)) / m
 
 
 def default_trim_k(n: int) -> int:

@@ -11,11 +11,10 @@ CSV schema:
 Timing columns (agg_time_s) are the only nondeterministic fields.
 """
 
-from __future__ import annotations
-
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import sys
 import time
@@ -26,7 +25,7 @@ import numpy as np
 import yaml
 
 from .attacks import AttackKind
-from .config import AggregatorConfig, ExperimentConfig, load_config
+from .config import AggregatorConfig, ExperimentConfig, _build, load_config
 from .rng import stream
 from .simulator import (AGGREGATORS, AggregationContext, RoundReport,
                         run_experiment)
@@ -120,49 +119,46 @@ def cmd_run(args) -> int:
 
 @dataclasses.dataclass
 class SweepSpec:
-    base: str
-    aggregators: List[str]
-    adversary_counts: List[int]
-    biases: List[float]
-    distances: List[str]
-    seeds: List[int]
+    """A scenario grid: a base config and the values each cell sets (see
+    CELL_KEYS), crossed in field order. Every list must be non-empty."""
+    base: Optional[str] = None  # required; relative to the spec's folder
+    aggregators: List[str] = dataclasses.field(default_factory=list)
+    adversary_counts: List[int] = dataclasses.field(default_factory=list)
+    biases: List[float] = dataclasses.field(default_factory=list)
+    distances: List[str] = dataclasses.field(default_factory=list)
+    seeds: List[int] = dataclasses.field(default_factory=list)
     cap: int = 64
     name: str = "sweep"
 
     def __post_init__(self):
-        for field_name in ("aggregators", "adversary_counts", "biases",
-                           "distances", "seeds"):
-            value = getattr(self, field_name)
-            if not isinstance(value, list) or not value:
-                raise ValueError(f"sweep list {field_name!r} must be a "
-                                 f"non-empty list, got {value!r}")
+        if self.base is None:
+            raise ValueError("base: required, the config the cells override")
+        for key in ("aggregators", "adversary_counts", "biases",
+                    "distances", "seeds"):
+            if not getattr(self, key):
+                raise ValueError(f"{key}: expected a non-empty list")
 
     def cells(self) -> List[tuple]:
-        out = []
-        for aggregator in self.aggregators:
-            for adv in self.adversary_counts:
-                for bias in self.biases:
-                    for dist in self.distances:
-                        for seed in self.seeds:
-                            out.append((aggregator, adv, bias, dist, seed))
-        return out
+        return list(itertools.product(
+            self.aggregators, self.adversary_counts, self.biases,
+            self.distances, self.seeds))
 
 
 def load_sweep(path) -> SweepSpec:
+    """Load a sweep spec, built and checked by the config's typed builder;
+    `name` defaults to the file's stem."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"sweep spec not found: {path}")
     with open(path) as fh:
         data = yaml.safe_load(fh) or {}
-    known = {f.name for f in dataclasses.fields(SweepSpec)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"sweep spec: unknown keys {sorted(unknown)}")
-    if "base" not in data:
-        raise ValueError("sweep spec needs a 'base' config path")
-    if "name" not in data:
-        data["name"] = path.stem
-    spec = SweepSpec(**data)
+    try:
+        if not isinstance(data, dict):
+            raise ValueError(f"expected a mapping, got {data!r}")
+        data.setdefault("name", path.stem)
+        spec = _build(SweepSpec, data)
+    except ValueError as err:
+        raise ValueError(f"sweep spec: {err}") from None
     if not Path(spec.base).is_absolute():
         spec.base = str((path.parent / spec.base).resolve())
     return spec
@@ -287,7 +283,6 @@ def bench_aggregation(n_clients_list: List[int], dim: int,
         flats = stream(1234, "bench", n, dim).normal(size=(n, dim))
         server = flats[0] + stream(99, "bench-server", n).normal(size=dim) * 0.1
         ctx = AggregationContext(
-            counts=[1] * n,
             layer_sizes=[len(idx) for idx in np.array_split(
                 np.arange(dim), min(BENCH_LAYER_COUNT, dim))],
             config=AggregatorConfig(),

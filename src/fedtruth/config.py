@@ -88,12 +88,24 @@ class BackdoorConfig:
     edge_ratio: float = 0.2
 
     def resolve_indices(self, n_features: int) -> List[int]:
-        if self.feature_indices is not None:
-            return [int(i) for i in self.feature_indices]
-        k = self.n_trigger_features
-        if k < 1 or k > n_features:
-            raise ValueError(f"n_trigger_features {k} outside [1, {n_features}]")
-        return list(range(n_features - k, n_features))
+        """The trigger's distinct feature columns in [0, n_features); each
+        refusal starts with the dotted key it reads."""
+        if self.feature_indices is None:
+            k = self.n_trigger_features
+            if k < 1 or k > n_features:
+                raise ValueError(f"attack.backdoor.n_trigger_features: {k} "
+                                 f"outside [1, {n_features}]")
+            return list(range(n_features - k, n_features))
+        idx = [int(i) for i in self.feature_indices]
+        key = "attack.backdoor.feature_indices"
+        if not idx:
+            raise ValueError(f"{key}: expected at least one index")
+        if len(set(idx)) != len(idx):
+            raise ValueError(f"{key}: indices must be distinct, got {idx}")
+        outside = [i for i in idx if not 0 <= i < n_features]
+        if outside:
+            raise ValueError(f"{key}: {outside} outside [0, {n_features})")
+        return idx
 
 
 @dataclass
@@ -201,6 +213,10 @@ class ExperimentConfig:
         bd = attack.backdoor
         if not 0.0 <= bd.poison_fraction <= 1.0:
             raise ValueError("attack.backdoor.poison_fraction outside [0, 1]")
+        if (attack.kind is AttackKind.BACKDOOR
+                and bd.flavor is not BackdoorFlavor.EDGE
+                and ds.source is DataSource.SYNTH):
+            bd.resolve_indices(ds.synth.n_features)  # idx data: at setup
         if (attack.kind is AttackKind.BACKDOOR
                 and bd.flavor is BackdoorFlavor.DBA
                 and attack.n_adversaries >= 1):

@@ -76,6 +76,8 @@ class TriggerSpec:
             raise ValueError("trigger needs at least one feature index")
         if len(set(idx)) != len(idx):
             raise ValueError("trigger feature indices must be distinct")
+        if min(idx) < 0:
+            raise ValueError("trigger feature indices must be >= 0")
         object.__setattr__(self, "feature_indices", idx)
 
 
@@ -304,14 +306,14 @@ def edge_label_mask(edge_ds: Dataset, n_classes: int) -> np.ndarray:
 
 def edge_case_augment(client_ds: Dataset, edge_ds: Dataset, ratio: float,
                       rng: np.random.Generator,
-                      pool_labels: Optional[np.ndarray] = None) -> Dataset:
+                      pool_labels: np.ndarray) -> Dataset:
     """Append edge-case rows sized relative to the matching benign rows.
 
     Counts the client's rows whose label appears in the edge pool and
     appends floor(ratio * count) edge rows, drawn without replacement when
     the pool is large enough. `pool_labels` is the pool's
-    `edge_label_mask` over at least the client's classes, built here when
-    None; a caller that augments from one pool many times builds it once.
+    `edge_label_mask` over at least the client's classes, built once per
+    pool by the caller.
     """
     if ratio < 0:
         raise ValueError("ratio must be >= 0")
@@ -319,8 +321,6 @@ def edge_case_augment(client_ds: Dataset, edge_ds: Dataset, ratio: float,
         return client_ds
     if len(edge_ds) == 0:
         raise ValueError("edge pool is empty")
-    if pool_labels is None:
-        pool_labels = edge_label_mask(edge_ds, client_ds.n_classes)
     matches = int(np.count_nonzero(pool_labels[client_ds.labels]))
     n_extra = int(ratio * matches)
     if n_extra == 0:

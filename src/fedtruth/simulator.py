@@ -94,7 +94,6 @@ class AggregationContext:
     """What an aggregator may need besides the client update matrix. Only
     fltrust calls `server_update` and only flame calls `flame_rng`, so no
     other kind pays for the server's training or the noise stream."""
-    counts: Sequence[int]  # sample counts, aligned with the updates
     layer_sizes: Sequence[int]  # consecutive layer lengths of an update
     config: AggregatorConfig
     krum_f: int  # the config's krum_f, else the assumed adversary count
@@ -118,8 +117,10 @@ def _fedtruth_layer(flats, ctx):
 
 
 def _fedavg(flats, ctx):
-    return agg.fedavg(flats, ctx.counts), \
-        np.asarray(ctx.counts, dtype=float) / sum(ctx.counts), None
+    # every shard holds dataset.samples_per_client rows, so the sample-count
+    # weights n_k / sum(n) are 1/n each
+    n = len(flats)
+    return agg.fedavg(flats, np.ones(n)), np.full(n, 1.0 / n), None
 
 
 def _krum(flats, ctx):
@@ -367,8 +368,7 @@ class _Experiment:
             updates[row] = delta
         return updates
 
-    def _aggregate(self, updates: Updates, counts: List[int],
-                   round_index: int):
+    def _aggregate(self, updates: Updates, round_index: int):
         """Run the configured aggregator on the round's update matrix.
 
         Returns (delta, per-client weights or None, iterations or None).
@@ -376,7 +376,7 @@ class _Experiment:
         """
         cfg = self.cfg.aggregator
         ctx = AggregationContext(
-            counts=counts, layer_sizes=self.layer_sizes, config=cfg,
+            layer_sizes=self.layer_sizes, config=cfg,
             krum_f=self.cfg.attack.n_adversaries if cfg.krum_f is None
             else cfg.krum_f,
             server_update=lambda: extract_update(
@@ -402,10 +402,9 @@ class _Experiment:
                 # name the first non-finite client in roster order
                 row = np.isfinite(updates).all(axis=1).argmin()
                 raise NonFiniteUpdate(t, int(roster[row]))
-            counts = [len(self.shards[int(c)]) for c in roster]
 
             t0 = time.perf_counter()
-            delta, weights, iterations = self._aggregate(updates, counts, t)
+            delta, weights, iterations = self._aggregate(updates, t)
             agg_time = time.perf_counter() - t0
 
             self.global_model = apply_global_update(

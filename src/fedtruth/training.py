@@ -11,7 +11,6 @@ stack: parameters (K, d), batches (K, batch, features), one batched matrix
 product per layer and step. Each client keeps its own shuffle, and every
 slice of a batched product and reduction is the computation a single
 client makes, so row k equals training client k alone bit for bit.
-`local_train` is the one-client case of it.
 
 A client's shuffles for all its epochs come from one `Generator.permuted`
 call on an (epochs, n) table of 0..n-1: the same orders, and the same
@@ -34,8 +33,6 @@ from typing import List, Sequence, Tuple, Union
 import numpy as np
 
 from .data import Dataset
-
-PROB_FLOOR = 1e-15  # cross-entropy floor
 
 
 class ModelKind(Enum):
@@ -214,28 +211,6 @@ def train_roster(params: np.ndarray, datasets: Sequence[Dataset],
                                      onehot.take(batch, axis=0))
             current = current - cfg.learning_rate * grad
     return current
-
-
-def local_train(params: np.ndarray, ds: Dataset, spec: ModelSpec,
-                cfg: TrainConfig, rng: np.random.Generator) -> np.ndarray:
-    """Mini-batch SGD for cfg.local_epochs passes; the input is untouched.
-
-    Batches come from a seed-deterministic shuffle each epoch.
-    """
-    return train_roster(params, [ds], spec, cfg, [rng])[0]
-
-
-def evaluate(params: np.ndarray, ds: Dataset,
-             spec: ModelSpec) -> Tuple[float, float]:
-    """(accuracy, mean cross-entropy loss) on a dataset."""
-    if len(ds) == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
-    probs, _ = _forward(spec, params, ds.features)
-    predictions = probs.argmax(axis=1)
-    accuracy = float((predictions == ds.labels).mean())
-    true_probs = probs[np.arange(len(ds)), ds.labels]
-    loss = float(-np.log(np.maximum(true_probs, PROB_FLOOR)).mean())
-    return accuracy, loss
 
 
 def extract_update(global_params: np.ndarray,

@@ -192,8 +192,44 @@ def test_sweep_refuses_non_list_field(field, tmp_path, capsys):
     assert main(["sweep", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert repr(field) in err
+    assert f"sweep spec: {field}: expected a list" in err
     assert not (tmp_path / "out" / "sweep").exists()
+
+
+DROP = object()  # the spec leaves the key out
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seeds", DROP), ("base", DROP), ("cap", None), ("cap", 1.5),
+    ("name", 5), ("biases", ["high"]),
+], ids=["no-seeds", "no-base", "cap-null", "cap-fraction", "name-number",
+        "bias-word"])
+def test_bad_sweep_spec_names_its_key(key, value, tmp_path, capsys):
+    # no-seeds, cap-null and name-number used to die with a TypeError
+    # traceback, and a cap of 1.5 was taken
+    spec = {"base": str(write_config(tmp_path)), "aggregators": ["fedtruth"],
+            "adversary_counts": [0], "biases": [0.8],
+            "distances": ["euclidean"], "seeds": [0]}
+    if value is DROP:
+        del spec[key]
+    else:
+        spec[key] = value
+    path = tmp_path / "sweep.yaml"
+    path.write_text(yaml.safe_dump(spec))
+    assert main(["sweep", str(path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: sweep spec: {key}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_spec_must_be_a_mapping(tmp_path, capsys):
+    # used to die with a TypeError traceback
+    path = tmp_path / "sweep.yaml"
+    path.write_text("5\n")
+    assert main(["sweep", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: sweep spec: expected a mapping, got 5"]
 
 
 def test_sweep_partial_failure_recorded(tmp_path):

@@ -318,6 +318,50 @@ def test_dba_trigger_refused_through_run_set(capsys):
     assert capsys.readouterr().err.startswith(f"error: {key}: ")
 
 
+BAD_TRIGGERS = {
+    "index-past-the-end": ("feature_indices", [999]),
+    "negative-index": ("feature_indices", [-1, 5]),
+    "no-index": ("feature_indices", []),
+    "repeated-index": ("feature_indices", [3, 3]),
+    "too-many-features": ("n_trigger_features", 7),
+    "no-features": ("n_trigger_features", 0),
+}
+
+
+@pytest.mark.parametrize("flavor", ["trigger", "dba"])
+@pytest.mark.parametrize("case", list(BAD_TRIGGERS))
+def test_bad_trigger_refused_before_setup(case, flavor, tmp_path, capsys):
+    # [999] used to die in setup with an IndexError traceback, and [-1, 5]
+    # ran with column 5 pinned twice; the base config has 6 features
+    leaf, value = BAD_TRIGGERS[case]
+    key = f"attack.backdoor.{leaf}"
+    attack = {"kind": "backdoor", "n_adversaries": 1,
+              "backdoor": {"flavor": flavor, leaf: value}}
+    path = write_config(tmp_path, extra={"attack": attack})
+    with pytest.raises(ValueError) as err:
+        load_config(path)
+    assert str(err.value).startswith(f"{key}: ")
+    assert main(["run", str(path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {key}: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("attack", [
+    {"kind": "none", "n_adversaries": 1,
+     "backdoor": {"feature_indices": [999, -1]}},
+    {"kind": "model_boost", "strategy": "with_boosting", "n_adversaries": 1,
+     "backdoor": {"feature_indices": [999, -1]}},
+    {"kind": "backdoor", "n_adversaries": 1,
+     "backdoor": {"flavor": "edge", "feature_indices": [999],
+                  "n_trigger_features": 50}},
+], ids=["none", "model_boost", "edge"])
+def test_trigger_indices_checked_only_where_read(attack, tmp_path):
+    # only the trigger and dba backdoors read the trigger's indices
+    path = write_config(tmp_path, extra={"attack": attack})
+    assert main(["run", str(path), "--set", "fl.rounds=1"]) == 0
+
+
 @pytest.mark.parametrize("missing", sorted(IDX_PATHS))
 def test_idx_source_needs_every_path(missing):
     idx = {name: path for name, path in IDX_PATHS.items() if name != missing}

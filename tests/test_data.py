@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from fedtruth.data import (Dataset, PartitionPlan, TriggerSpec, apply_trigger,
                            backdoor_eval_set, dba_shards, edge_case_augment,
-                           load_idx, partition_label_skew, save_idx,
-                           synth_blobs)
+                           edge_label_mask, load_idx, partition_label_skew,
+                           save_idx, synth_blobs)
 from fedtruth.rng import stream
 
 
@@ -239,6 +239,8 @@ def test_trigger_validation():
         TriggerSpec((), 1.0, 0)
     with pytest.raises(ValueError):
         TriggerSpec((1, 1), 1.0, 0)
+    with pytest.raises(ValueError, match=">= 0"):  # -1 would pin the last
+        TriggerSpec((-1, 2), 1.0, 0)
     ds = make_pool(10)
     with pytest.raises(ValueError):
         apply_trigger(ds, TriggerSpec((99,), 1.0, 0), 0.5, stream(0, "t"))
@@ -293,23 +295,28 @@ def edge_pool(n=40):
     return Dataset(feats, np.full(n, 2), 4)
 
 
+def augment(client, pool, ratio, rng):
+    return edge_case_augment(client, pool, ratio, rng,
+                             edge_label_mask(pool, client.n_classes))
+
+
 def test_edge_augment_ratio_zero_identity():
     client = make_pool(100)
-    out = edge_case_augment(client, edge_pool(), 0.0, stream(22, "edge"))
+    out = augment(client, edge_pool(), 0.0, stream(22, "edge"))
     assert out is client
 
 
 def test_edge_augment_count():
     client = make_pool(200)
     matching = int((client.labels == 2).sum())
-    out = edge_case_augment(client, edge_pool(), 0.2, stream(23, "edge"))
+    out = augment(client, edge_pool(), 0.2, stream(23, "edge"))
     assert len(out) == len(client) + int(0.2 * matching)
     assert np.all(out.labels[len(client):] == 2)
 
 
 def test_edge_augment_small_pool_replacement():
     client = make_pool(400)
-    out = edge_case_augment(client, edge_pool(3), 0.2, stream(24, "edge"))
+    out = augment(client, edge_pool(3), 0.2, stream(24, "edge"))
     assert len(out) > len(client)
 
 
@@ -317,4 +324,4 @@ def test_edge_augment_empty_pool_rejected():
     client = make_pool(50)
     empty = Dataset(np.zeros((0, 6)), np.zeros(0, dtype=int), 4)
     with pytest.raises(ValueError):
-        edge_case_augment(client, empty, 0.2, stream(25, "edge"))
+        augment(client, empty, 0.2, stream(25, "edge"))

@@ -15,7 +15,7 @@ from fedtruth.simulator import (NonFiniteUpdate, _Experiment,
                                 select_round_roster)
 from fedtruth.truth import NonFiniteWeights
 from fedtruth.training import (ModelKind, ModelSpec, TrainConfig,
-                               extract_update, init_model, local_train)
+                               extract_update, init_model, train_roster)
 from fedtruth.aggregators import fedavg, flame, fltrust
 
 from test_cli import without_timing_bytes
@@ -87,8 +87,8 @@ def test_eta_one_recovers_single_client_model():
     spec = ModelSpec(ModelKind.LOGREG, 6, 2)
     w = init_model(spec, 1)
     ds = synth_blobs(50, 6, 2, 0.2, stream(0, "d"))
-    local = local_train(w, ds, spec, TrainConfig(learning_rate=0.2),
-                        stream(0, "t"))
+    local = train_roster(w, [ds], spec, TrainConfig(learning_rate=0.2),
+                         [stream(0, "t")])[0]
     delta = extract_update(w, local)
     recovered = apply_global_update(w, delta, 1.0)
     assert np.array_equal(recovered, local)
@@ -106,20 +106,18 @@ def test_fltrust_small_root_still_trains():
 # -- full runs -----------------------------------------------------------------
 
 def test_fedavg_all_benign_conservation():
+    # the round's 1/n weights are the sample-count weights of its shards,
+    # bit for bit: every shard holds samples_per_client rows
     cfg = base_config()
     exp = _Experiment(cfg)
-    w_before = exp.global_model
     roster, advs = select_round_roster(8, 5, 0, 0, cfg.master_seed)
     updates = exp._client_updates(0, roster, advs)
-    counts = [len(exp.shards[int(c)]) for c in roster]
-    expected = fedavg(updates, counts)
-    reports = run_experiment(cfg)
-    # recover the applied aggregate from the reported weights instead:
-    # re-run one round by hand through the experiment object
-    delta, weights, _ = exp._aggregate(updates, counts, 0)
-    assert delta == pytest.approx(expected, abs=1e-12)
+    counts = np.array([len(exp.shards[int(c)]) for c in roster], float)
+    delta, weights, _ = exp._aggregate(updates, 0)
+    assert np.array_equal(delta, fedavg(updates, counts))
+    assert np.array_equal(weights, counts / counts.sum())
     assert np.asarray(weights).sum() == pytest.approx(1.0, abs=1e-12)
-    assert len(reports) == cfg.fl.rounds
+    assert len(run_experiment(cfg)) == cfg.fl.rounds
 
 
 def report_fields(reports, skip_timing=True):
@@ -186,8 +184,7 @@ def test_report_weights_come_from_the_aggregate(kind):
     exp = _Experiment(cfg)
     roster, advs = select_round_roster(8, 5, 0, 0, cfg.master_seed)
     updates = exp._client_updates(0, roster, advs)
-    counts = [len(exp.shards[int(c)]) for c in roster]
-    delta, weights, _ = exp._aggregate(updates, counts, 0)
+    delta, weights, _ = exp._aggregate(updates, 0)
     if kind == "flame":
         expected, kept = flame(updates, cfg.aggregator.flame_noise_factor,
                                stream(cfg.master_seed, "flame", 0))
@@ -195,9 +192,9 @@ def test_report_weights_come_from_the_aggregate(kind):
         want[kept] = 1.0 / len(kept)
     else:
         w = exp.global_model
-        server = extract_update(w, local_train(
-            w, exp.root_ds, exp.model_spec, exp.train_cfg,
-            stream(cfg.master_seed, "fltrust", 0)))
+        server = extract_update(w, train_roster(
+            w, [exp.root_ds], exp.model_spec, exp.train_cfg,
+            [stream(cfg.master_seed, "fltrust", 0)])[0])
         expected, scores = fltrust(updates, server)
         want = scores / scores.sum()
     assert np.array_equal(delta, expected)
@@ -406,6 +403,30 @@ def test_every_model_trains_through_train_roster(tmp_path, monkeypatch):
     assert without_timing_bytes(counted) == without_timing_bytes(plain)
 
 
+def test_traced_names_are_read_through_the_simulator(tmp_path, monkeypatch):
+    # a tracer rebinds these attributes of the simulator module, so the
+    # round loop must look each one up there, at call time
+    cfg = base_config(**{"aggregator.kind": "fedtruth"})
+    plain = tmp_path / "plain.csv"
+    write_round_csv(plain, cfg, run_experiment(cfg))
+
+    calls = {"select_round_roster": 0, "estimate_truth": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(fedtruth.simulator, name,
+                            counted(name, getattr(fedtruth.simulator, name)))
+    wrapped = tmp_path / "wrapped.csv"
+    write_round_csv(wrapped, cfg, run_experiment(cfg))
+    assert calls == {"select_round_roster": 3, "estimate_truth": 3}
+    assert without_timing_bytes(wrapped) == without_timing_bytes(plain)
+
+
 def test_fltrust_zero_server_update_falls_back():
     # zero local learning rate gives a zero server reference; the round
     # falls back to the (zero) server update and the model stays put
@@ -416,25 +437,47 @@ def test_fltrust_zero_server_update_falls_back():
     assert len(accs) == 1  # model never moves
 
 
-def test_empty_idx_test_set_refused_at_setup(tmp_path):
-    # evaluating on no rows gives no accuracy, so setup refuses the file
+def idx_config(tmp_path, test_set=None, **over):
+    """A run on a 4-feature IDX training file, tested on that file unless
+    `test_set` is given."""
     train = synth_blobs(300, 4, 2, 0.2, stream(5, "d"))
     train = Dataset(np.rint(train.features * 255.0) / 255.0, train.labels,
                     train.n_classes)
-    empty = Dataset(np.zeros((0, 4)), np.zeros(0, dtype=int), 2)
     save_idx(train, tmp_path / "train-img", tmp_path / "train-lab")
-    save_idx(empty, tmp_path / "test-img", tmp_path / "test-lab")
+    test = "train"
+    if test_set is not None:
+        save_idx(test_set, tmp_path / "test-img", tmp_path / "test-lab")
+        test = "test"
     idx = {"train_images": str(tmp_path / "train-img"),
            "train_labels": str(tmp_path / "train-lab"),
-           "test_images": str(tmp_path / "test-img"),
-           "test_labels": str(tmp_path / "test-lab")}
-    cfg = base_config(**{"dataset.source": "idx", "dataset.idx": idx,
-                         "dataset.samples_per_client": 20})
+           "test_images": str(tmp_path / f"{test}-img"),
+           "test_labels": str(tmp_path / f"{test}-lab")}
+    return base_config(**{"dataset.source": "idx", "dataset.idx": idx,
+                          "dataset.samples_per_client": 20}, **over)
+
+
+def test_empty_idx_test_set_refused_at_setup(tmp_path):
+    # evaluating on no rows gives no accuracy, so setup refuses the file
+    empty = Dataset(np.zeros((0, 4)), np.zeros(0, dtype=int), 2)
+    cfg = idx_config(tmp_path, empty)
     with pytest.raises(ValueError):
         _Experiment(cfg)
     # the same files with the training images as test set do run
-    cfg.dataset.idx.test_images = idx["train_images"]
-    cfg.dataset.idx.test_labels = idx["train_labels"]
+    cfg.dataset.idx.test_images = cfg.dataset.idx.train_images
+    cfg.dataset.idx.test_labels = cfg.dataset.idx.train_labels
+    assert len(run_experiment(cfg)) == cfg.fl.rounds
+
+
+def test_idx_trigger_indices_refused_at_setup(tmp_path):
+    # validate() cannot see how many features an idx file holds, so setup
+    # makes the same keyed check
+    cfg = idx_config(tmp_path, attack={
+        "kind": "backdoor", "n_adversaries": 1,
+        "backdoor": {"feature_indices": [2, 4]}})
+    with pytest.raises(ValueError, match=r"^attack\.backdoor\."
+                       r"feature_indices: \[4\] outside \[0, 4\)$"):
+        _Experiment(cfg)
+    cfg.attack.backdoor.feature_indices = [2, 3]
     assert len(run_experiment(cfg)) == cfg.fl.rounds
 
 

@@ -8,8 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 from fedtruth.data import Dataset, synth_blobs
 from fedtruth.rng import stream
-from fedtruth.training import (ModelKind, ModelSpec, TrainConfig, evaluate,
-                               extract_update, init_model, local_train,
+from fedtruth.training import (ModelKind, ModelSpec, TrainConfig,
+                               extract_update, init_model, predict,
                                train_roster, _forward, _roster_gradients,
                                _softmax, _unpack)
 
@@ -19,6 +19,18 @@ MLP = ModelSpec(ModelKind.MLP, n_features=6, n_classes=3, hidden_units=5)
 
 def blobs(n=120, seed=0):
     return synth_blobs(n, 6, 3, 0.15, stream(seed, "train-data"))
+
+
+def cross_entropy(spec, params, ds):
+    """Mean softmax cross-entropy of a model on a dataset, with its true
+    class probabilities floored at 1e-15."""
+    probs, _ = _forward(spec, params, ds.features)
+    true = probs[np.arange(len(ds)), ds.labels]
+    return float(-np.log(np.maximum(true, 1e-15)).mean())
+
+
+def accuracy(spec, params, ds):
+    return float((predict(params, ds, spec) == ds.labels).mean())
 
 
 # -- init ---------------------------------------------------------------------
@@ -82,7 +94,7 @@ LOGITS = st.one_of(st.floats(-30.0, 30.0),
                    st.floats(allow_nan=False))
 
 
-# () is one sample, (B,) what evaluate passes, (K, B) a roster stack
+# () is one sample, (B,) what predict passes, (K, B) a roster stack
 SOFTMAX_INPUTS = st.tuples(
     st.sampled_from([(), (1,), (7,), (3, 5), (10, 1)]),
     st.integers(2, 12)).flatmap(
@@ -114,15 +126,8 @@ def test_softmax_matches_reduction_form_bitwise(logits):
 def finite_difference_check(spec, n_coords=100, h=1e-6, seed=5):
     ds = blobs(40, seed=seed)
     params = init_model(spec, seed)
-    X, y = ds.features, ds.labels
-
-    def loss_at(p):
-        probs, _ = _forward(spec, p, X)
-        true = probs[np.arange(len(y)), y]
-        return float(-np.log(np.maximum(true, 1e-15)).mean())
-
-    grad = _roster_gradients(spec, params[None], X[None],
-                             np.eye(spec.n_classes)[y][None])[0]
+    grad = _roster_gradients(spec, params[None], ds.features[None],
+                             np.eye(spec.n_classes)[ds.labels][None])[0]
     rng = np.random.default_rng(seed)
     coords = rng.choice(params.size, size=min(n_coords, params.size),
                         replace=False)
@@ -131,7 +136,8 @@ def finite_difference_check(spec, n_coords=100, h=1e-6, seed=5):
         up, down = params.copy(), params.copy()
         up[j] += h
         down[j] -= h
-        numeric = (loss_at(up) - loss_at(down)) / (2 * h)
+        numeric = (cross_entropy(spec, up, ds)
+                   - cross_entropy(spec, down, ds)) / (2 * h)
         denom = max(abs(numeric), abs(grad[j]), 1e-8)
         worst = max(worst, abs(numeric - grad[j]) / denom)
     return worst
@@ -151,7 +157,7 @@ def test_zero_learning_rate_keeps_params():
     ds = blobs()
     params = init_model(LOGREG, 2)
     cfg = TrainConfig(local_epochs=2, batch_size=16, learning_rate=0.0)
-    out = local_train(params, ds, LOGREG, cfg, stream(0, "t"))
+    out = train_roster(params, [ds], LOGREG, cfg, [stream(0, "t")])[0]
     assert np.array_equal(out, params)
 
 
@@ -159,19 +165,18 @@ def test_one_epoch_lowers_training_loss():
     ds = blobs(300)
     for spec in (LOGREG, MLP):
         params = init_model(spec, 3)
-        _, loss_before = evaluate(params, ds, spec)
         cfg = TrainConfig(local_epochs=1, batch_size=32, learning_rate=0.1)
-        trained = local_train(params, ds, spec, cfg, stream(1, "t"))
-        _, loss_after = evaluate(trained, ds, spec)
-        assert loss_after < loss_before
+        trained = train_roster(params, [ds], spec, cfg, [stream(1, "t")])[0]
+        assert cross_entropy(spec, trained, ds) \
+            < cross_entropy(spec, params, ds)
 
 
-def test_local_train_does_not_mutate_input():
+def test_training_does_not_mutate_input():
     ds = blobs()
     params = init_model(LOGREG, 4)
     before = params.copy()
-    local_train(params, ds, LOGREG,
-                TrainConfig(learning_rate=0.5), stream(2, "t"))
+    train_roster(params, [ds], LOGREG, TrainConfig(learning_rate=0.5),
+                 [stream(2, "t")])
     assert np.array_equal(params, before)
 
 
@@ -179,8 +184,8 @@ def test_training_deterministic():
     ds = blobs()
     params = init_model(MLP, 5)
     cfg = TrainConfig(local_epochs=3, batch_size=8, learning_rate=0.2)
-    a = local_train(params, ds, MLP, cfg, stream(3, "t", 0))
-    b = local_train(params, ds, MLP, cfg, stream(3, "t", 0))
+    a = train_roster(params, [ds], MLP, cfg, [stream(3, "t", 0)])[0]
+    b = train_roster(params, [ds], MLP, cfg, [stream(3, "t", 0)])[0]
     assert np.array_equal(a, b)
 
 
@@ -203,10 +208,8 @@ def test_library_range_checks_refuse(build, message):
 def test_train_empty_dataset_rejected():
     empty = Dataset(np.zeros((0, 6)), np.zeros(0, dtype=int), 3)
     with pytest.raises(ValueError):
-        local_train(init_model(LOGREG, 0), empty, LOGREG,
-                    TrainConfig(), stream(0, "t"))
-    with pytest.raises(ValueError):
-        evaluate(init_model(LOGREG, 0), empty, LOGREG)
+        train_roster(init_model(LOGREG, 0), [empty], LOGREG, TrainConfig(),
+                     [stream(0, "t")])
 
 
 def test_train_roster_rejects_unequal_or_missing_inputs():
@@ -265,7 +268,7 @@ def assert_roster_matches_per_client(spec, params, datasets, cfg, seed):
     def rngs():
         return [stream(seed, "train", 0, k) for k in range(len(datasets))]
     block = train_roster(params, datasets, spec, cfg, rngs())
-    alone = np.stack([local_train(params, ds, spec, cfg, rng)
+    alone = np.stack([train_roster(params, [ds], spec, cfg, [rng])[0]
                       for ds, rng in zip(datasets, rngs())])
     reference = np.stack([reference_train(params, ds, spec, cfg, rng)
                           for ds, rng in zip(datasets, rngs())])
@@ -313,7 +316,7 @@ def test_train_roster_bitwise_at_model_sizes(kind):
                                      cfg, 4)
 
 
-# -- evaluate ---------------------------------------------------------------------
+# -- prediction -------------------------------------------------------------------
 
 def test_constant_predictor_on_balanced_two_class():
     feats = np.random.default_rng(9).random((100, 4))
@@ -321,9 +324,8 @@ def test_constant_predictor_on_balanced_two_class():
     ds = Dataset(feats, labels, 2)
     spec = ModelSpec(ModelKind.LOGREG, 4, 2)
     params = np.zeros_like(init_model(spec, 0))
-    acc, loss = evaluate(params, ds, spec)
-    assert acc == 0.5
-    assert loss >= 0.0
+    assert accuracy(spec, params, ds) == 0.5
+    assert cross_entropy(spec, params, ds) >= 0.0
 
 
 def test_trainable_to_perfect_separation():
@@ -331,9 +333,8 @@ def test_trainable_to_perfect_separation():
     spec = ModelSpec(ModelKind.LOGREG, 6, 2)
     params = init_model(spec, 1)
     cfg = TrainConfig(local_epochs=30, batch_size=32, learning_rate=1.0)
-    trained = local_train(params, ds, spec, cfg, stream(11, "t"))
-    acc, _ = evaluate(trained, ds, spec)
-    assert acc == 1.0
+    trained = train_roster(params, [ds], spec, cfg, [stream(11, "t")])[0]
+    assert accuracy(spec, trained, ds) == 1.0
 
 
 # -- update extraction ----------------------------------------------------------
@@ -361,4 +362,4 @@ def test_extract_update_shape_mismatch():
     with pytest.raises(ValueError):
         extract_update(g, other)
     with pytest.raises(ValueError):  # another model's parameter vector
-        evaluate(other, blobs(), LOGREG)
+        predict(other, blobs(), LOGREG)

@@ -5,26 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedtruth.truth import FedTruthConfig, estimate_truth_layered
 from fedtruth.vectors import (DistanceKind, distances_to, update_matrix,
                               weighted_sum)
 
 ALL_KINDS = list(DistanceKind)
-
-
-# Layers are slices of the flat vector by layer size; the per-layer
-# estimator is where a layer structure meets an update and is checked.
-
-def test_empty_layer_rejected_at_construction():
-    u = np.array([1.0])
-    with pytest.raises(ValueError):
-        estimate_truth_layered([u, u], [0, 1], FedTruthConfig())
-
-
-def test_from_flat_rejects_wrong_length():
-    u = np.zeros(3)
-    with pytest.raises(ValueError):
-        estimate_truth_layered([u, u], [2], FedTruthConfig())
 
 
 def test_update_matrix_stacks_lists_and_keeps_fitting_arrays():
