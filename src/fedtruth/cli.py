@@ -120,7 +120,8 @@ def cmd_run(args) -> int:
 @dataclasses.dataclass
 class SweepSpec:
     """A scenario grid: a base config and the values each cell sets (see
-    CELL_KEYS), crossed in field order. Every list must be non-empty."""
+    CELL_KEYS), crossed in field order. Every list must be non-empty and
+    hold no value twice, and the cap on the cell count is at least 1."""
     base: Optional[str] = None  # required; relative to the spec's folder
     aggregators: List[str] = dataclasses.field(default_factory=list)
     adversary_counts: List[int] = dataclasses.field(default_factory=list)
@@ -135,8 +136,14 @@ class SweepSpec:
             raise ValueError("base: required, the config the cells override")
         for key in ("aggregators", "adversary_counts", "biases",
                     "distances", "seeds"):
-            if not getattr(self, key):
+            values = getattr(self, key)
+            if not values:
                 raise ValueError(f"{key}: expected a non-empty list")
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"{key}: repeats {value!r}")
+        if self.cap < 1:
+            raise ValueError("cap: must be >= 1")
 
     def cells(self) -> List[tuple]:
         return list(itertools.product(

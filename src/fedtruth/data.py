@@ -197,14 +197,20 @@ def save_idx(ds: Dataset, images_path, labels_path,
 
 
 def partition_label_skew(ds: Dataset, plan: PartitionPlan,
-                         rng: np.random.Generator) -> List[Dataset]:
+                         rng: np.random.Generator,
+                         rows: Optional[np.ndarray] = None) -> List[Dataset]:
     """Equal-size non-iid client shards via a label-skew bias.
 
     Each client's samples are drawn per-point: with probability `bias` from
     its primary label, otherwise uniformly from the other labels. Draws are
     without replacement within a client where the class pool allows it.
+    `rows`, ascending row indices of `ds`, limits the draw to those rows:
+    the shards of `ds.subset(rows)`, gathered without that copy.
     """
-    pools = [np.flatnonzero(ds.labels == c) for c in range(ds.n_classes)]
+    if rows is None:
+        rows = np.arange(len(ds))
+    kept = ds.labels[rows]
+    pools = [rows[kept == c] for c in range(ds.n_classes)]
     for c, pool in enumerate(pools):
         if pool.size == 0:
             raise ValueError(f"class {c} has no samples to draw from")
@@ -221,13 +227,13 @@ def partition_label_skew(ds: Dataset, plan: PartitionPlan,
             for j in drawn:
                 c = others[int(j)]
                 counts[c] = counts.get(c, 0) + 1
-        rows = []
+        drawn_rows = []
         for c, k in counts.items():
             if k == 0:
                 continue
             pool = pools[c]
-            rows.append(rng.choice(pool, size=k, replace=pool.size < k))
-        shards.append(ds.subset(np.concatenate(rows)))
+            drawn_rows.append(rng.choice(pool, size=k, replace=pool.size < k))
+        shards.append(ds.subset(np.concatenate(drawn_rows)))
     return shards
 
 

@@ -253,11 +253,12 @@ class _Experiment:
 
     def _partition(self) -> None:
         # the pool is setup-only: letting it go here keeps it out of every
-        # round, and frees it before the shards are drawn when fltrust
-        # splits off its root
+        # round. fltrust's root split hands the partition the kept row
+        # indices, so the pool minus the root is never copied
         pool = self.train_pool
         del self.train_pool
         self.root_ds: Optional[Dataset] = None
+        rows = None
         if self.cfg.aggregator.kind == "fltrust":
             n_root = max(1, int(self.cfg.fltrust_root_fraction * len(pool)))
             rng = stream(self.seed, "root")
@@ -265,12 +266,13 @@ class _Experiment:
             mask = np.ones(len(pool), dtype=bool)
             mask[root_idx] = False
             self.root_ds = pool.subset(root_idx)
-            pool = pool.subset(np.flatnonzero(mask))
+            rows = np.flatnonzero(mask)
         plan = PartitionPlan(self.cfg.fl.total_clients,
                              self.cfg.dataset.noniid_bias,
                              self.cfg.dataset.samples_per_client)
         self.shards = partition_label_skew(pool, plan,
-                                           stream(self.seed, "partition"))
+                                           stream(self.seed, "partition"),
+                                           rows)
 
     # -- per-round pieces ------------------------------------------------
 

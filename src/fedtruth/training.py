@@ -12,6 +12,21 @@ product per layer and step. Each client keeps its own shuffle, and every
 slice of a batched product and reduction is the computation a single
 client makes, so row k equals training client k alone bit for bit.
 
+A step allocates no (K, d) array. The parameter stack and one gradient
+buffer are split into per-layer views once per block; the weight-gradient
+products write into those views with `matmul(..., out=)`, the bias
+gradients with `add.reduce(..., out=)`, and `grad *= lr; current -= grad`
+is `current - lr * grad` in place. Activations (logits, softmax, the
+hidden layer's pre-activations) are batch-major, (batch, K, width): the
+forward product writes into a transposed view, and the bias add and the
+softmax then run over contiguous rows of K * width. The bias gradient
+sums the batch axis one row after another, as a single client's
+`g.sum(axis=0)` does. The weight-gradient products take K-major
+contiguous operands (a copy of the softmax gradient, the hidden layer
+written K-major): a strided operand can send numpy's matmul down another
+BLAS or loop path when a dimension is 1, and that path rounds
+differently.
+
 A client's shuffles for all its epochs come from one `Generator.permuted`
 call on an (epochs, n) table of 0..n-1: the same orders, and the same
 generator state after, as one `permutation(n)` per epoch. A batch is
@@ -150,30 +165,51 @@ def _forward(spec: ModelSpec, params: np.ndarray, X: np.ndarray):
     return _softmax(_affine(h, W2, b2)), (X, z1, h, W2)
 
 
-def _roster_gradients(spec: ModelSpec, params: np.ndarray, X: np.ndarray,
-                      onehot: np.ndarray) -> np.ndarray:
+def _batch_major_affine(X: np.ndarray, W: np.ndarray,
+                        b: np.ndarray) -> np.ndarray:
+    """X @ W.T + b of a stack, (K, B, i) by (K, o, i) and (K, o), laid out
+    batch-major, (B, K, o): the bias add runs over whole rows of K * o."""
+    K, B = X.shape[:2]
+    out = np.empty((B, K, W.shape[1]))
+    np.matmul(X, W.swapaxes(-1, -2), out=out.transpose(1, 0, 2))
+    out += b
+    return out
+
+
+def _roster_gradients(spec: ModelSpec, layers: Sequence[np.ndarray],
+                      X: np.ndarray, onehot: np.ndarray,
+                      grads: Sequence[np.ndarray]) -> None:
     """Mean cross-entropy gradients of K models on K equal-size batches.
 
-    params (K, d), X (K, B, features), one-hot labels (K, B, classes);
-    returns (K, d), each row laid out like the parameter vector.
+    `layers` and `grads` are the per-layer (K, *shape) views of the
+    parameter stack and of the gradient buffer (see `_unpack`); X is
+    (K, B, features) and the one-hot labels are batch-major, (B, K,
+    classes). Writes the gradients into `grads`.
     """
-    g, cache = _forward(spec, params, X)
-    K, n = onehot.shape[:2]
-    g -= onehot  # p - 0.0 is p: only the true class changes
-    g /= n
-    gT = g.transpose(0, 2, 1)
     if spec.kind is ModelKind.LOGREG:
-        (X,) = cache
-        return np.concatenate([(gT @ X).reshape(K, -1), g.sum(axis=1)],
-                              axis=1)
-    X, z1, h, W2 = cache
-    d_w2 = gT @ h
-    d_b2 = g.sum(axis=1)
-    dz1 = (g @ W2) * (z1 > 0.0)
-    d_w1 = dz1.transpose(0, 2, 1) @ X
-    d_b1 = dz1.sum(axis=1)
-    return np.concatenate([d_w1.reshape(K, -1), d_b1, d_w2.reshape(K, -1),
-                           d_b2], axis=1)
+        (W, b), (d_w, d_b) = layers, grads
+        g = _softmax(_batch_major_affine(X, W, b))
+    else:
+        (W1, b1, W2, b2), (d_w1, d_b1, d_w, d_b) = layers, grads
+        z1 = _batch_major_affine(X, W1, b1)
+        h = np.maximum(z1.transpose(1, 0, 2), 0.0,
+                       out=np.empty(X.shape[:2] + z1.shape[2:]))
+        g = _softmax(_batch_major_affine(h, W2, b2))
+    g -= onehot  # p - 0.0 is p: only the true class changes
+    g /= len(onehot)  # the batch size
+    # the bias gradient sums over the batch, one row after another
+    np.add.reduce(g, axis=0, out=d_b)
+    # the weight-gradient products take K-major contiguous operands, the
+    # layout a single client's 2-D products see
+    gk = np.ascontiguousarray(g.transpose(1, 0, 2))
+    if spec.kind is ModelKind.LOGREG:
+        np.matmul(gk.swapaxes(-1, -2), X, out=d_w)
+        return
+    np.matmul(gk.swapaxes(-1, -2), h, out=d_w)
+    dz1 = gk @ W2
+    dz1 *= h > 0.0  # where z1 > 0.0, read K-major
+    np.matmul(dz1.swapaxes(-1, -2), X, out=d_w1)
+    np.add.reduce(dz1, axis=1, out=d_b1)
 
 
 def train_roster(params: np.ndarray, datasets: Sequence[Dataset],
@@ -202,14 +238,18 @@ def train_roster(params: np.ndarray, datasets: Sequence[Dataset],
     epochs = np.tile(np.arange(n), (cfg.local_epochs, 1))
     orders = np.stack([rng.permuted(epochs, axis=1) for rng in rngs],
                       axis=1) + np.arange(0, K * n, n)[:, None]
-    current = np.broadcast_to(params, (K, params.size))
+    # the step writes in place: the (K, d) stack and its gradient buffer
+    # are unpacked into layer views once per block
+    current = np.tile(params, (K, 1))
+    grad = np.empty_like(current)
+    layers, grads = _unpack(spec, current), _unpack(spec, grad)
     for order in orders:
         for start in range(0, n, cfg.batch_size):
             batch = order[:, start:start + cfg.batch_size]
-            grad = _roster_gradients(spec, current,
-                                     feats.take(batch, axis=0),
-                                     onehot.take(batch, axis=0))
-            current = current - cfg.learning_rate * grad
+            _roster_gradients(spec, layers, feats.take(batch, axis=0),
+                              onehot.take(batch.T, axis=0), grads)
+            grad *= cfg.learning_rate  # current - lr * grad, in place
+            current -= grad
     return current
 
 

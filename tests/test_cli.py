@@ -223,6 +223,40 @@ def test_bad_sweep_spec_names_its_key(key, value, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, values, shown", [
+    ("aggregators", ["fedavg", "fedavg"], "'fedavg'"),
+    ("adversary_counts", [0, 1, 0], "0"),
+    ("biases", [0.8, 0.80], "0.8"),
+    ("distances", ["euclidean", "cosine", "euclidean"], "'euclidean'"),
+    ("seeds", [3, 3], "3"),
+])
+def test_sweep_refuses_repeated_values(key, values, shown, tmp_path, capsys):
+    # a repeated value used to run its cells twice, double the merged rows
+    # and still report every cell ok
+    spec = {"base": str(write_config(tmp_path)), "aggregators": ["fedtruth"],
+            "adversary_counts": [0], "biases": [0.8],
+            "distances": ["euclidean"], "seeds": [0], key: values}
+    path = tmp_path / "sweep.yaml"
+    path.write_text(yaml.safe_dump(spec))
+    assert main(["sweep", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: sweep spec: {key}: repeats {shown}"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cap", [0, -2])
+def test_sweep_refuses_cap_below_one(cap, tmp_path, capsys):
+    spec = {"base": str(write_config(tmp_path)), "aggregators": ["fedtruth"],
+            "adversary_counts": [0], "biases": [0.8],
+            "distances": ["euclidean"], "seeds": [0], "cap": cap}
+    path = tmp_path / "sweep.yaml"
+    path.write_text(yaml.safe_dump(spec))
+    assert main(["sweep", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: sweep spec: cap: must be >= 1"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_spec_must_be_a_mapping(tmp_path, capsys):
     # used to die with a TypeError traceback
     path = tmp_path / "sweep.yaml"

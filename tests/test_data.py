@@ -199,6 +199,19 @@ def test_partition_small_pool_samples_with_replacement():
     assert all(len(s) == 50 for s in shards)
 
 
+def test_partition_of_kept_rows_matches_partition_of_their_copy():
+    # fltrust's root split draws from the kept rows of the pool; the
+    # shards must be those of the pool's copy without the root
+    ds = make_pool()
+    rows = np.flatnonzero(np.random.default_rng(11).random(len(ds)) < 0.7)
+    plan = PartitionPlan(n_clients=6, bias=0.8, samples_per_client=120)
+    got = partition_label_skew(ds, plan, stream(12, "part"), rows)
+    want = partition_label_skew(ds.subset(rows), plan, stream(12, "part"))
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a.features, b.features)
+        assert np.array_equal(a.labels, b.labels)
+
+
 # -- triggers ----------------------------------------------------------------------
 
 def trigger():

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -101,6 +102,30 @@ def test_fltrust_small_root_still_trains():
     cfg.fltrust_root_fraction = 0.02
     reports = run_experiment(cfg)
     assert len(reports) == 3
+
+
+def setup_peak_bytes(cfg):
+    tracemalloc.start()
+    try:
+        _Experiment(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fltrust_root_split_makes_no_pool_copy():
+    # the split used to copy the pool minus its root while the pool was
+    # still alive; shards far smaller than the pool would hide no such copy
+    n_train, n_features = 4000, 100
+    dims = {"dataset.synth": {"n_train": n_train, "n_test": 200,
+                              "n_features": n_features, "n_classes": 2,
+                              "spread": 0.2}}
+    _Experiment(base_config(**dims))  # first-call costs out of the peaks
+    fedavg_peak = setup_peak_bytes(base_config(**dims))
+    fltrust_peak = setup_peak_bytes(
+        base_config(**dims, **{"aggregator.kind": "fltrust"}))
+    pool_bytes = n_train * (n_features + 1) * 8  # features and labels
+    assert fltrust_peak - fedavg_peak < pool_bytes / 2
 
 
 # -- full runs -----------------------------------------------------------------

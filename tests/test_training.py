@@ -126,8 +126,11 @@ def test_softmax_matches_reduction_form_bitwise(logits):
 def finite_difference_check(spec, n_coords=100, h=1e-6, seed=5):
     ds = blobs(40, seed=seed)
     params = init_model(spec, seed)
-    grad = _roster_gradients(spec, params[None], ds.features[None],
-                             np.eye(spec.n_classes)[ds.labels][None])[0]
+    grad = np.empty((1, params.size))
+    _roster_gradients(spec, _unpack(spec, params[None]), ds.features[None],
+                      np.eye(spec.n_classes)[ds.labels][:, None],
+                      _unpack(spec, grad))
+    grad = grad[0]
     rng = np.random.default_rng(seed)
     coords = rng.choice(params.size, size=min(n_coords, params.size),
                         replace=False)
@@ -278,7 +281,9 @@ def assert_roster_matches_per_client(spec, params, datasets, cfg, seed):
 
 
 # n_classes crosses 8, where numpy's class-axis sum turns pairwise; a batch
-# at least as long as the shard makes one batch per epoch
+# at least as long as the shard makes one batch per epoch. A size-1 input
+# width, hidden layer or batch routes numpy's matmul to gemv, dot or its
+# own loop in place of gemm, so the last four examples pin those shapes
 @settings(max_examples=150, deadline=None)
 @given(mlp=st.booleans(), n_features=st.integers(1, 12),
        n_classes=st.integers(2, 12), hidden=st.integers(1, 9),
@@ -289,6 +294,14 @@ def assert_roster_matches_per_client(spec, params, datasets, cfg, seed):
          shard=9, batch=9, epochs=3, lr=0.7, seed=1)
 @example(mlp=True, n_features=5, n_classes=9, hidden=4, clients=3,
          shard=20, batch=50, epochs=2, lr=0.7, seed=2)
+@example(mlp=False, n_features=1, n_classes=3, hidden=1, clients=5,
+         shard=11, batch=5, epochs=2, lr=0.7, seed=3)
+@example(mlp=True, n_features=1, n_classes=3, hidden=4, clients=4,
+         shard=12, batch=5, epochs=2, lr=0.7, seed=4)
+@example(mlp=True, n_features=3, n_classes=2, hidden=1, clients=4,
+         shard=12, batch=5, epochs=2, lr=0.7, seed=4)
+@example(mlp=True, n_features=8, n_classes=10, hidden=6, clients=6,
+         shard=33, batch=8, epochs=2, lr=0.7, seed=6)
 def test_train_roster_matches_per_client_training_bitwise(
         mlp, n_features, n_classes, hidden, clients, shard, batch, epochs,
         lr, seed):
