@@ -12,7 +12,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .vectors import Updates, update_matrix, weighted_sum
+from .vectors import Updates, _row_dots, update_matrix, weighted_sum
 
 
 def fedavg(updates: Updates, sample_counts: Sequence[int]) -> np.ndarray:
@@ -37,13 +37,11 @@ def krum_select(updates: Updates, f: int) -> int:
     sq_norms = np.einsum("ij,ij->i", X, X)
     sq = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (X @ X.T)
     np.maximum(sq, 0.0, out=sq)
-    k = n - f - 2
-    scores = np.empty(n)
-    for i in range(n):
-        others = np.delete(sq[i], i)
-        others.sort()
-        scores[i] = others[:k].sum()
-    return int(np.argmin(scores))
+    # NaN sorts last, so a row's own entry is never among its n - f - 2
+    # nearest: not even when overflow has left NaN or inf in the others
+    np.fill_diagonal(sq, np.nan)
+    sq.sort(axis=1)
+    return int(np.argmin(sq[:, :n - f - 2].sum(axis=1)))
 
 
 def coordinate_median(updates: Updates) -> np.ndarray:
@@ -91,12 +89,13 @@ def fltrust(updates: Updates,
     if server_norm == 0.0:
         return server.copy(), np.zeros(len(X))
     norms = np.linalg.norm(X, axis=1)
+    live = norms > 0.0
+    rows, row_norms = X[live], norms[live]
     scores = np.zeros(len(X))
     normalized = np.zeros_like(X)
-    for i in np.flatnonzero(norms > 0.0):
-        cos = float(np.dot(X[i], server)) / (norms[i] * server_norm)
-        scores[i] = max(0.0, cos)
-        normalized[i] = X[i] * (server_norm / norms[i])
+    cos = _row_dots(rows, server) / (row_norms * server_norm)
+    scores[live] = np.where(cos > 0.0, cos, 0.0)
+    normalized[live] = rows * (server_norm / row_norms)[:, None]
     total = scores.sum()
     if total == 0.0:
         return server.copy(), scores
@@ -196,11 +195,9 @@ def flame(updates: Updates, noise_factor: float,
     survivors = X[keep]
     norms = np.linalg.norm(survivors, axis=1)
     median_norm = float(np.median(norms))
-    clipped = survivors.copy()
-    for i in range(len(clipped)):
-        if norms[i] > median_norm and norms[i] > 0:
-            clipped[i] *= median_norm / norms[i]  # scale down only
-    result = clipped.mean(axis=0)
+    over = norms > median_norm  # scale down only
+    survivors[over] *= (median_norm / norms[over])[:, None]
+    result = survivors.mean(axis=0)
     sigma = noise_factor * median_norm
     if sigma > 0:
         if rng is None:

@@ -174,8 +174,13 @@ class ExperimentConfig:
             raise ValueError("dataset.noniid_bias must be in [0, 1]")
         if ds.samples_per_client < 1:
             raise ValueError("dataset.samples_per_client must be >= 1")
-        if ds.source is DataSource.SYNTH and not ds.synth.spread > 0:
+        synth = ds.source is DataSource.SYNTH  # idx data: checked at setup
+        if synth and not ds.synth.spread > 0:
             raise ValueError("dataset.synth.spread must be > 0")
+        if synth and ds.synth.n_features < ds.synth.n_classes:
+            raise ValueError("dataset.synth.n_features must be >= "
+                             "dataset.synth.n_classes (one simplex vertex "
+                             "per class)")
         if self.model.kind is ModelKind.MLP and self.model.hidden_units < 1:
             raise ValueError("model.hidden_units must be >= 1")
         if fl.clients_per_round > fl.total_clients:
@@ -213,10 +218,15 @@ class ExperimentConfig:
         bd = attack.backdoor
         if not 0.0 <= bd.poison_fraction <= 1.0:
             raise ValueError("attack.backdoor.poison_fraction outside [0, 1]")
-        if (attack.kind is AttackKind.BACKDOOR
-                and bd.flavor is not BackdoorFlavor.EDGE
-                and ds.source is DataSource.SYNTH):
-            bd.resolve_indices(ds.synth.n_features)  # idx data: at setup
+        if attack.kind is AttackKind.BACKDOOR and synth:
+            if bd.flavor is not BackdoorFlavor.EDGE:
+                bd.resolve_indices(ds.synth.n_features)
+            if not 0 <= bd.target_label < ds.synth.n_classes:
+                raise ValueError("attack.backdoor.target_label must be in "
+                                 f"[0, {ds.synth.n_classes}), the classes "
+                                 f"of dataset.synth, got {bd.target_label}")
+            if bd.flavor is BackdoorFlavor.EDGE and bd.edge_ratio < 0:
+                raise ValueError("attack.backdoor.edge_ratio must be >= 0")
         if (attack.kind is AttackKind.BACKDOOR
                 and bd.flavor is BackdoorFlavor.DBA
                 and attack.n_adversaries >= 1):
@@ -239,6 +249,31 @@ class ExperimentConfig:
                                  "needs dataset.source synth")
         if agg.kind not in AGGREGATORS:
             raise ValueError(f"aggregator.kind: unknown kind {agg.kind!r}")
+        # the baselines' own limits, for the kind that reads each key; the
+        # round's update matrix has fl.clients_per_round rows
+        n = fl.clients_per_round
+        if agg.kind == "trimmed_mean" and agg.trim_k is not None:
+            if agg.trim_k < 0:
+                raise ValueError("aggregator.trim_k must be >= 0")
+            if 2 * agg.trim_k >= n:
+                raise ValueError("aggregator.trim_k must be below half of "
+                                 f"fl.clients_per_round ({n}), got "
+                                 f"{agg.trim_k}")
+        if agg.kind == "krum":
+            if agg.krum_f is not None and agg.krum_f < 0:
+                raise ValueError("aggregator.krum_f must be >= 0")
+            f = attack.n_adversaries if agg.krum_f is None else agg.krum_f
+            if n < f + 3:
+                raise ValueError(
+                    f"fl.clients_per_round must be >= krum's f + 3 = {f + 3} "
+                    "(f is aggregator.krum_f, else attack.n_adversaries), "
+                    f"got {n}")
+        if agg.kind == "flame":
+            if n < 3:
+                raise ValueError("fl.clients_per_round must be >= 3 under "
+                                 f"flame, got {n}")
+            if agg.flame_noise_factor < 0:
+                raise ValueError("aggregator.flame_noise_factor must be >= 0")
         if not agg.epsilon > 0:
             raise ValueError("aggregator.epsilon must be > 0")
         if agg.max_iterations < 1:

@@ -11,6 +11,8 @@ stack: parameters (K, d), batches (K, batch, features), one batched matrix
 product per layer and step. Each client keeps its own shuffle, and every
 slice of a batched product and reduction is the computation a single
 client makes, so row k equals training client k alone bit for bit.
+There is one forward pass, `_stacked_forward`: training runs it on the
+stack, and `predict` runs it on a stack of one model.
 
 A step allocates no (K, d) array. The parameter stack and one gradient
 buffer are split into per-layer views once per block; the weight-gradient
@@ -43,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -144,27 +146,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return exps / total[..., None]
 
 
-def _affine(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """X @ W.T + b, also for stacks: (K, B, i) by (K, o, i) and (K, o)."""
-    return np.matmul(X, W.swapaxes(-1, -2)) + b[..., None, :]
-
-
-def _forward(spec: ModelSpec, params: np.ndarray, X: np.ndarray):
-    """Returns (probabilities, cache for backprop).
-
-    Either one model, (d,) with X (B, features), or a stack of K models,
-    (K, d) with X (K, B, features); each slice of a stack computes exactly
-    what the single model computes on it.
-    """
-    if spec.kind is ModelKind.LOGREG:
-        W, b = _unpack(spec, params)
-        return _softmax(_affine(X, W, b)), (X,)
-    W1, b1, W2, b2 = _unpack(spec, params)
-    z1 = _affine(X, W1, b1)
-    h = np.maximum(z1, 0.0)
-    return _softmax(_affine(h, W2, b2)), (X, z1, h, W2)
-
-
 def _batch_major_affine(X: np.ndarray, W: np.ndarray,
                         b: np.ndarray) -> np.ndarray:
     """X @ W.T + b of a stack, (K, B, i) by (K, o, i) and (K, o), laid out
@@ -174,6 +155,25 @@ def _batch_major_affine(X: np.ndarray, W: np.ndarray,
     np.matmul(X, W.swapaxes(-1, -2), out=out.transpose(1, 0, 2))
     out += b
     return out
+
+
+def _stacked_forward(spec: ModelSpec, layers: Sequence[np.ndarray],
+                     X: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Probabilities of K models on K equal-size batches.
+
+    `layers` are the per-layer (K, *shape) views of a parameter stack (see
+    `_unpack`) and X is (K, B, features). Returns the probabilities
+    batch-major, (B, K, classes), and the hidden layer K-major, (K, B,
+    hidden), or None for logreg.
+    """
+    if spec.kind is ModelKind.LOGREG:
+        W, b = layers
+        return _softmax(_batch_major_affine(X, W, b)), None
+    W1, b1, W2, b2 = layers
+    z1 = _batch_major_affine(X, W1, b1)
+    h = np.maximum(z1.transpose(1, 0, 2), 0.0,
+                   out=np.empty(X.shape[:2] + z1.shape[2:]))
+    return _softmax(_batch_major_affine(h, W2, b2)), h
 
 
 def _roster_gradients(spec: ModelSpec, layers: Sequence[np.ndarray],
@@ -186,27 +186,21 @@ def _roster_gradients(spec: ModelSpec, layers: Sequence[np.ndarray],
     (K, B, features) and the one-hot labels are batch-major, (B, K,
     classes). Writes the gradients into `grads`.
     """
-    if spec.kind is ModelKind.LOGREG:
-        (W, b), (d_w, d_b) = layers, grads
-        g = _softmax(_batch_major_affine(X, W, b))
-    else:
-        (W1, b1, W2, b2), (d_w1, d_b1, d_w, d_b) = layers, grads
-        z1 = _batch_major_affine(X, W1, b1)
-        h = np.maximum(z1.transpose(1, 0, 2), 0.0,
-                       out=np.empty(X.shape[:2] + z1.shape[2:]))
-        g = _softmax(_batch_major_affine(h, W2, b2))
+    g, h = _stacked_forward(spec, layers, X)
     g -= onehot  # p - 0.0 is p: only the true class changes
     g /= len(onehot)  # the batch size
-    # the bias gradient sums over the batch, one row after another
+    # the output layer's gradients (W, b; or W2, b2): the bias gradient
+    # sums over the batch, one row after another
+    d_w, d_b = grads[-2:]
     np.add.reduce(g, axis=0, out=d_b)
     # the weight-gradient products take K-major contiguous operands, the
     # layout a single client's 2-D products see
     gk = np.ascontiguousarray(g.transpose(1, 0, 2))
-    if spec.kind is ModelKind.LOGREG:
-        np.matmul(gk.swapaxes(-1, -2), X, out=d_w)
+    np.matmul(gk.swapaxes(-1, -2), X if h is None else h, out=d_w)
+    if h is None:
         return
-    np.matmul(gk.swapaxes(-1, -2), h, out=d_w)
-    dz1 = gk @ W2
+    d_w1, d_b1 = grads[:2]
+    dz1 = gk @ layers[2]  # the output layer's weights, W2
     dz1 *= h > 0.0  # where z1 > 0.0, read K-major
     np.matmul(dz1.swapaxes(-1, -2), X, out=d_w1)
     np.add.reduce(dz1, axis=1, out=d_b1)
@@ -267,6 +261,7 @@ def extract_update(global_params: np.ndarray,
 
 def predict(params: np.ndarray, ds: Dataset,
             spec: ModelSpec) -> np.ndarray:
-    """Argmax class predictions."""
-    probs, _ = _forward(spec, params, ds.features)
-    return probs.argmax(axis=1)
+    """Argmax class predictions: the training forward as a stack of one."""
+    probs, _ = _stacked_forward(spec, _unpack(spec, params[None]),
+                                ds.features[None])
+    return probs[:, 0].argmax(axis=1)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedtruth.aggregators import (_cosine_distance_matrix,
                                   coordinate_median, default_trim_k, fedavg,
                                   flame, flame_survivors, fltrust,
                                   krum_select, trimmed_mean)
 from fedtruth.rng import stream
+from fedtruth.vectors import weighted_sum
 
 
 def vecs(*rows):
@@ -316,3 +319,104 @@ def test_list_and_stacked_array_give_identical_results(name):
         from_list, from_array = (from_list,), (from_array,)
     for a, b in zip(from_list, from_array, strict=True):
         assert np.array_equal(a, b)
+
+
+# -- the whole-matrix baselines against their per-row loops ---------------------
+
+def krum_reference(X, f):
+    """Krum as a loop over rows: each row's distances without its own,
+    sorted, the n - f - 2 smallest summed."""
+    n = len(X)
+    sq_norms = np.einsum("ij,ij->i", X, X)
+    sq = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (X @ X.T)
+    np.maximum(sq, 0.0, out=sq)
+    scores = np.empty(n)
+    for i in range(n):
+        others = np.delete(sq[i], i)
+        others.sort()
+        scores[i] = others[:n - f - 2].sum()
+    return int(np.argmin(scores))
+
+
+def fltrust_reference(X, server):
+    """FLTrust as a loop over the rows of nonzero norm."""
+    server_norm = float(np.linalg.norm(server))
+    if server_norm == 0.0:
+        return server.copy(), np.zeros(len(X))
+    norms = np.linalg.norm(X, axis=1)
+    scores = np.zeros(len(X))
+    normalized = np.zeros_like(X)
+    for i in np.flatnonzero(norms > 0.0):
+        cos = float(np.dot(X[i], server)) / (norms[i] * server_norm)
+        scores[i] = max(0.0, cos)
+        normalized[i] = X[i] * (server_norm / norms[i])
+    total = scores.sum()
+    if total == 0.0:
+        return server.copy(), scores
+    return weighted_sum(normalized, scores / total), scores
+
+
+def flame_reference(X, noise_factor, rng):
+    """FLAME's clip stage as a loop over the survivors."""
+    keep = flame_survivors(X)
+    clipped = X[keep]
+    norms = np.linalg.norm(clipped, axis=1)
+    median_norm = float(np.median(norms))
+    for i in range(len(clipped)):
+        if norms[i] > median_norm and norms[i] > 0:
+            clipped[i] *= median_norm / norms[i]
+    result = clipped.mean(axis=0)
+    sigma = noise_factor * median_norm
+    if sigma > 0:
+        result = result + rng.normal(0.0, sigma, size=result.shape)
+    return result, keep
+
+
+def update_set(seed, d, kinds, server_kind):
+    """Rows drawn by kind: Gaussian, zero, a copy of an earlier row (or
+    zero), small integers (Krum score ties), a scaled Gaussian, or one so
+    large that Krum's squared distances overflow; and a server update of
+    its own kind."""
+    rng = np.random.default_rng(seed)
+    X = np.empty((len(kinds), d))
+    for i, kind in enumerate(kinds):
+        if kind == "zero":
+            X[i] = 0.0
+        elif kind == "copy":
+            X[i] = X[rng.integers(i)] if i else 0.0
+        elif kind == "int":
+            X[i] = rng.integers(-2, 3, size=d)
+        else:
+            X[i] = rng.normal(size=d) * {"normal": 1.0, "big": 50.0,
+                                         "huge": 1e160}[kind]
+    client = X[rng.integers(len(X))]
+    server = {"normal": rng.normal(size=d), "zero": np.zeros(d),
+              "minus_client": -client, "client": client.copy()}[server_kind]
+    return X, server
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), d=st.sampled_from([1, 2, 3, 7, 50]),
+       kinds=st.lists(st.sampled_from(["normal", "zero", "copy", "int",
+                                       "big", "huge"]),
+                      min_size=3, max_size=25),
+       server_kind=st.sampled_from(["normal", "zero", "minus_client",
+                                    "client"]),
+       f_frac=st.floats(0.0, 1.0), noise=st.sampled_from([0.0, 0.01]))
+@example(seed=0, d=1, kinds=["int"] * 6, server_kind="minus_client",
+         f_frac=0.0, noise=0.0)
+@example(seed=1, d=3, kinds=["zero", "copy", "copy", "normal", "int"],
+         server_kind="minus_client", f_frac=1.0, noise=0.01)
+def test_baselines_match_their_row_loops_bitwise(seed, d, kinds, server_kind,
+                                                 f_frac, noise):
+    X, server = update_set(seed, d, kinds, server_kind)
+    f = int(f_frac * (len(X) - 3))
+    # huge rows overflow: the warnings are expected, the bits must agree
+    with np.errstate(all="ignore"):
+        assert krum_select(X, f) == krum_reference(X, f)
+        fl = fltrust(X, server), fltrust_reference(X, server)
+        fm = (flame(X, noise, stream(seed, "flame", 0)),
+              flame_reference(X, noise, stream(seed, "flame", 0)))
+    for got, want in (fl, fm):
+        for a, b in zip(got, want, strict=True):
+            assert a.tobytes() == b.tobytes()

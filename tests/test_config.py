@@ -391,3 +391,81 @@ def test_edge_backdoor_needs_the_synth_source():
     # only the backdoor attack builds the edge-case pool
     config_from_dict({"attack": {**attack, "kind": "model_boost"},
                       "dataset": {"source": "idx", "idx": IDX_PATHS}})
+
+
+# each used to pass validation and die in setup or round 0 with a message
+# that named no key; the base config has 4 clients per round, 6 features
+# and 2 classes
+REFUSED_BEFORE_THE_RUN = {
+    "trim_k-negative": (["aggregator.kind=trimmed_mean",
+                         "aggregator.trim_k=-1"], "aggregator.trim_k"),
+    "trim_k-half-the-roster": (["aggregator.kind=trimmed_mean",
+                                "aggregator.trim_k=2"], "aggregator.trim_k"),
+    "krum_f-negative": (["aggregator.kind=krum", "aggregator.krum_f=-1"],
+                        "aggregator.krum_f"),
+    "krum-roster-below-krum_f": (["aggregator.kind=krum",
+                                  "aggregator.krum_f=2"],
+                                 "fl.clients_per_round"),
+    "krum-roster-below-adversaries": (["aggregator.kind=krum",
+                                       "attack.n_adversaries=2"],
+                                      "fl.clients_per_round"),
+    "flame-roster": (["aggregator.kind=flame", "fl.clients_per_round=2"],
+                     "fl.clients_per_round"),
+    "flame-noise": (["aggregator.kind=flame",
+                     "aggregator.flame_noise_factor=-0.5"],
+                    "aggregator.flame_noise_factor"),
+    "synth-features-below-classes": (["dataset.synth.n_classes=7"],
+                                     "dataset.synth.n_features"),
+    "target-label-past-the-classes": (
+        ["attack.kind=backdoor", "attack.n_adversaries=1",
+         "attack.backdoor.target_label=2"], "attack.backdoor.target_label"),
+    "target-label-negative-edge": (
+        ["attack.kind=backdoor", "attack.n_adversaries=1",
+         "attack.backdoor.flavor=edge", "attack.backdoor.target_label=-1"],
+        "attack.backdoor.target_label"),
+    "edge-ratio-negative": (
+        ["attack.kind=backdoor", "attack.n_adversaries=1",
+         "attack.backdoor.flavor=edge", "attack.backdoor.edge_ratio=-0.5"],
+        "attack.backdoor.edge_ratio"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED_BEFORE_THE_RUN))
+def test_run_refuses_what_would_crash_it(case, tmp_path, capsys):
+    overrides, key = REFUSED_BEFORE_THE_RUN[case]
+    path = write_config(tmp_path)
+    with pytest.raises(ValueError, match=f"^{key} must "):
+        load_config(path, overrides)
+    argv = ["run", str(path)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {key} must ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["fedavg", "median"])
+def test_aggregator_limits_only_for_the_kind_that_reads_them(kind, tmp_path):
+    path = write_config(tmp_path)
+    overrides = [f"aggregator.kind={kind}", "aggregator.trim_k=99",
+                 "aggregator.krum_f=-1", "aggregator.flame_noise_factor=-1",
+                 "fl.clients_per_round=2", "fl.rounds=1"]
+    argv = ["run", str(path)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 0
+
+
+def test_synth_limits_only_for_the_synth_source():
+    # the idx source takes its classes from the files, at setup
+    config_from_dict({
+        "dataset": {"source": "idx", "idx": IDX_PATHS,
+                    "synth": {"n_features": 1, "n_classes": 5}},
+        "attack": {"kind": "backdoor", "n_adversaries": 1,
+                   "backdoor": {"target_label": 9,
+                                "feature_indices": [0]}}})
+    # and only the backdoor reads its target label
+    config_from_dict({"attack": {"kind": "model_boost", "n_adversaries": 1,
+                                 "backdoor": {"target_label": 9,
+                                              "edge_ratio": -1.0}}})

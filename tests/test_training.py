@@ -10,8 +10,8 @@ from fedtruth.data import Dataset, synth_blobs
 from fedtruth.rng import stream
 from fedtruth.training import (ModelKind, ModelSpec, TrainConfig,
                                extract_update, init_model, predict,
-                               train_roster, _forward, _roster_gradients,
-                               _softmax, _unpack)
+                               train_roster, _roster_gradients, _softmax,
+                               _stacked_forward, _unpack)
 
 LOGREG = ModelSpec(ModelKind.LOGREG, n_features=6, n_classes=3)
 MLP = ModelSpec(ModelKind.MLP, n_features=6, n_classes=3, hidden_units=5)
@@ -21,10 +21,17 @@ def blobs(n=120, seed=0):
     return synth_blobs(n, 6, 3, 0.15, stream(seed, "train-data"))
 
 
+def forward(spec, params, X):
+    """One model's probabilities on X (B, features), through the stacked
+    forward as a stack of one: (B, classes)."""
+    probs, _ = _stacked_forward(spec, _unpack(spec, params[None]), X[None])
+    return probs[:, 0]
+
+
 def cross_entropy(spec, params, ds):
     """Mean softmax cross-entropy of a model on a dataset, with its true
     class probabilities floored at 1e-15."""
-    probs, _ = _forward(spec, params, ds.features)
+    probs = forward(spec, params, ds.features)
     true = probs[np.arange(len(ds)), ds.labels]
     return float(-np.log(np.maximum(true, 1e-15)).mean())
 
@@ -68,7 +75,7 @@ def test_softmax_rows_sum_to_one():
     ds = blobs()
     for spec in (LOGREG, MLP):
         params = init_model(spec, 1)
-        probs, _ = _forward(spec, params, ds.features)
+        probs = forward(spec, params, ds.features)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert probs.min() >= 0.0
 
@@ -76,7 +83,7 @@ def test_softmax_rows_sum_to_one():
 def test_softmax_stable_at_large_logits():
     params = init_model(LOGREG, 1) * 1e4
     ds = blobs(10)
-    probs, _ = _forward(LOGREG, params, ds.features)
+    probs = forward(LOGREG, params, ds.features)
     assert np.all(np.isfinite(probs))
 
 
@@ -94,7 +101,8 @@ LOGITS = st.one_of(st.floats(-30.0, 30.0),
                    st.floats(allow_nan=False))
 
 
-# () is one sample, (B,) what predict passes, (K, B) a roster stack
+# () is one sample, (B,) one model's batch, (B, K) a batch-major roster
+# stack, and (B, 1) what predict passes
 SOFTMAX_INPUTS = st.tuples(
     st.sampled_from([(), (1,), (7,), (3, 5), (10, 1)]),
     st.integers(2, 12)).flatmap(
@@ -330,6 +338,49 @@ def test_train_roster_bitwise_at_model_sizes(kind):
 
 
 # -- prediction -------------------------------------------------------------------
+
+def reference_forward(spec, params, X):
+    """One model's 2-D forward on X (B, features): its probabilities
+    (B, classes), from plain 2-D products and the training softmax."""
+    if spec.kind is ModelKind.LOGREG:
+        W, b = reference_layers(spec, params)
+        return _softmax(X @ W.T + b)
+    W1, b1, W2, b2 = reference_layers(spec, params)
+    h = np.maximum(X @ W1.T + b1, 0.0)
+    return _softmax(h @ W2.T + b2)
+
+
+# a single input feature, hidden unit or test row sends numpy's matmul to
+# gemv, dot or its own loop in place of gemm; the examples pin those shapes
+@settings(max_examples=200, deadline=None)
+@given(mlp=st.booleans(), n_features=st.sampled_from([1, 2, 5, 20]),
+       n_classes=st.integers(2, 12), hidden=st.sampled_from([1, 2, 16]),
+       rows=st.sampled_from([1, 2, 7, 40]), models=st.integers(1, 4),
+       scale=st.sampled_from([1.0, 30.0]), seed=st.integers(0, 2 ** 16))
+@example(mlp=False, n_features=1, n_classes=2, hidden=1, rows=1, models=1,
+         scale=1.0, seed=0)
+@example(mlp=True, n_features=1, n_classes=12, hidden=1, rows=1, models=3,
+         scale=1.0, seed=1)
+@example(mlp=True, n_features=5, n_classes=8, hidden=1, rows=7, models=2,
+         scale=30.0, seed=2)
+@example(mlp=False, n_features=20, n_classes=7, hidden=1, rows=40, models=4,
+         scale=1.0, seed=3)
+def test_predict_and_stacked_forward_match_2d_forward_bitwise(
+        mlp, n_features, n_classes, hidden, rows, models, scale, seed):
+    spec = ModelSpec(ModelKind.MLP if mlp else ModelKind.LOGREG,
+                     n_features, n_classes, hidden)
+    rng = np.random.default_rng(seed)
+    params = np.stack([init_model(spec, rng) * scale for _ in range(models)])
+    X = rng.normal(size=(models, rows, n_features))
+    probs, _ = _stacked_forward(spec, _unpack(spec, params), X)
+    assert probs.shape == (rows, models, n_classes)
+    for k in range(models):
+        want = reference_forward(spec, params[k], X[k])
+        assert probs[:, k].tobytes() == want.tobytes()
+        ds = Dataset(X[k], np.zeros(rows, dtype=int), n_classes)
+        assert predict(params[k], ds, spec).tobytes() \
+            == want.argmax(axis=1).tobytes()
+
 
 def test_constant_predictor_on_balanced_two_class():
     feats = np.random.default_rng(9).random((100, 4))
