@@ -234,6 +234,13 @@ class ExperimentConfig:
                                  f"of dataset.synth, got {bd.target_label}")
             if bd.flavor is BackdoorFlavor.EDGE and bd.edge_ratio < 0:
                 raise ValueError("attack.backdoor.edge_ratio must be >= 0")
+            # every flavour scores the backdoor on the test split's rows of
+            # another label; the balanced blobs give one row to class 0
+            if ds.synth.n_test == 1 and bd.target_label == 0:
+                raise ValueError("dataset.synth.n_test must be >= 2 when "
+                                 "attack.backdoor.target_label is 0: the "
+                                 "one test row is labelled 0, so no row "
+                                 "scores the backdoor")
         if (attack.kind is AttackKind.BACKDOOR
                 and bd.flavor is BackdoorFlavor.DBA
                 and attack.n_adversaries >= 1):

@@ -1,6 +1,13 @@
 """Datasets: synthetic blobs, IDX files, label-skew partitioning, and
 backdoor construction (trigger injection, trigger sharding, edge-case
 augmentation).
+
+A training pool is a `PoolStream`: its labels up front and its features
+one block at a time (a class block of the blobs, or a run of IDX rows).
+The partition draws on the labels alone, so a run reads the stream once,
+straight into the table of rows its clients hold, and never holds the
+whole pool. `synth_blobs` and `load_idx` read every row of the same
+streams.
 """
 
 from __future__ import annotations
@@ -8,17 +15,19 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
+
+from .vectors import BLOCK_ELEMENTS
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 
 class DataSource(Enum):
-    SYNTH = "synth"  # synth_blobs
-    IDX = "idx"  # load_idx
+    SYNTH = "synth"  # blob_stream
+    IDX = "idx"  # idx_stream
 
 
 @dataclass(frozen=True)
@@ -99,12 +108,61 @@ class PartitionPlan:
         return client % n_classes
 
 
-def synth_blobs(n_samples: int, n_features: int, n_classes: int,
-                spread: float, rng: np.random.Generator) -> Dataset:
-    """Balanced Gaussian blobs with class means on simplex vertices.
+@dataclass(frozen=True)
+class PoolStream:
+    """A dataset read once, block by block: its labels up front, its
+    features as (first row, block) pairs in row order. A block is a view
+    of one reused buffer that the next block overwrites, so the whole
+    feature matrix is never held."""
+
+    labels: np.ndarray
+    n_features: int
+    n_classes: int
+    blocks: Iterator[Tuple[int, np.ndarray]]
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def read(self) -> Dataset:
+        """Every row in order, as one Dataset. The stream is spent after."""
+        feats = np.empty((len(self), self.n_features))
+        for lo, block in self._spend():
+            feats[lo:lo + len(block)] = block
+        return Dataset(feats, self.labels, self.n_classes)
+
+    def gather(self, rows: np.ndarray) -> Dataset:
+        """The rows `rows` (any order, repeats allowed) as one table: the
+        bits of `read().subset(rows)`, without holding every row. The
+        stream is spent after."""
+        rows = np.asarray(rows, dtype=np.intp)
+        feats = np.empty((rows.size, self.n_features))
+        # table positions by pool row; a repeated row reads the same
+        # source, so the order among its positions does not matter
+        order = np.argsort(rows)
+        ranked = rows[order]
+        for lo, block in self._spend():
+            a, b = np.searchsorted(ranked, (lo, lo + len(block)))
+            feats[order[a:b]] = block.take(ranked[a:b] - lo, axis=0)
+        return Dataset(feats, self.labels[rows], self.n_classes)
+
+    def _spend(self) -> Iterator[Tuple[int, np.ndarray]]:
+        end = 0
+        for lo, block in self.blocks:
+            end = lo + len(block)
+            yield lo, block
+        if end != len(self):
+            raise ValueError(f"pool stream ended at row {end} of "
+                             f"{len(self)}: it was read before")
+
+
+def blob_stream(n_samples: int, n_features: int, n_classes: int,
+                spread: float, rng: np.random.Generator) -> PoolStream:
+    """Balanced Gaussian blobs with class means on simplex vertices, one
+    class block at a time.
 
     Class c is centred on the one-hot vector e_c with isotropic standard
-    deviation `spread`; samples are clamped to [0, 1]. Requires
+    deviation `spread`; samples are clamped to [0, 1]. The first
+    n_samples % n_classes classes take one extra row. Requires
     n_features >= n_classes so every class gets its own vertex.
     """
     if n_samples < 1 or n_features < 1 or n_classes < 2:
@@ -115,23 +173,34 @@ def synth_blobs(n_samples: int, n_features: int, n_classes: int,
         raise ValueError("need n_features >= n_classes for simplex means")
     per_class = np.full(n_classes, n_samples // n_classes)
     per_class[: n_samples % n_classes] += 1
-    feats = np.empty((n_samples, n_features))
-    labels = np.empty(n_samples, dtype=np.int64)
+    labels = np.repeat(np.arange(n_classes, dtype=np.int64), per_class)
+    return PoolStream(labels, n_features, n_classes,
+                      _blob_blocks(per_class, n_features, spread, rng))
+
+
+def _blob_blocks(per_class: np.ndarray, n_features: int, spread: float,
+                 rng: np.random.Generator) -> Iterator[Tuple[int, np.ndarray]]:
+    buf = np.empty((int(per_class.max()), n_features))
     row = 0
-    for c in range(n_classes):
-        count = int(per_class[c])
+    for c, count in enumerate(per_class):
         # the bits of mean + rng.normal(0.0, spread, ...), drawn in place:
         # normal() computes 0.0 + spread * z, and the + 0.0 keeps its
         # sign of zero
-        block = feats[row:row + count]
+        block = buf[:count]
         rng.standard_normal(out=block)
         block *= spread
         block += 0.0
         block[:, c] += 1.0
-        labels[row:row + count] = c
+        np.clip(block, 0.0, 1.0, out=block)
+        yield row, block
         row += count
-    np.clip(feats, 0.0, 1.0, out=feats)
-    return Dataset(feats, labels, n_classes)
+
+
+def synth_blobs(n_samples: int, n_features: int, n_classes: int,
+                spread: float, rng: np.random.Generator) -> Dataset:
+    """`blob_stream`'s blobs as one Dataset."""
+    return blob_stream(n_samples, n_features, n_classes, spread,
+                       rng).read()
 
 
 def _read_be32(fh) -> int:
@@ -141,10 +210,12 @@ def _read_be32(fh) -> int:
     return struct.unpack(">I", raw)[0]
 
 
-def load_idx(images_path, labels_path) -> Dataset:
-    """Load an IDX image/label file pair (big-endian, magic-tagged).
+def idx_stream(images_path, labels_path) -> PoolStream:
+    """An IDX image/label file pair (big-endian, magic-tagged), read in
+    blocks of at most BLOCK_ELEMENTS pixels.
 
-    Pixel bytes are scaled to [0, 1] by dividing by 255.
+    Both files are checked and read up front; pixel bytes are scaled to
+    [0, 1] by dividing by 255 one block at a time.
     """
     with open(images_path, "rb") as fh:
         magic = _read_be32(fh)
@@ -171,33 +242,52 @@ def load_idx(images_path, labels_path) -> Dataset:
     if label_count != count:
         raise ValueError(
             f"image count {count} != label count {label_count}")
-    feats = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
     n_classes = max(2, int(labels.max()) + 1 if labels.size else 2)
-    return Dataset(feats, labels, n_classes)
+    return PoolStream(labels, rows * cols, n_classes,
+                      _idx_blocks(pixels.reshape(count, rows * cols)))
 
 
-def partition_label_skew(ds: Dataset, plan: PartitionPlan,
-                         rng: np.random.Generator,
-                         rows: Optional[np.ndarray] = None) -> List[Dataset]:
-    """Equal-size non-iid client shards via a label-skew bias.
+def _idx_blocks(pixels: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+    n, width = pixels.shape
+    step = max(1, BLOCK_ELEMENTS // max(1, width))
+    buf = np.empty((min(step, n), width))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        # the bits of pixels.astype(np.float64) / 255.0
+        block = buf[:hi - lo]
+        block[...] = pixels[lo:hi]
+        block /= 255.0
+        yield lo, block
+
+
+def load_idx(images_path, labels_path) -> Dataset:
+    """`idx_stream`'s file pair as one Dataset."""
+    return idx_stream(images_path, labels_path).read()
+
+
+def partition_label_skew(labels: np.ndarray, n_classes: int,
+                         plan: PartitionPlan, rng: np.random.Generator,
+                         rows: Optional[np.ndarray] = None
+                         ) -> List[np.ndarray]:
+    """Equal-size non-iid client shards via a label-skew bias, drawn on
+    the labels alone: each client's row ids into `labels`, in draw order.
 
     Each client's samples are drawn per-point: with probability `bias` from
     its primary label, otherwise uniformly from the other labels. Draws are
     without replacement within a client where the class pool allows it.
-    `rows`, ascending row indices of `ds`, limits the draw to those rows:
-    the shards of `ds.subset(rows)`, gathered without that copy.
+    `rows`, ascending row ids, limits the draw to those rows.
     """
     if rows is None:
-        rows = np.arange(len(ds))
-    kept = ds.labels[rows]
-    pools = [rows[kept == c] for c in range(ds.n_classes)]
+        rows = np.arange(len(labels))
+    kept = labels[rows]
+    pools = [rows[kept == c] for c in range(n_classes)]
     for c, pool in enumerate(pools):
         if pool.size == 0:
             raise ValueError(f"class {c} has no samples to draw from")
     shards = []
     for client in range(plan.n_clients):
-        primary = plan.primary_label(client, ds.n_classes)
-        others = [c for c in range(ds.n_classes) if c != primary]
+        primary = plan.primary_label(client, n_classes)
+        others = [c for c in range(n_classes) if c != primary]
         take_primary = rng.random(plan.samples_per_client) < plan.bias
         n_primary = int(take_primary.sum())
         counts = {primary: n_primary}
@@ -213,7 +303,7 @@ def partition_label_skew(ds: Dataset, plan: PartitionPlan,
                 continue
             pool = pools[c]
             drawn_rows.append(rng.choice(pool, size=k, replace=pool.size < k))
-        shards.append(ds.subset(np.concatenate(drawn_rows)))
+        shards.append(np.concatenate(drawn_rows))
     return shards
 
 

@@ -1,8 +1,11 @@
 """End-to-end federated round orchestration.
 
-Each round: select a roster, designate adversaries, train locally, apply
-the configured attack transform to adversarial contributions, aggregate,
-apply the global update, and evaluate. Every stochastic site draws from a
+Setup draws the client shards (and FLTrust's root set) on the training
+pool's labels, then reads the pool's feature blocks once into one table
+of those rows; every shard is a view of it, and the pool itself is never
+held. Each round (`run_round`): select a roster, designate adversaries,
+train locally, apply the configured attack transform to adversarial
+contributions, aggregate, apply the global update, and evaluate. Every stochastic site draws from a
 stream derived from (master_seed, purpose, round, client), so runs are
 reproducible bit-for-bit regardless of execution order; wall-clock timings
 are the only nondeterministic report fields.
@@ -21,10 +24,11 @@ import numpy as np
 from . import aggregators as agg
 from .attacks import (AttackKind, AttackStrategy, boost_update,
                       constrain_and_scale, gaussian_noise, pgd_project)
-from .data import (BackdoorFlavor, DataSource, Dataset, TriggerSpec,
-                   apply_trigger, backdoor_eval_set, dba_shards,
-                   edge_case_augment, edge_label_mask, partition_label_skew,
-                   synth_blobs, load_idx, PartitionPlan)
+from .data import (BackdoorFlavor, DataSource, Dataset, PoolStream,
+                   TriggerSpec, apply_trigger, backdoor_eval_set,
+                   blob_stream, dba_shards, edge_case_augment,
+                   edge_label_mask, idx_stream, load_idx,
+                   partition_label_skew, synth_blobs, PartitionPlan)
 from .rng import stream
 from .training import (ModelSpec, extract_update, init_model, predict,
                        train_roster)
@@ -179,31 +183,31 @@ class _Experiment:
         self.cfg = cfg
         self.seed = cfg.master_seed
         self.train_cfg = cfg.fl.train_config()
-        self._build_data()
-        self.model_spec = ModelSpec(cfg.model.kind, self.train_pool.n_features,
-                                    self.train_pool.n_classes,
-                                    cfg.model.hidden_units)
+        pool = self._build_data()
+        self.model_spec = ModelSpec(cfg.model.kind, pool.n_features,
+                                    pool.n_classes, cfg.model.hidden_units)
         self.layer_sizes = [math.prod(shape) for _, shape
                             in self.model_spec.layer_shapes()]
         self.global_model = init_model(self.model_spec,
                                        stream(self.seed, "init"))
-        self._partition()
+        self._partition(pool)
 
     # -- setup -----------------------------------------------------------
 
-    def _build_data(self) -> None:
+    def _build_data(self) -> PoolStream:
+        """Build the test set and the poisoning inputs; return the
+        training pool, not yet read."""
         ds_cfg = self.cfg.dataset
         if ds_cfg.source is DataSource.SYNTH:
             s = ds_cfg.synth
-            self.train_pool = synth_blobs(s.n_train, s.n_features,
-                                          s.n_classes, s.spread,
-                                          stream(self.seed, "data-train"))
+            pool = blob_stream(s.n_train, s.n_features, s.n_classes,
+                               s.spread, stream(self.seed, "data-train"))
             self.test_set = synth_blobs(s.n_test, s.n_features, s.n_classes,
                                         s.spread,
                                         stream(self.seed, "data-test"))
         else:
             idx = ds_cfg.idx
-            self.train_pool = load_idx(idx.train_images, idx.train_labels)
+            pool = idx_stream(idx.train_images, idx.train_labels)
             self.test_set = load_idx(idx.test_images, idx.test_labels)
             if len(self.test_set) == 0:
                 raise ValueError(
@@ -222,7 +226,7 @@ class _Experiment:
         if atk.kind is AttackKind.BACKDOOR:
             if bd.flavor is not BackdoorFlavor.EDGE:
                 trigger = TriggerSpec(
-                    tuple(bd.resolve_indices(self.train_pool.n_features)),
+                    tuple(bd.resolve_indices(pool.n_features)),
                     bd.trigger_value, bd.target_label)
                 self.backdoor_test = backdoor_eval_set(self.test_set, trigger)
                 if bd.flavor is not BackdoorFlavor.DBA:
@@ -233,7 +237,8 @@ class _Experiment:
             else:  # edge: a shifted pool, relabelled to the target
                 self.edge_pool, self.backdoor_test = self._edge_sets()
                 self.edge_labels = edge_label_mask(self.edge_pool,
-                                                   self.train_pool.n_classes)
+                                                   pool.n_classes)
+        return pool
 
     def _edge_sets(self) -> Tuple[Dataset, Dataset]:
         """Edge-case pool (inverted-contrast blobs labelled target) plus an
@@ -251,28 +256,31 @@ class _Experiment:
                            eval_src.labels[keep], eval_src.n_classes)
         return pool, eval_set
 
-    def _partition(self) -> None:
-        # the pool is setup-only: letting it go here keeps it out of every
-        # round. fltrust's root split hands the partition the kept row
-        # indices, so the pool minus the root is never copied
-        pool = self.train_pool
-        del self.train_pool
-        self.root_ds: Optional[Dataset] = None
-        rows = None
+    def _partition(self, pool: PoolStream) -> None:
+        """Draw the shards and fltrust's root set on the pool's labels,
+        then read the pool once into one table of the rows they hold:
+        each shard, and the root set after them, is a view of it."""
+        rows, root = None, []
         if self.cfg.aggregator.kind == "fltrust":
             n_root = max(1, int(self.cfg.fltrust_root_fraction * len(pool)))
             rng = stream(self.seed, "root")
-            root_idx = rng.choice(len(pool), size=n_root, replace=False)
+            root = [rng.choice(len(pool), size=n_root, replace=False)]
             mask = np.ones(len(pool), dtype=bool)
-            mask[root_idx] = False
-            self.root_ds = pool.subset(root_idx)
+            mask[root[0]] = False
             rows = np.flatnonzero(mask)
         plan = PartitionPlan(self.cfg.fl.total_clients,
                              self.cfg.dataset.noniid_bias,
                              self.cfg.dataset.samples_per_client)
-        self.shards = partition_label_skew(pool, plan,
-                                           stream(self.seed, "partition"),
-                                           rows)
+        ids = partition_label_skew(pool.labels, pool.n_classes, plan,
+                                   stream(self.seed, "partition"), rows)
+        table = pool.gather(np.concatenate(ids + root))
+        feats, labels = table.features, table.labels
+        m = plan.samples_per_client
+        end = plan.n_clients * m
+        self.shards = [Dataset(feats[lo:lo + m], labels[lo:lo + m],
+                               table.n_classes) for lo in range(0, end, m)]
+        self.root_ds: Optional[Dataset] = Dataset(
+            feats[end:], labels[end:], table.n_classes) if root else None
 
     # -- per-round pieces ------------------------------------------------
 
@@ -394,46 +402,49 @@ class _Experiment:
     # -- driver ----------------------------------------------------------
 
     def run(self) -> List[RoundReport]:
-        reports = []
-        for t in range(self.cfg.fl.rounds):
-            roster, adversaries = select_round_roster(
-                self.cfg.fl.total_clients, self.cfg.fl.clients_per_round,
-                self.cfg.attack.n_adversaries, t, self.seed)
-            updates = self._client_updates(t, roster, adversaries)
-            if not np.isfinite(updates).all():
-                # name the first non-finite client in roster order
-                row = np.isfinite(updates).all(axis=1).argmin()
-                raise NonFiniteUpdate(t, int(roster[row]))
+        return [self.run_round(t) for t in range(self.cfg.fl.rounds)]
 
-            t0 = time.perf_counter()
-            delta, weights, iterations = self._aggregate(updates, t)
-            agg_time = time.perf_counter() - t0
+    def run_round(self, t: int) -> RoundReport:
+        """Round t, from the current global model to the next. The round's
+        (n, d) update matrix is released on return, before the next round
+        trains."""
+        roster, adversaries = select_round_roster(
+            self.cfg.fl.total_clients, self.cfg.fl.clients_per_round,
+            self.cfg.attack.n_adversaries, t, self.seed)
+        updates = self._client_updates(t, roster, adversaries)
+        if not np.isfinite(updates).all():
+            # name the first non-finite client in roster order
+            row = np.isfinite(updates).all(axis=1).argmin()
+            raise NonFiniteUpdate(t, int(roster[row]))
 
-            self.global_model = apply_global_update(
-                self.global_model, delta, self.cfg.fl.server_lr)
-            if not np.isfinite(self.global_model).all():
-                raise NonFiniteUpdate(t)
-            accuracy = float((predict(self.global_model, self.test_set,
-                                      self.model_spec)
-                              == self.test_set.labels).mean())
-            backdoor_acc = None
-            if self.backdoor_test is not None:
-                preds = predict(self.global_model, self.backdoor_test,
-                                self.model_spec)
-                backdoor_acc = float(
-                    (preds == self.cfg.attack.backdoor.target_label).mean())
+        t0 = time.perf_counter()
+        delta, weights, iterations = self._aggregate(updates, t)
+        agg_time = time.perf_counter() - t0
 
-            reports.append(RoundReport(
-                round_index=t,
-                main_accuracy=accuracy,
-                backdoor_accuracy=backdoor_acc,
-                aggregation_wall_time=agg_time,
-                fedtruth_iterations=iterations,
-                weights=None if weights is None else [float(x) for x in weights],
-                client_ids=[int(c) for c in roster],
-                adversary_ids=[int(a) for a in adversaries],
-            ))
-        return reports
+        self.global_model = apply_global_update(
+            self.global_model, delta, self.cfg.fl.server_lr)
+        if not np.isfinite(self.global_model).all():
+            raise NonFiniteUpdate(t)
+        accuracy = float((predict(self.global_model, self.test_set,
+                                  self.model_spec)
+                          == self.test_set.labels).mean())
+        backdoor_acc = None
+        if self.backdoor_test is not None:
+            preds = predict(self.global_model, self.backdoor_test,
+                            self.model_spec)
+            backdoor_acc = float(
+                (preds == self.cfg.attack.backdoor.target_label).mean())
+
+        return RoundReport(
+            round_index=t,
+            main_accuracy=accuracy,
+            backdoor_accuracy=backdoor_acc,
+            aggregation_wall_time=agg_time,
+            fedtruth_iterations=iterations,
+            weights=None if weights is None else [float(x) for x in weights],
+            client_ids=[int(c) for c in roster],
+            adversary_ids=[int(a) for a in adversaries],
+        )
 
 
 def run_experiment(cfg: ExperimentConfig) -> List[RoundReport]:

@@ -5,16 +5,21 @@
 - `resilience_gap_loop`: the same gap one subset at a time, the
   reference that the batched form must equal bit for bit;
 - `save_idx`: an IDX file writer, the inverse of `data.load_idx`, for
-  fixtures.
+  fixtures;
+- `partition_reference` and `run_data_reference`: a run's shards and
+  FLTrust root set gathered as they were before the training pool was
+  streamed, out of the whole pool with `Dataset.subset`.
 """
 
 import struct
 from itertools import combinations
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from fedtruth.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, Dataset
+from fedtruth.data import (IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, DataSource,
+                           Dataset, PartitionPlan, load_idx, synth_blobs)
+from fedtruth.rng import stream
 from fedtruth.vectors import Updates, _row_dots, update_matrix
 
 
@@ -93,3 +98,55 @@ def save_idx(ds: Dataset, images_path, labels_path,
     with open(labels_path, "wb") as fh:
         fh.write(struct.pack(">II", IDX_LABEL_MAGIC, len(ds)))
         fh.write(ds.labels.astype(np.uint8).tobytes())
+
+
+def partition_reference(ds: Dataset, plan: PartitionPlan,
+                        rng: np.random.Generator,
+                        rows: Optional[np.ndarray] = None) -> List[Dataset]:
+    """`data.partition_label_skew`'s draws, each shard copied out of the
+    whole pool `ds` with `subset`."""
+    if rows is None:
+        rows = np.arange(len(ds))
+    kept = ds.labels[rows]
+    pools = [rows[kept == c] for c in range(ds.n_classes)]
+    shards = []
+    for client in range(plan.n_clients):
+        primary = plan.primary_label(client, ds.n_classes)
+        others = [c for c in range(ds.n_classes) if c != primary]
+        n_primary = int((rng.random(plan.samples_per_client)
+                         < plan.bias).sum())
+        counts = {primary: n_primary}
+        if plan.samples_per_client - n_primary > 0:
+            for j in rng.choice(len(others),
+                                size=plan.samples_per_client - n_primary):
+                c = others[int(j)]
+                counts[c] = counts.get(c, 0) + 1
+        drawn = [rng.choice(pools[c], size=k, replace=pools[c].size < k)
+                 for c, k in counts.items() if k]
+        shards.append(ds.subset(np.concatenate(drawn)))
+    return shards
+
+
+def run_data_reference(cfg) -> Tuple[List[Dataset], Optional[Dataset]]:
+    """A run's client shards and FLTrust root set (None under any other
+    aggregator), from the whole training pool: the root drawn first and
+    copied out, the shards drawn from the rows left."""
+    seed, ds_cfg = cfg.master_seed, cfg.dataset
+    if ds_cfg.source is DataSource.SYNTH:
+        s = ds_cfg.synth
+        pool = synth_blobs(s.n_train, s.n_features, s.n_classes, s.spread,
+                           stream(seed, "data-train"))
+    else:
+        pool = load_idx(ds_cfg.idx.train_images, ds_cfg.idx.train_labels)
+    root, rows = None, None
+    if cfg.aggregator.kind == "fltrust":
+        n_root = max(1, int(cfg.fltrust_root_fraction * len(pool)))
+        root_idx = stream(seed, "root").choice(len(pool), size=n_root,
+                                               replace=False)
+        mask = np.ones(len(pool), dtype=bool)
+        mask[root_idx] = False
+        root, rows = pool.subset(root_idx), np.flatnonzero(mask)
+    plan = PartitionPlan(cfg.fl.total_clients, ds_cfg.noniid_bias,
+                         ds_cfg.samples_per_client)
+    return partition_reference(pool, plan, stream(seed, "partition"),
+                               rows), root

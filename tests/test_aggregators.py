@@ -141,6 +141,13 @@ def test_median_and_trimmed_match_naive_oracle():
                               sort_oracle(updates, trim_k))
 
 
+@pytest.mark.parametrize("n", [100, 99])
+def test_median_from_one_sort_is_np_median(n):
+    # the wide-sweep round's shape, at both parities
+    X = np.random.default_rng(n).normal(size=(n, 6762))
+    assert np.array_equal(coordinate_median(X), np.median(X, axis=0))
+
+
 # -- fltrust --------------------------------------------------------------------
 
 def test_fltrust_hand_example():

@@ -14,7 +14,7 @@ from fedtruth.training import ModelKind, ModelSpec
 from fedtruth.truth import CoefficientFunction, FedTruthConfig
 from fedtruth.vectors import DistanceKind
 
-from test_cli import write_config
+from test_cli import MINIMAL, write_config
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
@@ -480,3 +480,23 @@ def test_synth_limits_only_for_the_synth_source():
     config_from_dict({"attack": {"kind": "model_boost", "n_adversaries": 1,
                                  "backdoor": {"target_label": 9,
                                               "edge_ratio": -1.0}}})
+
+
+@pytest.mark.parametrize("flavor", ["trigger", "dba", "edge"])
+def test_backdoor_needs_a_test_row_off_the_target_label(flavor):
+    # the backdoor is scored on test rows whose label is not the target;
+    # one balanced test row is labelled 0, so a target of 0 leaves none:
+    # trigger and dba used to die in setup, edge to report a NaN accuracy
+    data = {**MINIMAL, "fl": {**MINIMAL["fl"], "rounds": 1},
+            "attack": {"kind": "backdoor", "n_adversaries": 1,
+                       "backdoor": {"flavor": flavor, "target_label": 0}}}
+    data["dataset"] = {**MINIMAL["dataset"],
+                       "synth": {**MINIMAL["dataset"]["synth"], "n_test": 2}}
+    cfg = config_from_dict(data)
+    reports = run_experiment(cfg)
+    assert 0.0 <= reports[0].backdoor_accuracy <= 1.0
+    cfg.dataset.synth.n_test = 1
+    with pytest.raises(ValueError):
+        cfg.validate()
+    cfg.attack.backdoor.target_label = 1  # the one row is off the target
+    cfg.validate()

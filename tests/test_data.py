@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedtruth.data import (Dataset, PartitionPlan, TriggerSpec, apply_trigger,
-                           backdoor_eval_set, dba_shards, edge_case_augment,
-                           edge_label_mask, load_idx, partition_label_skew,
-                           synth_blobs)
+                           backdoor_eval_set, blob_stream, dba_shards,
+                           edge_case_augment, edge_label_mask, idx_stream,
+                           load_idx, partition_label_skew, synth_blobs)
 from fedtruth.rng import stream
 
 from helpers import save_idx
@@ -131,7 +131,57 @@ def test_idx_count_mismatch_rejected(tmp_path):
         load_idx(tmp_path / "i", tmp_path / "l2")
 
 
+# -- streamed pools --------------------------------------------------------------
+
+def assert_same_rows(got, want):
+    assert got.features.tobytes() == want.features.tobytes()
+    assert np.array_equal(got.labels, want.labels)
+    assert got.n_classes == want.n_classes
+
+
+@pytest.mark.parametrize("n_samples,n_features,n_classes",
+                         [(101, 5, 3), (997, 30, 10), (3, 5, 4)])
+def test_blob_stream_gathers_the_rows_of_synth_blobs(n_samples, n_features,
+                                                     n_classes):
+    # any order, repeats allowed: a shard table's rows
+    whole = synth_blobs(n_samples, n_features, n_classes, 0.3,
+                        stream(2, "blobs"))
+    rows = stream(3, "rows").integers(0, n_samples, size=2 * n_samples)
+    got = blob_stream(n_samples, n_features, n_classes, 0.3,
+                      stream(2, "blobs")).gather(rows)
+    assert_same_rows(got, whole.subset(rows))
+
+
+def test_a_pool_stream_is_read_once():
+    # a spent stream yields no blocks; reading it again must not hand
+    # back an unfilled table
+    pool = blob_stream(40, 4, 2, 0.3, stream(2, "blobs"))
+    pool.gather([0, 39])
+    with pytest.raises(ValueError):
+        pool.gather([0, 39])
+    with pytest.raises(ValueError):
+        pool.read()
+
+
+def test_idx_stream_gathers_the_rows_of_load_idx(tmp_path):
+    # 300 pixels an image: 218 rows a block, so 700 images span 4 blocks
+    rng = stream(4, "idx")
+    ds = Dataset(rng.integers(0, 256, size=(700, 300)) / 255.0,
+                 rng.integers(0, 10, size=700), 10)
+    img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
+    save_idx(ds, img, lab, rows=15, cols=20)
+    assert_same_rows(load_idx(img, lab), ds)
+    rows = rng.integers(0, 700, size=1500)
+    assert_same_rows(idx_stream(img, lab).gather(rows), ds.subset(rows))
+
+
 # -- partitioning ----------------------------------------------------------------
+
+def partition(ds, plan, rng, rows=None):
+    """The shards that partition_label_skew's row ids pick out of `ds`."""
+    return [ds.subset(ids) for ids in
+            partition_label_skew(ds.labels, ds.n_classes, plan, rng, rows)]
+
 
 def make_pool(n=3000, classes=4):
     return synth_blobs(n, 6, classes, 0.2, stream(3, "pool"))
@@ -140,7 +190,7 @@ def make_pool(n=3000, classes=4):
 def test_partition_sizes_and_primary_round_robin():
     ds = make_pool()
     plan = PartitionPlan(n_clients=8, bias=0.8, samples_per_client=100)
-    shards = partition_label_skew(ds, plan, stream(4, "part"))
+    shards = partition(ds, plan, stream(4, "part"))
     assert len(shards) == 8
     assert all(len(s) == 100 for s in shards)
     assert plan.primary_label(5, 4) == 1
@@ -149,7 +199,7 @@ def test_partition_sizes_and_primary_round_robin():
 def test_partition_bias_one_pure_primary():
     ds = make_pool()
     plan = PartitionPlan(n_clients=4, bias=1.0, samples_per_client=50)
-    shards = partition_label_skew(ds, plan, stream(5, "part"))
+    shards = partition(ds, plan, stream(5, "part"))
     for client, shard in enumerate(shards):
         assert np.all(shard.labels == client % 4)
 
@@ -157,7 +207,7 @@ def test_partition_bias_one_pure_primary():
 def test_partition_bias_zero_excludes_primary():
     ds = make_pool()
     plan = PartitionPlan(n_clients=4, bias=0.0, samples_per_client=200)
-    shards = partition_label_skew(ds, plan, stream(6, "part"))
+    shards = partition(ds, plan, stream(6, "part"))
     for client, shard in enumerate(shards):
         primary = client % 4
         assert np.all(shard.labels != primary)
@@ -169,7 +219,7 @@ def test_partition_primary_share_within_three_sigma():
     ds = make_pool(6000)
     bias, m = 0.8, 400
     plan = PartitionPlan(n_clients=6, bias=bias, samples_per_client=m)
-    shards = partition_label_skew(ds, plan, stream(7, "part"))
+    shards = partition(ds, plan, stream(7, "part"))
     sigma = np.sqrt(bias * (1 - bias) / m)
     for client, shard in enumerate(shards):
         share = float((shard.labels == client % 4).mean())
@@ -191,13 +241,13 @@ def test_partition_empty_class_rejected():
     feats = np.random.default_rng(0).random((10, 3))
     ds = Dataset(feats, np.zeros(10, dtype=int), 2)  # class 1 empty
     with pytest.raises(ValueError):
-        partition_label_skew(ds, PartitionPlan(2, 0.5, 5), stream(8, "part"))
+        partition(ds, PartitionPlan(2, 0.5, 5), stream(8, "part"))
 
 
 def test_partition_small_pool_samples_with_replacement():
     ds = synth_blobs(10, 4, 2, 0.2, stream(9, "pool"))
     plan = PartitionPlan(n_clients=2, bias=0.5, samples_per_client=50)
-    shards = partition_label_skew(ds, plan, stream(10, "part"))
+    shards = partition(ds, plan, stream(10, "part"))
     assert all(len(s) == 50 for s in shards)
 
 
@@ -207,8 +257,8 @@ def test_partition_of_kept_rows_matches_partition_of_their_copy():
     ds = make_pool()
     rows = np.flatnonzero(np.random.default_rng(11).random(len(ds)) < 0.7)
     plan = PartitionPlan(n_clients=6, bias=0.8, samples_per_client=120)
-    got = partition_label_skew(ds, plan, stream(12, "part"), rows)
-    want = partition_label_skew(ds.subset(rows), plan, stream(12, "part"))
+    got = partition(ds, plan, stream(12, "part"), rows)
+    want = partition(ds.subset(rows), plan, stream(12, "part"))
     for a, b in zip(got, want, strict=True):
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)

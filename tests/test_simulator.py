@@ -19,7 +19,7 @@ from fedtruth.training import (ModelKind, ModelSpec, TrainConfig,
                                extract_update, init_model, train_roster)
 from fedtruth.aggregators import fedavg, flame, fltrust
 
-from helpers import save_idx
+from helpers import run_data_reference, save_idx
 from test_cli import without_timing_bytes
 
 
@@ -127,6 +127,61 @@ def test_fltrust_root_split_makes_no_pool_copy():
         base_config(**dims, **{"aggregator.kind": "fltrust"}))
     pool_bytes = n_train * (n_features + 1) * 8  # features and labels
     assert fltrust_peak - fedavg_peak < pool_bytes / 2
+
+
+def assert_same_datasets(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.features.tobytes() == b.features.tobytes()
+        assert np.array_equal(a.labels, b.labels)
+        assert a.n_classes == b.n_classes
+
+
+STREAMED_DIMS = {"dataset.synth": {"n_train": 997, "n_test": 50,
+                                   "n_features": 12, "n_classes": 5,
+                                   "spread": 0.3}}
+
+
+@pytest.mark.parametrize("kind", ["fedavg", "fltrust"])
+def test_shards_and_root_are_those_of_the_whole_pool(kind):
+    cfg = base_config(**STREAMED_DIMS, **{"aggregator.kind": kind})
+    exp = _Experiment(cfg)
+    shards, root = run_data_reference(cfg)
+    assert_same_datasets(exp.shards, shards)
+    assert (exp.root_ds is None) == (root is None)
+    if root is not None:
+        assert_same_datasets([exp.root_ds], [root])
+
+
+def test_idx_shards_and_root_are_those_of_the_whole_pool(tmp_path):
+    # 300 pixels an image: the pool is read in 4 blocks
+    rng = stream(6, "idx")
+    train = Dataset(rng.integers(0, 256, size=(700, 300)) / 255.0,
+                    rng.integers(0, 3, size=700), 3)
+    save_idx(train, tmp_path / "img", tmp_path / "lab")
+    paths = {"train_images": "img", "train_labels": "lab",
+             "test_images": "img", "test_labels": "lab"}
+    cfg = base_config(**{"dataset.source": "idx",
+                         "dataset.idx": {k: str(tmp_path / v)
+                                         for k, v in paths.items()},
+                         "aggregator.kind": "fltrust"})
+    exp = _Experiment(cfg)
+    shards, root = run_data_reference(cfg)
+    assert_same_datasets(exp.shards + [exp.root_ds], shards + [root])
+
+
+def test_setup_never_holds_the_pool_and_the_shards_at_once():
+    # the pool is read block by block into the shard table, so setup
+    # peaks below the pool and the shards together
+    n_train, n_features, clients, m = 3000, 100, 20, 60
+    cfg = base_config(**{"dataset.synth": {"n_train": n_train,
+                                           "n_test": 200,
+                                           "n_features": n_features,
+                                           "n_classes": 10, "spread": 0.2},
+                         "dataset.samples_per_client": m,
+                         "fl.total_clients": clients})
+    _Experiment(cfg)  # first-call costs out of the peak
+    row_bytes = (n_features + 1) * 8  # features and label
+    assert setup_peak_bytes(cfg) < (n_train + clients * m) * row_bytes
 
 
 # -- full runs -----------------------------------------------------------------
