@@ -112,8 +112,9 @@ def fltrust(updates: Updates,
     return weighted_sum(normalized, scores / total), scores
 
 
-def _cosine_distance_matrix(X: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(X, axis=1)
+def _cosine_distance_matrix(X: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Pairwise cosine distances of the rows of X, whose L2 norms are
+    `norms`."""
     safe = np.where(norms == 0.0, 1.0, norms)
     unit = X / safe[:, None]
     sim = unit @ unit.T
@@ -176,13 +177,17 @@ def _majority_cluster(dist: np.ndarray, n: int) -> np.ndarray:
     return np.array([i for i in range(n) if uf.find(i) == winner])
 
 
-def flame_survivors(updates: Updates) -> np.ndarray:
-    """Indices kept by the clustering stage of `flame`."""
+def flame_survivors(updates: Updates,
+                    norms: Optional[np.ndarray] = None) -> np.ndarray:
+    """Indices kept by the clustering stage of `flame`. `norms`, the
+    rows' L2 norms, is taken here when not given."""
     X = update_matrix(updates)
     n = len(X)
     if n < 3:
         raise ValueError(f"flame needs n >= 3, got {n}")
-    return _majority_cluster(_cosine_distance_matrix(X), n)
+    if norms is None:
+        norms = np.linalg.norm(X, axis=1)
+    return _majority_cluster(_cosine_distance_matrix(X, norms), n)
 
 
 def flame(updates: Updates, noise_factor: float,
@@ -201,10 +206,12 @@ def flame(updates: Updates, noise_factor: float,
     X = update_matrix(updates)
     if noise_factor < 0:
         raise ValueError("noise_factor must be >= 0")
-    keep = flame_survivors(X)
-    # each row's norm is its own reduction, so taking the norms before the
-    # survivors' copy gives the same bits with one temporary fewer alive
-    norms = np.linalg.norm(X, axis=1)[keep]
+    # one set of row norms serves the clustering and the clipping: each
+    # row's norm is its own reduction, so indexing them gives the
+    # survivors' norms bit for bit
+    all_norms = np.linalg.norm(X, axis=1)
+    keep = flame_survivors(X, all_norms)
+    norms = all_norms[keep]
     survivors = X[keep]
     median_norm = float(np.median(norms))
     over = norms > median_norm  # scale down only

@@ -5,9 +5,10 @@ augmentation).
 A training pool is a `PoolStream`: its labels up front and its features
 one block at a time (a class block of the blobs, or a run of IDX rows).
 The partition draws on the labels alone, so a run reads the stream once,
-straight into the table of rows its clients hold, and never holds the
-whole pool. `synth_blobs` and `load_idx` read every row of the same
-streams.
+straight into a table of the distinct rows its clients hold, and never
+holds the whole pool. A client's shard is then `TableRows`: row ids into
+that shared table. `synth_blobs` and `load_idx` read every row of the
+same streams.
 """
 
 from __future__ import annotations
@@ -63,12 +64,36 @@ class Dataset:
         idx = np.asarray(indices, dtype=np.intp)
         return Dataset(self.features[idx], self.labels[idx], self.n_classes)
 
-    def concat(self, other: "Dataset") -> "Dataset":
-        if other.n_features != self.n_features:
-            raise ValueError("feature width mismatch")
-        return Dataset(np.vstack([self.features, other.features]),
-                       np.concatenate([self.labels, other.labels]),
-                       max(self.n_classes, other.n_classes))
+
+@dataclass(frozen=True)
+class TableRows:
+    """Some rows of a shared table, by row id: a client's shard, or
+    FLTrust's root set, held without a copy of its rows. Rows may repeat,
+    and shards that drew the same pool row share it. It reads as a
+    Dataset does, but `features` and `labels` are fresh copies of its
+    rows, made on each read."""
+
+    table: Dataset
+    rows: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @property
+    def features(self) -> np.ndarray:
+        return self.table.features[self.rows]
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self.table.labels[self.rows]
+
+    @property
+    def n_features(self) -> int:
+        return self.table.n_features
+
+    @property
+    def n_classes(self) -> int:
+        return self.table.n_classes
 
 
 @dataclass(frozen=True)
@@ -131,18 +156,20 @@ class PoolStream:
         return Dataset(feats, self.labels, self.n_classes)
 
     def gather(self, rows: np.ndarray) -> Dataset:
-        """The rows `rows` (any order, repeats allowed) as one table: the
-        bits of `read().subset(rows)`, without holding every row. The
-        stream is spent after."""
+        """The rows `rows`, in ascending order, as one table: the bits of
+        `read().subset(rows)`, without holding every row. Each block's
+        rows are taken straight into their place in the table. The stream
+        is spent after."""
         rows = np.asarray(rows, dtype=np.intp)
+        if np.any(rows[1:] < rows[:-1]):
+            raise ValueError("gather needs ascending row ids")
         feats = np.empty((rows.size, self.n_features))
-        # table positions by pool row; a repeated row reads the same
-        # source, so the order among its positions does not matter
-        order = np.argsort(rows)
-        ranked = rows[order]
         for lo, block in self._spend():
-            a, b = np.searchsorted(ranked, (lo, lo + len(block)))
-            feats[order[a:b]] = block.take(ranked[a:b] - lo, axis=0)
+            a, b = np.searchsorted(rows, (lo, lo + len(block)))
+            # the search keeps every index inside the block; mode="raise"
+            # would copy the rows through a temporary before writing out
+            np.take(block, rows[a:b] - lo, axis=0, out=feats[a:b],
+                    mode="clip")
         return Dataset(feats, self.labels[rows], self.n_classes)
 
     def _spend(self) -> Iterator[Tuple[int, np.ndarray]]:
@@ -397,10 +424,14 @@ def edge_case_augment(client_ds: Dataset, edge_ds: Dataset, ratio: float,
         return client_ds
     if len(edge_ds) == 0:
         raise ValueError("edge pool is empty")
-    matches = int(np.count_nonzero(pool_labels[client_ds.labels]))
+    labels = client_ds.labels
+    matches = int(np.count_nonzero(pool_labels[labels]))
     n_extra = int(ratio * matches)
     if n_extra == 0:
         return client_ds
     chosen = rng.choice(len(edge_ds), size=n_extra,
                         replace=len(edge_ds) < n_extra)
-    return client_ds.concat(edge_ds.subset(chosen))
+    extra = edge_ds.subset(chosen)
+    return Dataset(np.vstack([client_ds.features, extra.features]),
+                   np.concatenate([labels, extra.labels]),
+                   max(client_ds.n_classes, extra.n_classes))

@@ -1,14 +1,16 @@
 """End-to-end federated round orchestration.
 
 Setup draws the client shards (and FLTrust's root set) on the training
-pool's labels, then reads the pool's feature blocks once into one table
-of those rows; every shard is a view of it, and the pool itself is never
-held. Each round (`run_round`): select a roster, designate adversaries,
-train locally, apply the configured attack transform to adversarial
-contributions, aggregate, apply the global update, and evaluate. Every stochastic site draws from a
-stream derived from (master_seed, purpose, round, client), so runs are
-reproducible bit-for-bit regardless of execution order; wall-clock timings
-are the only nondeterministic report fields.
+pool's labels, then reads the pool's feature blocks once into one
+read-only table of the distinct rows drawn; every shard is row ids into
+it, so a pool row that several clients drew is held once, and the pool
+itself is never held. Each round (`run_round`): select a roster,
+designate adversaries, train locally, apply the configured attack
+transform to adversarial contributions, aggregate, apply the global
+update, and evaluate. Every stochastic site draws from a stream derived
+from (master_seed, purpose, round, client), so runs are reproducible
+bit-for-bit regardless of execution order; wall-clock timings are the
+only nondeterministic report fields.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 import time
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
-                    Sequence, Tuple)
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from . import aggregators as agg
 from .attacks import (AttackKind, AttackStrategy, boost_update,
                       constrain_and_scale, gaussian_noise, pgd_project)
 from .data import (BackdoorFlavor, DataSource, Dataset, PoolStream,
-                   TriggerSpec, apply_trigger, backdoor_eval_set,
+                   TableRows, TriggerSpec, apply_trigger, backdoor_eval_set,
                    blob_stream, dba_shards, edge_case_augment,
                    edge_label_mask, idx_stream, load_idx,
                    partition_label_skew, synth_blobs, PartitionPlan)
@@ -212,6 +214,15 @@ class _Experiment:
             if len(self.test_set) == 0:
                 raise ValueError(
                     f"test set {idx.test_images} holds no images")
+            # validate() refuses this for synth; IDX labels are seen here
+            bd = self.cfg.attack.backdoor
+            if self.cfg.attack.kind is AttackKind.BACKDOOR \
+                    and bd.flavor is not BackdoorFlavor.EDGE \
+                    and (self.test_set.labels == bd.target_label).all():
+                raise ValueError(
+                    f"attack.backdoor.target_label: every row of test set "
+                    f"{idx.test_images} is labelled {bd.target_label}, so "
+                    f"no row can measure the backdoor")
 
         # the poisoning inputs, built once per run: the trigger each
         # adversary applies, by its position among the round's adversaries
@@ -258,8 +269,9 @@ class _Experiment:
 
     def _partition(self, pool: PoolStream) -> None:
         """Draw the shards and fltrust's root set on the pool's labels,
-        then read the pool once into one table of the rows they hold:
-        each shard, and the root set after them, is a view of it."""
+        then read the pool once into one read-only table of the distinct
+        rows they drew: each shard, and the root set, is row ids into
+        it."""
         rows, root = None, []
         if self.cfg.aggregator.kind == "fltrust":
             n_root = max(1, int(self.cfg.fltrust_root_fraction * len(pool)))
@@ -268,19 +280,30 @@ class _Experiment:
             mask = np.ones(len(pool), dtype=bool)
             mask[root[0]] = False
             rows = np.flatnonzero(mask)
+            # classes the root holds and no row left to the clients does
+            taken = np.setdiff1d(pool.labels[root[0]], pool.labels[rows])
+            if taken.size:
+                raise ValueError(
+                    f"fltrust_root_fraction: the root set takes every row "
+                    f"of class {taken[0]}, so no client can draw one")
         plan = PartitionPlan(self.cfg.fl.total_clients,
                              self.cfg.dataset.noniid_bias,
                              self.cfg.dataset.samples_per_client)
         ids = partition_label_skew(pool.labels, pool.n_classes, plan,
                                    stream(self.seed, "partition"), rows)
-        table = pool.gather(np.concatenate(ids + root))
-        feats, labels = table.features, table.labels
+        drawn, where = np.unique(np.concatenate(ids + root),
+                                 return_inverse=True)
+        table = pool.gather(drawn)
+        # clients share rows, so a write into one shard's rows raises
+        # instead of reaching the others
+        for array in (table.features, table.labels, where):
+            array.setflags(write=False)
         m = plan.samples_per_client
         end = plan.n_clients * m
-        self.shards = [Dataset(feats[lo:lo + m], labels[lo:lo + m],
-                               table.n_classes) for lo in range(0, end, m)]
-        self.root_ds: Optional[Dataset] = Dataset(
-            feats[end:], labels[end:], table.n_classes) if root else None
+        self.shards = [TableRows(table, where[lo:lo + m])
+                       for lo in range(0, end, m)]
+        self.root_ds: Optional[TableRows] = TableRows(
+            table, where[end:]) if root else None
 
     # -- per-round pieces ------------------------------------------------
 
@@ -321,7 +344,7 @@ class _Experiment:
             delta = boost_update(delta, factor)
         return delta
 
-    def _train(self, datasets: Sequence[Dataset],
+    def _train(self, datasets: Sequence[Union[Dataset, TableRows]],
                rngs: Sequence[np.random.Generator]) -> np.ndarray:
         """One model per (dataset, stream) task, trained from the global
         model, as rows in task order. Tasks whose datasets have the same

@@ -290,7 +290,8 @@ def test_flame_survivors_match_threshold_oracle():
                 X[i] = 0.0
         updates = list(X)
         assert flame_survivors(updates).tolist() == \
-            threshold_majority_oracle(_cosine_distance_matrix(X))
+            threshold_majority_oracle(
+                _cosine_distance_matrix(X, np.linalg.norm(X, axis=1)))
 
 
 # -- update sets ------------------------------------------------------------------

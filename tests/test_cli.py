@@ -92,6 +92,19 @@ def test_bad_override_reports_error(tmp_path, capsys):
     assert "fl.bogus" in capsys.readouterr().err
 
 
+def test_root_set_taking_a_whole_class_is_one_error_line(tmp_path, capsys):
+    # two pool rows, one per class: FLTrust's half-pool root takes a class
+    synth = {**MINIMAL["dataset"]["synth"], "n_train": 2}
+    path = write_config(tmp_path, extra={
+        "dataset": {**MINIMAL["dataset"], "synth": synth},
+        "aggregator": {"kind": "fltrust"}, "fltrust_root_fraction": 0.5})
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: fltrust_root_fraction: ")
+    assert err.count("\n") == 1 and "class" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_aggregator_kind_rejected(tmp_path, capsys):
     with pytest.raises(ValueError, match="nope"):
         config_from_dict({"aggregator": {"kind": "nope"}})

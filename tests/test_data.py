@@ -143,13 +143,21 @@ def assert_same_rows(got, want):
                          [(101, 5, 3), (997, 30, 10), (3, 5, 4)])
 def test_blob_stream_gathers_the_rows_of_synth_blobs(n_samples, n_features,
                                                      n_classes):
-    # any order, repeats allowed: a shard table's rows
+    # ascending, repeats allowed
     whole = synth_blobs(n_samples, n_features, n_classes, 0.3,
                         stream(2, "blobs"))
-    rows = stream(3, "rows").integers(0, n_samples, size=2 * n_samples)
+    rows = np.sort(stream(3, "rows").integers(0, n_samples,
+                                              size=2 * n_samples))
     got = blob_stream(n_samples, n_features, n_classes, 0.3,
                       stream(2, "blobs")).gather(rows)
     assert_same_rows(got, whole.subset(rows))
+
+
+def test_gather_refuses_rows_out_of_order():
+    # the rows of a block are found by binary search, so rows out of
+    # order would fill the table with the wrong rows
+    with pytest.raises(ValueError, match="ascending"):
+        blob_stream(40, 4, 2, 0.3, stream(2, "blobs")).gather([39, 0])
 
 
 def test_a_pool_stream_is_read_once():
@@ -171,7 +179,7 @@ def test_idx_stream_gathers_the_rows_of_load_idx(tmp_path):
     img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
     save_idx(ds, img, lab, rows=15, cols=20)
     assert_same_rows(load_idx(img, lab), ds)
-    rows = rng.integers(0, 700, size=1500)
+    rows = np.sort(rng.integers(0, 700, size=1500))
     assert_same_rows(idx_stream(img, lab).gather(rows), ds.subset(rows))
 
 

@@ -10,7 +10,8 @@ from fedtruth.cli import write_round_csv
 from fedtruth.config import config_from_dict
 from fedtruth.rng import stream
 import fedtruth.simulator
-from fedtruth.data import Dataset, synth_blobs
+from fedtruth.data import (Dataset, PartitionPlan, blob_stream,
+                           partition_label_skew, synth_blobs)
 from fedtruth.simulator import (NonFiniteUpdate, _Experiment,
                                 apply_global_update, run_experiment,
                                 select_round_roster)
@@ -182,6 +183,123 @@ def test_setup_never_holds_the_pool_and_the_shards_at_once():
     _Experiment(cfg)  # first-call costs out of the peak
     row_bytes = (n_features + 1) * 8  # features and label
     assert setup_peak_bytes(cfg) < (n_train + clients * m) * row_bytes
+
+
+def test_the_run_table_holds_each_drawn_pool_row_once():
+    # 80 clients of 100 rows draw from a 600-row pool: most pool rows are
+    # drawn by several clients, and the table holds each of them once
+    n_train, n_features, clients, m = 600, 300, 80, 100
+    cfg = base_config(**{"dataset.synth": {"n_train": n_train, "n_test": 2,
+                                           "n_features": n_features,
+                                           "n_classes": 2, "spread": 0.2},
+                         "dataset.samples_per_client": m,
+                         "dataset.noniid_bias": 0.9,
+                         "fl.total_clients": clients})
+    exp = _Experiment(cfg)  # also takes first-call costs out of the peak
+    labels = blob_stream(n_train, n_features, 2, 0.2,
+                         stream(cfg.master_seed, "data-train")).labels
+    ids = np.concatenate(partition_label_skew(
+        labels, 2, PartitionPlan(clients, 0.9, m),
+        stream(cfg.master_seed, "partition")))
+    table = exp.shards[0].table
+    assert all(shard.table is table for shard in exp.shards)
+    assert len(table) == len(np.unique(ids)) < len(ids)
+    row_bytes = (n_features + 1) * 8  # features and label
+    block_rows = n_train // 2  # the blob stream's class block
+    # besides the rows, room for four int64 row-id vectors of the draw
+    bound = (len(table) + block_rows) * row_bytes + 4 * 8 * len(ids)
+    assert setup_peak_bytes(cfg) < bound
+
+
+def test_shared_rows_are_read_only():
+    # shards share the table's rows: a write into one client's rows must
+    # raise instead of reaching every client that drew them
+    exp = _Experiment(base_config(**{"aggregator.kind": "fltrust"}))
+    table = exp.shards[0].table
+    for array in (table.features, table.labels, exp.shards[0].rows,
+                  exp.root_ds.rows):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    exp.shards[0].features[0] = -1.0  # a read is a copy of the rows
+    assert (table.features >= 0.0).all()
+
+
+def test_a_root_set_that_takes_a_whole_class_is_refused():
+    # two pool rows, one per class: the root takes one of them, and the
+    # partition used to die with an untyped "class c has no samples"
+    cfg = base_config(**{"dataset.synth": {"n_train": 2, "n_test": 50,
+                                           "n_features": 8, "n_classes": 2,
+                                           "spread": 0.2},
+                         "aggregator.kind": "fltrust",
+                         "fltrust_root_fraction": 0.5})
+    taken = int(stream(cfg.master_seed, "root").choice(2, size=1)[0])
+    with pytest.raises(ValueError, match=rf"^fltrust_root_fraction: .*"
+                                         rf"\bclass {taken}\b"):
+        run_experiment(cfg)
+
+
+def test_idx_backdoor_without_a_row_off_the_target_is_refused(tmp_path):
+    # validate() cannot see IDX labels; setup names the key and the file
+    rng = stream(7, "idx")
+    train = Dataset(rng.integers(0, 256, size=(200, 12)) / 255.0,
+                    rng.integers(0, 2, size=200), 2)
+    test = Dataset(rng.integers(0, 256, size=(10, 12)) / 255.0,
+                   np.zeros(10, dtype=int), 2)
+    save_idx(train, tmp_path / "train-img", tmp_path / "train-lab")
+    save_idx(test, tmp_path / "test-img", tmp_path / "test-lab")
+    cfg = base_config(**{"dataset.source": "idx",
+                         "dataset.idx": {
+                             "train_images": str(tmp_path / "train-img"),
+                             "train_labels": str(tmp_path / "train-lab"),
+                             "test_images": str(tmp_path / "test-img"),
+                             "test_labels": str(tmp_path / "test-lab")}},
+                      attack={"kind": "backdoor", "n_adversaries": 1,
+                              "backdoor": {"flavor": "trigger",
+                                           "target_label": 0}})
+    with pytest.raises(ValueError) as info:
+        run_experiment(cfg)
+    message = str(info.value)
+    assert message.startswith("attack.backdoor.target_label: ")
+    assert str(tmp_path / "test-img") in message
+
+
+# -- round purity ----------------------------------------------------------------
+
+PURITY_CASES = {
+    "fedavg": {},
+    "fltrust": {"aggregator.kind": "fltrust"},
+    "edge": {"attack": {"kind": "backdoor",
+                        "strategy": "constrain_and_scale",
+                        "n_adversaries": 2, "alpha": 0.5,
+                        "boosting_factor": 2.0,
+                        "backdoor": {"flavor": "edge", "target_label": 1,
+                                     "edge_ratio": 0.3}}},
+}
+
+
+def replayed_fields(report):
+    fields = dataclasses.asdict(report)
+    del fields["aggregation_wall_time"]
+    return fields
+
+
+@pytest.mark.parametrize("case", sorted(PURITY_CASES))
+def test_a_round_is_a_function_of_its_global_model(case):
+    # a fresh run given only round t's global model replays round t
+    cfg = base_config(**PURITY_CASES[case], **{"fl.rounds": 4})
+    exp = _Experiment(cfg)
+    models, reports = [], []
+    for t in range(cfg.fl.rounds):
+        models.append(exp.global_model.copy())
+        reports.append(exp.run_round(t))
+    for t in (0, 1, cfg.fl.rounds - 1):
+        fresh = _Experiment(cfg)
+        fresh.global_model = models[t]
+        assert replayed_fields(fresh.run_round(t)) \
+            == replayed_fields(reports[t])
+        assert np.array_equal(fresh.global_model,
+                              models[t + 1] if t + 1 < len(models)
+                              else exp.global_model)
 
 
 # -- full runs -----------------------------------------------------------------

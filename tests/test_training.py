@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fedtruth.data import Dataset, synth_blobs
+from fedtruth.data import Dataset, TableRows, synth_blobs
 from fedtruth.rng import stream
 from fedtruth.training import (ModelKind, ModelSpec, TrainConfig,
                                extract_update, init_model, predict,
@@ -223,6 +223,27 @@ def test_train_empty_dataset_rejected():
     with pytest.raises(ValueError):
         train_roster(init_model(LOGREG, 0), [empty], LOGREG, TrainConfig(),
                      [stream(0, "t")])
+
+
+def test_rows_of_a_table_train_as_their_own_datasets():
+    # a block's rows come from one take on the shared table, with any
+    # dataset of its own (a poisoned shard, say) written over its place
+    table = blobs(90, seed=4)
+    rows = [stream(5, "rows", k).integers(0, 90, size=40) for k in range(3)]
+    own = blobs(40, seed=6)
+    cases = [[TableRows(table, r) for r in rows],
+             [own, TableRows(table, rows[0]), TableRows(table, rows[1])],
+             [TableRows(table, rows[0]), own, TableRows(table, rows[2])]]
+    cfg = TrainConfig(local_epochs=2, batch_size=16, learning_rate=0.3)
+    params = init_model(MLP, 0)
+    for datasets in cases:
+        copies = [ds if isinstance(ds, Dataset) else table.subset(ds.rows)
+                  for ds in datasets]
+        rngs = [stream(7, "t", k) for k in range(len(datasets))]
+        want = train_roster(params, copies, MLP, cfg, rngs)
+        rngs = [stream(7, "t", k) for k in range(len(datasets))]
+        assert np.array_equal(
+            train_roster(params, datasets, MLP, cfg, rngs), want)
 
 
 def test_train_roster_rejects_unequal_or_missing_inputs():
