@@ -16,7 +16,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -334,11 +334,31 @@ def partition_label_skew(labels: np.ndarray, n_classes: int,
     return shards
 
 
-def apply_trigger(ds: Dataset, trig: TriggerSpec, fraction: float,
+def _owned_rows(ds: Union[Dataset, TableRows], extra: int = 0
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """The features and labels of `ds` in new arrays with room for `extra`
+    rows after them. Each row is copied once: the rows of a `TableRows`
+    are taken straight from its table."""
+    n = len(ds)
+    feats = np.empty((n + extra, ds.n_features))
+    labels = np.empty(n + extra, dtype=np.int64)
+    if isinstance(ds, TableRows):
+        # mode="raise" would buffer `out` through a temporary of the rows
+        ds.table.features.take(ds.rows, axis=0, out=feats[:n], mode="clip")
+        ds.table.labels.take(ds.rows, out=labels[:n], mode="clip")
+    else:
+        feats[:n] = ds.features
+        labels[:n] = ds.labels
+    return feats, labels
+
+
+def apply_trigger(ds: Union[Dataset, TableRows], trig: TriggerSpec,
+                  fraction: float,
                   rng: np.random.Generator) -> Tuple[Dataset, np.ndarray]:
     """Poison a fraction of rows: pin trigger features, relabel to target.
 
-    Returns the poisoned copy and the indices of the poisoned rows.
+    Returns the poisoned copy and the indices of the poisoned rows; `ds`
+    is untouched.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must be in [0, 1]")
@@ -347,12 +367,10 @@ def apply_trigger(ds: Dataset, trig: TriggerSpec, fraction: float,
     if not 0 <= trig.target_label < ds.n_classes:
         raise ValueError("target label outside class range")
     n_poison = int(round(fraction * len(ds)))
+    feats, labels = _owned_rows(ds)
     if n_poison == 0:
-        return Dataset(ds.features.copy(), ds.labels.copy(),
-                       ds.n_classes), np.empty(0, dtype=np.intp)
+        return Dataset(feats, labels, ds.n_classes), np.empty(0, dtype=np.intp)
     chosen = np.sort(rng.choice(len(ds), size=n_poison, replace=False))
-    feats = ds.features.copy()
-    labels = ds.labels.copy()
     feats[np.ix_(chosen, list(trig.feature_indices))] = trig.trigger_value
     labels[chosen] = trig.target_label
     return Dataset(feats, labels, ds.n_classes), chosen
@@ -407,9 +425,9 @@ def edge_label_mask(edge_ds: Dataset, n_classes: int) -> np.ndarray:
     return mask
 
 
-def edge_case_augment(client_ds: Dataset, edge_ds: Dataset, ratio: float,
-                      rng: np.random.Generator,
-                      pool_labels: np.ndarray) -> Dataset:
+def edge_case_augment(client_ds: Union[Dataset, TableRows], edge_ds: Dataset,
+                      ratio: float, rng: np.random.Generator,
+                      pool_labels: np.ndarray) -> Union[Dataset, TableRows]:
     """Append edge-case rows sized relative to the matching benign rows.
 
     Counts the client's rows whose label appears in the edge pool and
@@ -424,14 +442,14 @@ def edge_case_augment(client_ds: Dataset, edge_ds: Dataset, ratio: float,
         return client_ds
     if len(edge_ds) == 0:
         raise ValueError("edge pool is empty")
-    labels = client_ds.labels
-    matches = int(np.count_nonzero(pool_labels[labels]))
+    matches = int(np.count_nonzero(pool_labels[client_ds.labels]))
     n_extra = int(ratio * matches)
     if n_extra == 0:
         return client_ds
     chosen = rng.choice(len(edge_ds), size=n_extra,
                         replace=len(edge_ds) < n_extra)
-    extra = edge_ds.subset(chosen)
-    return Dataset(np.vstack([client_ds.features, extra.features]),
-                   np.concatenate([labels, extra.labels]),
-                   max(client_ds.n_classes, extra.n_classes))
+    feats, labels = _owned_rows(client_ds, n_extra)
+    n = len(client_ds)
+    edge_ds.features.take(chosen, axis=0, out=feats[n:], mode="clip")
+    edge_ds.labels.take(chosen, out=labels[n:], mode="clip")
+    return Dataset(feats, labels, max(client_ds.n_classes, edge_ds.n_classes))

@@ -7,18 +7,21 @@ and backward passes work on reshaped views of that vector, so a model, a
 trained model and an update all share one representation.
 
 `train_roster` trains K clients whose datasets have the same length as one
-stack: parameters (K, d), batches (K, batch, features), one batched matrix
+stack: K models, batches (K, batch, features), one batched matrix
 product per layer and step. Each client keeps its own shuffle, and every
 slice of a batched product and reduction is the computation a single
 client makes, so row k equals training client k alone bit for bit.
 There is one forward pass, `_stacked_forward`: training runs it on the
 stack, and `predict` runs it on a stack of one model.
 
-A step allocates no (K, d) array. The parameter stack and one gradient
-buffer are split into per-layer views once per block; the weight-gradient
-products write into those views with `matmul(..., out=)`, the bias
-gradients with `add.reduce(..., out=)`, and `grad *= lr; current -= grad`
-is `current - lr * grad` in place. Activations (logits, softmax, the
+A step allocates no (K, d) array. The K models and one gradient buffer
+are held layer-major: in each flat buffer every layer of all K models is
+one contiguous (K, *shape) block, so a bias is a whole row of K * width,
+not K strided rows of width. The weight-gradient products write into
+those blocks with `matmul(..., out=)`, the bias gradients with
+`add.reduce(..., out=)`, and `grad *= lr; current -= grad` is
+`current - lr * grad` in place; one `concatenate` at the end of the block
+gives back the (K, d) parameter rows. Activations (logits, softmax, the
 hidden layer's pre-activations) are batch-major, (batch, K, width): the
 forward product writes into a transposed view, and the bias add and the
 softmax then run over contiguous rows of K * width. The bias gradient
@@ -30,8 +33,9 @@ BLAS or loop path when a dimension is 1, and that path rounds
 differently.
 
 A client's shuffles for all its epochs come from one `Generator.permuted`
-call on an (epochs, n) table of 0..n-1: the same orders, and the same
-generator state after, as one `permutation(n)` per epoch. The K clients'
+call on an (epochs, n) table of 0..n-1, written into its column of one
+(epochs, K, n) order table: the same orders, and the same generator
+state after, as one `permutation(n)` per epoch. The K clients'
 rows are stacked into one array (one `take` on the run table for the
 clients that are `TableRows` of it), a batch is gathered from it with
 `np.take`, and the gradient subtracts one-hot labels from the softmax,
@@ -182,8 +186,8 @@ def _roster_gradients(spec: ModelSpec, layers: Sequence[np.ndarray],
                       grads: Sequence[np.ndarray]) -> None:
     """Mean cross-entropy gradients of K models on K equal-size batches.
 
-    `layers` and `grads` are the per-layer (K, *shape) views of the
-    parameter stack and of the gradient buffer (see `_unpack`); X is
+    `layers` and `grads` are the per-layer (K, *shape) blocks of the
+    parameter stack and of the gradient buffer (see `train_roster`); X is
     (K, B, features) and the one-hot labels are batch-major, (B, K,
     classes). Writes the gradients into `grads`.
     """
@@ -251,17 +255,26 @@ def train_roster(params: np.ndarray,
         raise ValueError("a roster block needs equal-size datasets")
     K = len(datasets)
     feats, labels = _stacked_rows(datasets)
-    onehot = np.eye(spec.n_classes)[labels]
+    onehot = np.eye(spec.n_classes).take(labels, axis=0)
     # orders[e, k]: client k's shuffle in epoch e, as rows of feats; one
     # permuted() call per client draws all epochs' shuffles at once
     epochs = np.tile(np.arange(n), (cfg.local_epochs, 1))
-    orders = np.stack([rng.permuted(epochs, axis=1) for rng in rngs],
-                      axis=1) + np.arange(0, K * n, n)[:, None]
-    # the step writes in place: the (K, d) stack and its gradient buffer
-    # are unpacked into layer views once per block
-    current = np.tile(params, (K, 1))
-    grad = np.empty_like(current)
-    layers, grads = _unpack(spec, current), _unpack(spec, grad)
+    orders = np.empty((cfg.local_epochs, K, n), dtype=epochs.dtype)
+    for k, rng in enumerate(rngs):
+        rng.permuted(epochs, axis=1, out=orders[:, k])
+    orders += np.arange(0, K * n, n)[:, None]
+    # the K models layer-major: each layer of all K models is one
+    # contiguous (K, *shape) block of `current`, and of the gradient
+    # buffer, so a bias add or a bias gradient runs over whole rows;
+    # _unpack refuses a parameter vector of the wrong length
+    current, grad = np.empty((2, K * params.size))
+    layers, grads, offset = [], [], 0
+    for layer in _unpack(spec, params):
+        end = offset + K * layer.size
+        layers.append(current[offset:end].reshape((K,) + layer.shape))
+        grads.append(grad[offset:end].reshape((K,) + layer.shape))
+        layers[-1][...] = layer
+        offset = end
     for order in orders:
         for start in range(0, n, cfg.batch_size):
             batch = order[:, start:start + cfg.batch_size]
@@ -269,7 +282,7 @@ def train_roster(params: np.ndarray,
                               onehot.take(batch.T, axis=0), grads)
             grad *= cfg.learning_rate  # current - lr * grad, in place
             current -= grad
-    return current
+    return np.concatenate([layer.reshape(K, -1) for layer in layers], axis=1)
 
 
 def extract_update(global_params: np.ndarray,

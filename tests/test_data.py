@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedtruth.data import (Dataset, PartitionPlan, TriggerSpec, apply_trigger,
-                           backdoor_eval_set, blob_stream, dba_shards,
-                           edge_case_augment, edge_label_mask, idx_stream,
-                           load_idx, partition_label_skew, synth_blobs)
+from fedtruth.data import (Dataset, PartitionPlan, TableRows, TriggerSpec,
+                           apply_trigger, backdoor_eval_set, blob_stream,
+                           dba_shards, edge_case_augment, edge_label_mask,
+                           idx_stream, load_idx, partition_label_skew,
+                           synth_blobs)
 from fedtruth.rng import stream
 
 from helpers import save_idx
@@ -391,6 +392,35 @@ def test_edge_augment_small_pool_replacement():
     client = make_pool(400)
     out = augment(client, edge_pool(3), 0.2, stream(24, "edge"))
     assert len(out) > len(client)
+
+
+POISONINGS = {
+    "trigger": lambda ds: apply_trigger(ds, trigger(), 0.5,
+                                        stream(26, "trig"))[0],
+    "trigger-none": lambda ds: apply_trigger(ds, trigger(), 0.0,
+                                             stream(26, "trig"))[0],
+    "edge": lambda ds: augment(ds, edge_pool(), 0.5, stream(26, "edge")),
+}
+
+
+@pytest.mark.parametrize("poison", sorted(POISONINGS))
+def test_poisoning_copies_and_leaves_its_input_unmutated(poison):
+    # a plain Dataset is written to nowhere, and the rows of a table
+    # poison as a copy of them does
+    ds = make_pool(60)
+    before = ds.features.copy(), ds.labels.copy()
+    out = POISONINGS[poison](ds)
+    assert np.array_equal(ds.features, before[0])
+    assert np.array_equal(ds.labels, before[1])
+    assert not np.shares_memory(out.features, ds.features)
+    assert not np.shares_memory(out.labels, ds.labels)
+    rows = np.random.default_rng(27).integers(0, len(ds), 40)
+    from_table = POISONINGS[poison](TableRows(ds, rows))
+    from_copy = POISONINGS[poison](ds.subset(rows))
+    assert from_table.features.tobytes() == from_copy.features.tobytes()
+    assert from_table.labels.tobytes() == from_copy.labels.tobytes()
+    assert from_table.n_classes == from_copy.n_classes
+    assert np.array_equal(ds.features, before[0])
 
 
 def test_edge_augment_empty_pool_rejected():

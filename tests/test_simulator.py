@@ -263,45 +263,6 @@ def test_idx_backdoor_without_a_row_off_the_target_is_refused(tmp_path):
     assert str(tmp_path / "test-img") in message
 
 
-# -- round purity ----------------------------------------------------------------
-
-PURITY_CASES = {
-    "fedavg": {},
-    "fltrust": {"aggregator.kind": "fltrust"},
-    "edge": {"attack": {"kind": "backdoor",
-                        "strategy": "constrain_and_scale",
-                        "n_adversaries": 2, "alpha": 0.5,
-                        "boosting_factor": 2.0,
-                        "backdoor": {"flavor": "edge", "target_label": 1,
-                                     "edge_ratio": 0.3}}},
-}
-
-
-def replayed_fields(report):
-    fields = dataclasses.asdict(report)
-    del fields["aggregation_wall_time"]
-    return fields
-
-
-@pytest.mark.parametrize("case", sorted(PURITY_CASES))
-def test_a_round_is_a_function_of_its_global_model(case):
-    # a fresh run given only round t's global model replays round t
-    cfg = base_config(**PURITY_CASES[case], **{"fl.rounds": 4})
-    exp = _Experiment(cfg)
-    models, reports = [], []
-    for t in range(cfg.fl.rounds):
-        models.append(exp.global_model.copy())
-        reports.append(exp.run_round(t))
-    for t in (0, 1, cfg.fl.rounds - 1):
-        fresh = _Experiment(cfg)
-        fresh.global_model = models[t]
-        assert replayed_fields(fresh.run_round(t)) \
-            == replayed_fields(reports[t])
-        assert np.array_equal(fresh.global_model,
-                              models[t + 1] if t + 1 < len(models)
-                              else exp.global_model)
-
-
 # -- full runs -----------------------------------------------------------------
 
 def test_fedavg_all_benign_conservation():
@@ -767,3 +728,44 @@ def test_small_runs_match_pinned_digests(name, tmp_path):
     write_round_csv(path, cfg, run_experiment(cfg))
     kept = b"".join(without_timing_bytes(path))
     assert hashlib.sha256(kept).hexdigest() == digest
+
+
+# -- round purity ----------------------------------------------------------------
+
+PURITY_CASES = {
+    "fedavg": {},
+    "fltrust": {"aggregator.kind": "fltrust"},
+    "edge": {"attack": {"kind": "backdoor",
+                        "strategy": "constrain_and_scale",
+                        "n_adversaries": 2, "alpha": 0.5,
+                        "boosting_factor": 2.0,
+                        "backdoor": {"flavor": "edge", "target_label": 1,
+                                     "edge_ratio": 0.3}}},
+}
+
+
+def replayed_fields(report):
+    fields = dataclasses.asdict(report)
+    del fields["aggregation_wall_time"]
+    return fields
+
+
+@pytest.mark.parametrize("case", sorted(PURITY_CASES) + sorted(PINNED_RUNS))
+def test_a_round_is_a_function_of_its_global_model(case):
+    # a fresh run given only round t's global model replays round t; the
+    # pinned configs are built as their digest test builds them
+    over = PURITY_CASES[case] if case in PURITY_CASES else PINNED_RUNS[case][0]
+    cfg = base_config(**{"fl.rounds": 4}, **over)
+    exp = _Experiment(cfg)
+    models, reports = [], []
+    for t in range(cfg.fl.rounds):
+        models.append(exp.global_model.copy())
+        reports.append(exp.run_round(t))
+    for t in sorted({0, 1, cfg.fl.rounds - 1}):
+        fresh = _Experiment(cfg)
+        fresh.global_model = models[t]
+        assert replayed_fields(fresh.run_round(t)) \
+            == replayed_fields(reports[t])
+        assert np.array_equal(fresh.global_model,
+                              models[t + 1] if t + 1 < len(models)
+                              else exp.global_model)

@@ -257,6 +257,16 @@ def test_train_roster_rejects_unequal_or_missing_inputs():
         train_roster(params, [], LOGREG, TrainConfig(), [])
 
 
+@pytest.mark.parametrize("size", [20, 22, 0])
+def test_train_roster_refuses_a_parameter_vector_of_the_wrong_length(size):
+    # LOGREG has 21 parameters; the layer-major stack is built from the
+    # vector's layers, so a short one must not be tiled into a model
+    rngs = [stream(0, "t", k) for k in range(3)]
+    with pytest.raises(ValueError):
+        train_roster(np.zeros(size), [blobs(40)] * 3, LOGREG, TrainConfig(),
+                     rngs)
+
+
 # -- batched training against the per-client reference ---------------------------
 
 def reference_layers(spec, params):
@@ -348,14 +358,21 @@ def test_train_roster_matches_per_client_training_bitwise(
                                      cfg, seed)
 
 
-@pytest.mark.parametrize("kind", [ModelKind.LOGREG, ModelKind.MLP])
-def test_train_roster_bitwise_at_model_sizes(kind):
+@pytest.mark.parametrize("spec, clients, shard, cfg", [
     # 200 features and 32 hidden units take larger BLAS kernels than the
     # small shapes above; a 60-row shard leaves a short last batch of 28
-    spec = ModelSpec(kind, 200, 10, 32)
-    datasets = [synth_blobs(60, 200, 10, 0.15, stream(k, "shard"))
-                for k in range(9)]
-    cfg = TrainConfig(local_epochs=2, batch_size=32, learning_rate=0.5)
+    pytest.param(ModelSpec(ModelKind.LOGREG, 200, 10, 32), 9, 60,
+                 TrainConfig(2, 32, 0.5), id="ModelKind.LOGREG"),
+    pytest.param(ModelSpec(ModelKind.MLP, 200, 10, 32), 9, 60,
+                 TrainConfig(2, 32, 0.5), id="ModelKind.MLP"),
+    # the boost benchmark's block: one whole-shard batch a step, 30 epochs
+    pytest.param(ModelSpec(ModelKind.LOGREG, 20, 2), 10, 60,
+                 TrainConfig(30, 60, 1.0), id="boost"),
+])
+def test_train_roster_bitwise_at_model_sizes(spec, clients, shard, cfg):
+    datasets = [synth_blobs(shard, spec.n_features, spec.n_classes, 0.15,
+                            stream(k, "shard"))
+                for k in range(clients)]
     assert_roster_matches_per_client(spec, init_model(spec, 4), datasets,
                                      cfg, 4)
 
