@@ -9,18 +9,21 @@ or backdoored updates without discarding benign outliers entirely.
 
 The updates arrive as one (n, d) update matrix (see `vectors`), checked
 once per call and wrapped as `UpdateRows`, so the row norms and unit rows
-the distances need are computed once. Every iteration is a handful of
-whole-matrix numpy calls, bit-identical to working row by row, and tests
-only its weights for finiteness. The layered variant runs the same
-estimator independently on each layer's column block of that matrix, so
-the weight a client receives may differ from layer to layer.
+the distances need are computed once. The estimator is one loop over
+buffers allocated once per call: each pass takes the distances to the
+truth, the shares and the weights in place, then stops (the last pass is
+the report) or sums the next truth into one of two alternating buffers.
+A pass is about 17 whole-matrix numpy calls, bit-identical to working row
+by row, and tests only its weights for finiteness. The layered variant
+runs the same estimator independently on each layer's column block of
+that matrix, so the weight a client receives may differ by layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +35,10 @@ from .vectors import DistanceKind, UpdateRows, Updates, distances_to, norm, \
 # should get a very large but finite weight.
 PERFORMANCE_FLOOR = 1e-12
 
+# Constant operands and sums are 0-d arrays: numpy converts a scalar operand
+# on every call, which at n = 10 costs more than the arithmetic.
+_ZERO, _ONE, _FLOOR = (np.array(v) for v in (0.0, 1.0, PERFORMANCE_FLOOR))
+
 
 class CoefficientFunction(Enum):
     """Decreasing map from performance share to unnormalised weight."""
@@ -39,33 +46,28 @@ class CoefficientFunction(Enum):
     INVERSE = "inverse"   # g(p) = 1/p
     NEG_LOG = "neglog"    # g(p) = -log(p)
 
-    def weight(self, p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=np.float64)
-        if self is CoefficientFunction.INVERSE:
-            return 1.0 / p
-        return -np.log(p)
-
-    def performance_shares(self, distances: np.ndarray) -> np.ndarray:
+    def performance_shares(self, d: np.ndarray,
+                           out: Optional[np.ndarray] = None) -> np.ndarray:
         """Block-minimising performance values for given distances.
 
         Under the sum-to-one constraint the stationary performance values
         are proportional to d for -log and to sqrt(d) for 1/p; using the
         matching form keeps the converged estimate consistent with its own
-        update equations for either coefficient function.
+        update equations for either coefficient function. The shares of
+        the float64 distances `d` go into `out` when it is given.
         """
-        d = np.asarray(distances, dtype=np.float64)
+        p = np.empty(d.size) if out is None else out
+        total = np.empty(())
         if self is CoefficientFunction.INVERSE:
             # 1 - cos of parallel vectors can round to -2.2e-16, whose
             # square root is NaN
-            d = np.sqrt(np.maximum(d, 0.0))
-        total = np.add.reduce(d)  # d.sum() without its Python wrapper
-        if total <= 0.0:
-            p = np.full(d.size, 1.0 / d.size)
+            d = np.sqrt(np.maximum(d, _ZERO, out=p), out=p)
+        if np.add.reduce(d, out=total).item() <= 0.0:  # d.sum(), unwrapped
+            p.fill(1.0 / d.size)
         else:
-            p = d / total
-        np.maximum(p, PERFORMANCE_FLOOR, out=p)
-        p /= np.add.reduce(p)
-        return p
+            np.divide(d, total, out=p)
+        np.maximum(p, _FLOOR, out=p)
+        return np.divide(p, np.add.reduce(p, out=total), out=p)
 
 
 @dataclass(frozen=True)
@@ -107,18 +109,29 @@ class TruthEstimate:
     converged: bool
 
 
-def _weights(p: np.ndarray, g: CoefficientFunction) -> np.ndarray:
-    """Aggregation weights a_k = g(p_k) / sum_j g(p_j).
+def _weights(p: np.ndarray, g: CoefficientFunction,
+             out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Aggregation weights a_k = g(p_k) / sum_j g(p_j), in `out` if given.
 
     Larger performance share (farther from the truth) gives a smaller
     weight. When every g(p_k) is zero (single client with p = 1) the
-    weights fall back to uniform.
+    weights fall back to uniform. The -log weights are taken as
+    log p_k / sum_j log p_j, the same bits: negation is exact and commutes
+    with rounding.
     """
-    raw = g.weight(p)
-    total = np.add.reduce(raw)
-    if total <= 0.0:
-        return np.full(p.size, 1.0 / p.size)
-    return raw / total
+    a = np.empty(p.size) if out is None else out
+    total = np.empty(())
+    if g is CoefficientFunction.INVERSE:
+        np.add.reduce(np.divide(_ONE, p, out=a), out=total)
+        uniform = total.item() <= 0.0
+    else:
+        np.add.reduce(np.log(p, out=a), out=total)
+        uniform = total.item() >= 0.0
+    if uniform:
+        a.fill(1.0 / p.size)
+    else:
+        np.divide(a, total, out=a)
+    return a
 
 
 def estimate_truth(updates: Updates, cfg: FedTruthConfig) -> TruthEstimate:
@@ -128,39 +141,39 @@ def estimate_truth(updates: Updates, cfg: FedTruthConfig) -> TruthEstimate:
     performance update -> weight update -> weighted average until the L2
     change of the truth between successive iterations drops to
     cfg.epsilon, or cfg.max_iterations is hit. The reported performances and
-    weights are recomputed once from the returned truth, so the estimate
-    satisfies its own update equations exactly. `updates` is an (n, d)
-    array or a list of n equal-length vectors. Raises NonFiniteWeights when
-    an iteration's weights are not all finite, without numpy's overflow
-    and invalid-value warnings.
+    weights are those of the returned truth, so the estimate satisfies its
+    own update equations exactly. `updates` is an (n, d) array or a list of
+    n equal-length vectors. Raises NonFiniteWeights when an iteration's
+    weights are not all finite, without numpy's overflow and invalid-value
+    warnings.
     """
     rows = UpdateRows(update_matrix(updates))
     n = len(rows)
     g = cfg.coefficient
-    truth = rows.weighted_sum(np.full(n, 1.0 / n))
-    converged = False
-    iterations = 0
+    # a pass's distances, shares and weights; two sums take turns as truth
+    dist, p, a = np.empty(n), np.empty(n), np.full(n, 1.0 / n)
+    sums = np.empty(rows.width), np.empty(rows.width)
+    truth = rows.weighted_sum(a, out=sums[0])
+    converged, iterations = False, 0
     # Overflowing distances make NaN weights, which the finiteness test
     # turns into NonFiniteWeights; numpy's own warnings on the way say
     # nothing more.
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.max_iterations):
-            iterations += 1
-            p = g.performance_shares(distances_to(cfg.distance, truth, rows))
-            a = _weights(p, g)
-            if not np.isfinite(a).all():
-                raise NonFiniteWeights(iterations)
-            new_truth = rows.weighted_sum(a)
-            delta = norm(new_truth - truth)
-            truth = new_truth
-            if delta <= cfg.epsilon:
-                converged = True
+        while True:
+            # each pass weighs the rows at the truth; the last is the report
+            g.performance_shares(distances_to(cfg.distance, truth, rows,
+                                              out=dist), out=p)
+            _weights(p, g, out=a)
+            if converged or iterations == cfg.max_iterations:
                 break
-
-    # Self-consistent report: performances/weights evaluated at the final
-    # truth (they differ from the producing weights by at most O(epsilon)).
-    p = g.performance_shares(distances_to(cfg.distance, truth, rows))
-    a = _weights(p, g)
+            iterations += 1
+            if not np.logical_and.reduce(np.isfinite(a)):  # .all(), unwrapped
+                raise NonFiniteWeights(iterations)
+            new_truth = rows.weighted_sum(a, out=sums[iterations % 2])
+            # the step overwrites the old truth, whose buffer is free now
+            delta = norm(np.subtract(new_truth, truth, out=truth))
+            truth = new_truth
+            converged = delta <= cfg.epsilon
     return TruthEstimate(truth=truth, weights=a, performances=p,
                          iterations=iterations, converged=converged)
 

@@ -10,9 +10,9 @@ Distances and weighted sums work on all rows at once, in row blocks of at
 most BLOCK_ELEMENTS elements, and are bit-identical to computing them one
 row at a time: each row's dot product is the BLAS dot that `x.dot(x)` calls,
 and a weighted sum adds the rows in ascending order from 0.0. `UpdateRows`
-keeps what only the rows determine (norms, unit rows, a work buffer), so a
-caller that measures against many references, as the estimator does in
-every iteration, computes it once.
+keeps what only the rows determine (norms, unit rows, a work buffer and
+its views), so a caller that measures against many references, as the
+estimator does in every iteration, computes it once and can pass `out=`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -69,23 +69,33 @@ def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 class UpdateRows:
     """An update matrix X prepared for repeated stacked work on its rows.
 
-    Row norms and unit rows are computed on first use and kept; one buffer,
-    a row block plus one row, serves every distance and weighted sum. Its
-    first row holds a weighted sum's running total, and it has at least
-    2 columns: numpy folds an (m, 1) sum over rows into a pairwise sum,
-    which would change the order of the additions at d = 1.
+    Row norms and unit rows are computed on first use and kept. One buffer,
+    its views made once here, serves every distance and weighted sum: a
+    zero row, where the first block's sum starts, then that block's rows;
+    later blocks sit a row lower, below the running total. It has `width`
+    = max(d, 2) columns: numpy folds an (m, 1) sum over rows into a pairwise
+    sum, which would change the order of the additions at d = 1.
     """
 
     def __init__(self, X: np.ndarray):
         self.X = X
         n, d = X.shape
         block = max(1, BLOCK_ELEMENTS // d)
-        self._buf = np.zeros((min(block, n) + 1, max(d, 2)))
-        # per row block: its row slice, and d columns of as many buffer rows
-        # below the running total
-        self._blocks = [(slice(lo, lo + block),
-                         self._buf[1:min(block, n - lo) + 1, :d])
-                        for lo in range(0, n, block)]
+        self.width = max(d, 2)
+        self._buf = np.zeros((min(block, n) + 1 + (n > block), self.width))
+        self._dots = np.empty(n)
+        # per row block: its rows of X, the buffer rows its sum adds and
+        # their d product columns, and `_row_dots(part, part)` as (m, 1, d)
+        # and (m, d, 1) operands and the (m, 1, 1) dots it fills
+        self._blocks = []
+        for lo in range(0, n, block):
+            rows = slice(lo, lo + block)
+            top = min(lo, 1)
+            summed = self._buf[top:top + min(block, n - lo) + 1]
+            part = summed[1:, :d]
+            self._blocks.append((rows, X[rows], summed, part,
+                                 part[:, None, :], part[..., None],
+                                 self._dots[rows, None, None]))
 
     def __len__(self) -> int:
         return len(self.X)
@@ -101,63 +111,70 @@ class UpdateRows:
         return np.divide(self.X, nv, out=np.zeros_like(self.X),
                          where=nv != 0.0)
 
-    def weighted_sum(self, w: np.ndarray) -> np.ndarray:
+    def weighted_sum(self, w: np.ndarray,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
         """sum_k w[k] * X[k], adding the rows in ascending order from 0.0,
-        as a loop of `acc += w[k] * X[k]` would; weights are not checked."""
-        acc = 0.0
-        for rows, part in self._blocks:
-            self._buf[0] = acc
-            np.multiply(w[rows, None], self.X[rows], out=part)
-            acc = np.add.reduce(self._buf[:len(part) + 1], axis=0)
+        as a loop of `acc += w[k] * X[k]` would, in `out` (`width` entries)
+        if given; its first d entries are returned. Weights are unchecked."""
+        acc = np.empty(self.width) if out is None else out
+        for rows, X, summed, part, *_ in self._blocks:
+            if rows.start:
+                self._buf[1] = acc  # the blocks above
+            np.multiply(w[rows, None], X, out=part)
+            np.add.reduce(summed, axis=0, out=acc)
         return acc[:self.X.shape[1]]
 
-    def distances(self, kind: DistanceKind, u: np.ndarray) -> np.ndarray:
-        """Distance of `kind` from u to every row; see `distances_to`."""
+    def distances(self, kind: DistanceKind, u: np.ndarray,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Distance of `kind` from u to every row, in `out` when it is
+        given; see `distances_to`."""
+        out = np.empty(len(self.X)) if out is None else out
         if kind is DistanceKind.EUCLIDEAN:
-            return np.sqrt(self._block_dots(np.subtract, u, self.X))
-        if kind is DistanceKind.MANHATTAN:
-            out = np.empty(len(self.X))
-            for rows, part in self._blocks:
-                np.subtract(u, self.X[rows], out=part)
-                out[rows] = np.abs(part, out=part).sum(axis=1)
-            return out
+            return np.sqrt(self._block_dots(np.subtract, u), out=out)
         if kind is DistanceKind.COSINE:
-            return self._cosine(u)
+            return self._cosine(u, out)
+        if kind is DistanceKind.MANHATTAN:
+            for rows, X, _, part, *_ in self._blocks:
+                np.subtract(u, X, out=part)
+                np.add.reduce(np.abs(part, out=part), axis=1, out=out[rows])
+            return out
         if kind is DistanceKind.ANGULAR:
-            return self._angular(u)
+            return self._angular(u, out)
         if kind is DistanceKind.CUSTOM_HALF_HALF:
-            return 0.5 * self._angular(u) \
-                + 0.5 * np.sqrt(self._block_dots(np.subtract, u, self.X))
+            return np.add(0.5 * self._angular(u, out), 0.5 * np.sqrt(
+                self._block_dots(np.subtract, u)), out=out)
         raise ValueError(f"unknown distance kind: {kind!r}")
 
-    def _block_dots(self, op, u: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """|op(u, V[k])|^2 for every row k of V (X or the unit rows)."""
-        out = np.empty(len(V))
-        for rows, part in self._blocks:
-            op(u, V[rows], out=part)
-            out[rows] = _row_dots(part, part)
-        return out
+    def _block_dots(self, op, u: np.ndarray, units=False) -> np.ndarray:
+        """|op(u, v)|^2 for every row v of X, or with `units` of the unit
+        rows: the dots buffer, which the next call overwrites."""
+        for rows, X, _, part, lhs, rhs, dots in self._blocks:
+            op(u, self.units[rows] if units else X, out=part)
+            np.matmul(lhs, rhs, out=dots)
+        return self._dots
 
-    def _cosine(self, u: np.ndarray) -> np.ndarray:
-        n, nu = len(self.X), norm(u)
-        if nu == 0.0:
-            return np.ones(n)
-        nv = self.norms
-        similarity = np.divide(_row_dots(self.X, u), nu * nv,
-                               out=np.zeros(n), where=nv != 0.0)
-        return 1.0 - similarity
-
-    def _angular(self, u: np.ndarray) -> np.ndarray:
+    def _cosine(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
         nu = norm(u)
         if nu == 0.0:
-            return np.full(len(self.X), 0.5)
+            out.fill(1.0)
+            return out
+        nv = self.norms
+        out.fill(0.0)  # the similarity of a zero row
+        np.divide(_row_dots(self.X, u), nu * nv, out=out, where=nv != 0.0)
+        return np.subtract(1.0, out, out=out)
+
+    def _angular(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        nu = norm(u)
+        if nu == 0.0:
+            out.fill(0.5)
+            return out
         uu = u / nu
-        apart = np.sqrt(self._block_dots(np.subtract, uu, self.units))
-        along = np.sqrt(self._block_dots(np.add, uu, self.units))
+        apart = np.sqrt(self._block_dots(np.subtract, uu, units=True))
+        along = np.sqrt(self._block_dots(np.add, uu, units=True))
         # math.atan2 per row: numpy's arctan2 may take a SIMD path whose
         # results are not known to match it bit for bit
-        out = np.array([2.0 * math.atan2(a, b) / math.pi
-                        for a, b in zip(apart.tolist(), along.tolist())])
+        out[:] = [2.0 * math.atan2(a, b) / math.pi
+                  for a, b in zip(apart.tolist(), along.tolist())]
         out[self.norms == 0.0] = 0.5
         return out
 
@@ -178,7 +195,8 @@ def weighted_sum(updates: Updates, weights: Sequence[float]) -> np.ndarray:
 
 
 def distances_to(kind: DistanceKind, reference: np.ndarray,
-                 updates: Union[Updates, UpdateRows]) -> np.ndarray:
+                 updates: Union[Updates, UpdateRows],
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
     """Distance from a reference vector u to each update (row) v.
 
     Cosine similarity is 0 when either vector is zero: a zero update
@@ -191,14 +209,16 @@ def distances_to(kind: DistanceKind, reference: np.ndarray,
     convention: distance 0.5. The custom kind is half angular plus half
     Euclidean.
 
-    With `updates` given as UpdateRows, `reference` must already be a
-    float64 vector of the row length; it is not checked again.
+    The distances are written into `out`, a float64 vector of one entry
+    per update, when it is given, and into a fresh array otherwise. With
+    `updates` given as UpdateRows, `reference` must already be a float64
+    vector of the row length; it is not checked again.
     """
     if isinstance(updates, UpdateRows):
-        return updates.distances(kind, reference)
+        return updates.distances(kind, reference, out)
     rows = UpdateRows(update_matrix(updates))
     u = np.asarray(reference, dtype=np.float64)
     if u.shape != rows.X.shape[1:]:
         raise ValueError(f"dimension mismatch: {u.shape} vs "
                          f"updates of shape {rows.X.shape}")
-    return rows.distances(kind, u)
+    return rows.distances(kind, u, out)

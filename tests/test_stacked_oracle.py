@@ -2,10 +2,11 @@
 
 The oracle restates the row loops that the stacked code replaced: one
 closure per distance kind applied to each row, an `acc += w[k] * X[k]`
-loop for weighted sums, and the estimator iterating over both. The
-stacked functions must equal it bit for bit, at every shape the blocking
-can meet: d = 1 and 2, column blocks, and n * d above BLOCK_ELEMENTS, so
-that rows span several blocks.
+loop for weighted sums, its own performance shares and weights, and the
+estimator iterating over them; of the package it reads only the config
+and its enums. The stacked functions must equal it bit for bit, at every
+shape the blocking can meet: d = 1 and 2, column blocks, and n * d above
+BLOCK_ELEMENTS, so that rows span several blocks.
 """
 
 import math
@@ -16,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedtruth.truth import (CoefficientFunction, FedTruthConfig,
-                            estimate_truth, estimate_truth_layered)
+                            NonFiniteWeights, estimate_truth,
+                            estimate_truth_layered)
 from fedtruth.vectors import (BLOCK_ELEMENTS, DistanceKind, UpdateRows,
                               distances_to, weighted_sum)
 
@@ -68,6 +70,21 @@ def row_weighted_sum(X, w):
     return acc
 
 
+def row_shares(dist, g):
+    """p_k: d_k (sqrt(d_k) under 1/p, a negative rounding of 1 - cos read
+    as 0) over their sum, or 1/n when that sum is not positive; then
+    floored at 1e-12 and renormalised."""
+    if g is CoefficientFunction.INVERSE:
+        dist = np.array([math.sqrt(max(x, 0.0)) for x in dist])
+    total = dist.sum()
+    if total <= 0.0:
+        p = [1.0 / len(dist)] * len(dist)
+    else:
+        p = [x / total for x in dist]
+    p = np.array([max(x, 1e-12) for x in p])
+    return p / p.sum()
+
+
 def row_weights(p, g):
     """a_k = g(p_k) / sum_j g(p_j), uniform when every g(p_k) is 0."""
     raw = 1.0 / p if g is CoefficientFunction.INVERSE else -np.log(p)
@@ -77,21 +94,31 @@ def row_weights(p, g):
     return raw / total
 
 
+class OracleNonFinite(Exception):
+    def __init__(self, iteration):
+        self.iteration = iteration
+
+
 def row_estimate_truth(X, cfg):
+    """The estimator as row loops; raises OracleNonFinite with the first
+    iteration whose weights are not all finite."""
     n = len(X)
     truth = row_weighted_sum(X, np.full(n, 1.0 / n))
     g = cfg.coefficient
     converged, iterations = False, 0
     for _ in range(cfg.max_iterations):
         iterations += 1
-        p = g.performance_shares(row_distances(cfg.distance, truth, X))
-        new_truth = row_weighted_sum(X, row_weights(p, g))
+        w = row_weights(row_shares(row_distances(cfg.distance, truth, X), g),
+                        g)
+        if not all(math.isfinite(x) for x in w):
+            raise OracleNonFinite(iterations)
+        new_truth = row_weighted_sum(X, w)
         delta = float(np.linalg.norm(new_truth - truth))
         truth = new_truth
         if delta <= cfg.epsilon:
             converged = True
             break
-    p = g.performance_shares(row_distances(cfg.distance, truth, X))
+    p = row_shares(row_distances(cfg.distance, truth, X), g)
     return truth, row_weights(p, g), p, iterations, converged
 
 
@@ -220,3 +247,47 @@ def test_estimate_truth_layered_matches_row_loop_bitwise(kind, X, data):
     assert bits(truth) == bits(np.concatenate([o[0] for o in oracles]))
     for est, oracle in zip(estimates, oracles):
         assert_same_estimate(est, oracle)
+
+
+def overflowing_rows(case):
+    """Rows near the top of the float range: normal rows scaled by `case`,
+    or ("outlier") one row at 1.45e154, whose distance from the plain
+    average is finite and overflows once the truth moves away from it."""
+    rng = np.random.default_rng(7)
+    if case == "outlier":
+        X = rng.normal(size=(10, 3))
+        X[9] = 1.45e154 / math.sqrt(3)
+        return X
+    X = rng.normal(size=(10, 42)) * case
+    X[4] *= 3.0  # one row farther out
+    return X
+
+
+@pytest.mark.parametrize("coefficient", list(CoefficientFunction))
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("case", [1e150, 1e154, 1e300, "outlier"])
+def test_overflowing_rows_fail_at_the_oracles_iteration(kind, coefficient,
+                                                         case):
+    # where the oracle's weights go non-finite, the estimator raises in the
+    # same iteration; elsewhere (angular reads overflowed norms as zero
+    # rows, manhattan sums no squares) it matches the oracle bitwise
+    X = overflowing_rows(case)
+    cfg = FedTruthConfig(distance=kind, coefficient=coefficient)
+    with np.errstate(all="ignore"):
+        try:
+            oracle = row_estimate_truth(X, cfg)
+        except OracleNonFinite as failed:
+            with pytest.raises(NonFiniteWeights) as info:
+                estimate_truth(X, cfg)
+            assert info.value.iteration == failed.iteration
+        else:
+            assert_same_estimate(estimate_truth(X, cfg), oracle)
+
+
+@pytest.mark.parametrize("case, iteration", [(1e300, 1), ("outlier", 2)])
+def test_overflowing_rows_make_the_euclidean_oracle_fail(case, iteration):
+    # the case above reaches its raising branch, and not only in the first
+    # iteration
+    with np.errstate(all="ignore"), pytest.raises(OracleNonFinite) as info:
+        row_estimate_truth(overflowing_rows(case), FedTruthConfig())
+    assert info.value.iteration == iteration

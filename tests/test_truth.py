@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedtruth.truth
 from fedtruth.truth import (CoefficientFunction, FedTruthConfig,
                             NonFiniteWeights, _weights, estimate_truth,
                             estimate_truth_layered)
@@ -202,6 +203,54 @@ def test_list_and_stacked_array_give_identical_estimates(kind, coeff):
     cfg = FedTruthConfig(distance=kind, coefficient=coeff)
     assert_same_estimate(estimate_truth(updates, cfg),
                          estimate_truth(np.stack(updates), cfg))
+
+
+def counting_distances_to(monkeypatch):
+    """Count the rows every `fedtruth.truth.distances_to` call measures, as
+    a tracer that wraps that module name does."""
+    measured = []
+
+    def counting(kind, reference, rows, *args, **kwargs):
+        measured.append(len(rows))
+        return distances_to(kind, reference, rows, *args, **kwargs)
+
+    monkeypatch.setattr(fedtruth.truth, "distances_to", counting)
+    return measured
+
+
+@pytest.mark.parametrize("max_iterations", [2, 100])
+@pytest.mark.parametrize("kind", list(DistanceKind))
+def test_every_pass_measures_through_the_module_distances_to(
+        kind, max_iterations, monkeypatch):
+    # one pass per iteration plus the report's: a tracer wrapping the
+    # module name sees n rows measured in each
+    measured = counting_distances_to(monkeypatch)
+    rng = np.random.default_rng(41)
+    X = rng.normal(size=(10, 42))
+    X[2] *= 15.0
+    est = estimate_truth(X, FedTruthConfig(distance=kind,
+                                           max_iterations=max_iterations))
+    assert measured == [len(X)] * (est.iterations + 1)
+    measured.clear()
+    _, ests = estimate_truth_layered(X, [30, 12], FedTruthConfig(
+        distance=kind, max_iterations=max_iterations))
+    assert sum(measured) == len(X) * sum(e.iterations + 1 for e in ests)
+
+
+@pytest.mark.parametrize("coeff", list(CoefficientFunction))
+@pytest.mark.parametrize("kind", list(DistanceKind))
+def test_an_estimate_shares_no_buffer_with_the_next(kind, coeff):
+    rng = np.random.default_rng(43)
+    cfg = FedTruthConfig(distance=kind, coefficient=coeff)
+    first = estimate_truth(rng.normal(size=(10, 42)), cfg)
+    kept = [first.truth.copy(), first.weights.copy(),
+            first.performances.copy()]
+    second = estimate_truth(rng.normal(size=(10, 42)) * 3.0, cfg)
+    for before, now, other in zip(
+            kept, (first.truth, first.weights, first.performances),
+            (second.truth, second.weights, second.performances)):
+        assert now.tobytes() == before.tobytes()
+        assert not np.shares_memory(now, other)
 
 
 @st.composite

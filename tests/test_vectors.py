@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedtruth.vectors import (DistanceKind, distances_to, update_matrix,
-                              weighted_sum)
+from fedtruth.vectors import (DistanceKind, UpdateRows, distances_to,
+                              update_matrix, weighted_sum)
 
 ALL_KINDS = list(DistanceKind)
 
@@ -200,3 +200,28 @@ def test_distances_to_bitwise_at_model_sizes(kind):
 def test_distances_to_rejects_mismatched_reference():
     with pytest.raises(ValueError):
         distances_to(DistanceKind.EUCLIDEAN, np.zeros(3), np.zeros((2, 4)))
+
+
+@pytest.mark.parametrize("kind", list(DistanceKind))
+def test_distances_without_out_are_fresh_arrays(kind):
+    rng = np.random.default_rng(44)
+    rows = UpdateRows(rng.normal(size=(6, 5)))
+    u, v = rng.normal(size=5), rng.normal(size=5)
+    first = distances_to(kind, u, rows)
+    kept = first.copy()
+    second = distances_to(kind, v, rows)
+    assert first.tobytes() == kept.tobytes()
+    assert not np.shares_memory(first, second)
+    out = np.empty(6)
+    assert distances_to(kind, u, rows, out=out) is out
+    assert out.tobytes() == kept.tobytes()
+
+
+def test_weighted_sums_without_out_are_fresh_arrays():
+    rng = np.random.default_rng(45)
+    rows = UpdateRows(rng.normal(size=(6, 5)))
+    first = rows.weighted_sum(np.full(6, 1 / 6))
+    kept = first.copy()
+    second = rows.weighted_sum(rng.random(6))
+    assert first.tobytes() == kept.tobytes()
+    assert not np.shares_memory(first, second)
