@@ -10,7 +10,9 @@ transform to adversarial contributions, aggregate, apply the global
 update, and evaluate. Every stochastic site draws from a stream derived
 from (master_seed, purpose, round, client), so runs are reproducible
 bit-for-bit regardless of execution order; wall-clock timings are the
-only nondeterministic report fields.
+only nondeterministic report fields. The per-client streams come from one
+`ClientStreams` per purpose, which derives them a chunk of rounds at a
+time inside the first round that asks (see rng.py).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .data import (BackdoorFlavor, DataSource, Dataset, PoolStream,
                    blob_stream, dba_shards, edge_case_augment,
                    edge_label_mask, idx_stream, load_idx,
                    partition_label_skew, synth_blobs, PartitionPlan)
-from .rng import stream
+from .rng import ClientStreams, stream
 from .training import (ModelSpec, extract_update, init_model, predict,
                        train_roster)
 from .truth import NonFiniteWeights, estimate_truth, estimate_truth_layered
@@ -193,6 +195,11 @@ class _Experiment:
         self.global_model = init_model(self.model_spec,
                                        stream(self.seed, "init"))
         self._partition(pool)
+        # stream(seed, purpose, round, client) of each per-client purpose;
+        # nothing is derived until a round asks
+        self.client_streams = {
+            purpose: ClientStreams(self.seed, purpose, cfg.fl.total_clients)
+            for purpose in ("train", "train-benign", "poison", "noise")}
 
     # -- setup -----------------------------------------------------------
 
@@ -310,7 +317,7 @@ class _Experiment:
     def _poisoned_shard(self, round_index: int, client: int,
                         adv_position: int) -> Dataset:
         bd = self.cfg.attack.backdoor
-        rng = stream(self.seed, "poison", round_index, client)
+        rng = self.client_streams["poison"](round_index, client)
         if bd.flavor is BackdoorFlavor.EDGE:
             return edge_case_augment(self.shards[client], self.edge_pool,
                                      bd.edge_ratio, rng, self.edge_labels)
@@ -330,7 +337,7 @@ class _Experiment:
         factor = atk.resolve_factor(self.cfg.fl.clients_per_round,
                                     n_adversaries)
         if atk.kind is AttackKind.GAUSSIAN_NOISE:
-            noise_rng = stream(self.seed, "noise", round_index, client)
+            noise_rng = self.client_streams["noise"](round_index, client)
             model = gaussian_noise(model, atk.sigma, noise_rng)
         elif benign is not None:
             model = constrain_and_scale(benign, model, atk.alpha, factor)
@@ -379,7 +386,7 @@ class _Experiment:
         # is its position among the round's adversaries
         advs = [(row, c) for row, c in enumerate(roster) if c in adv_set]
         datasets = [self.shards[c] for c in roster]
-        rngs = [stream(self.seed, "train", round_index, c) for c in roster]
+        rngs = [self.client_streams["train"](round_index, c) for c in roster]
         blend = atk.kind is AttackKind.BACKDOOR \
             and atk.strategy is AttackStrategy.CONSTRAIN_AND_SCALE
         for position, (row, c) in enumerate(advs):
@@ -387,7 +394,8 @@ class _Experiment:
                 datasets[row] = self._poisoned_shard(round_index, c, position)
             if blend:
                 datasets.append(self.shards[c])
-                rngs.append(stream(self.seed, "train-benign", round_index, c))
+                rngs.append(self.client_streams["train-benign"](
+                    round_index, c))
         models = self._train(datasets, rngs)
 
         n = len(roster)

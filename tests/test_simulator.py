@@ -769,3 +769,39 @@ def test_a_round_is_a_function_of_its_global_model(case):
         assert np.array_equal(fresh.global_model,
                               models[t + 1] if t + 1 < len(models)
                               else exp.global_model)
+
+
+CHUNKED_CASES = {
+    "edge": PURITY_CASES["edge"],
+    "noise": {"attack": {"kind": "gaussian_noise", "strategy": "base",
+                         "n_adversaries": 2, "sigma": 0.5}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHUNKED_CASES))
+def test_a_run_is_the_same_over_chunks_of_client_streams(monkeypatch, case):
+    cfg = base_config(**{"fl.rounds": 6}, **CHUNKED_CASES[case])
+    whole = run_experiment(cfg)
+    # 2 rounds a chunk: the run spans 3 chunks
+    monkeypatch.setattr("fedtruth.rng.CHUNK_KEYS",
+                        2 * cfg.fl.total_clients)
+    exp = _Experiment(cfg)
+    models, reports = [], []
+    for t in range(cfg.fl.rounds):
+        models.append(exp.global_model.copy())
+        reports.append(exp.run_round(t))
+    assert [replayed_fields(r) for r in reports] \
+        == [replayed_fields(r) for r in whole]
+    order = list(range(cfg.fl.rounds)) + list(range(cfg.fl.rounds))[::-1]
+    for purpose, streams in exp.client_streams.items():
+        assert streams.chunk_rounds == 2
+        for t in order:
+            for c in range(cfg.fl.total_clients):
+                assert streams(t, c).bit_generator.state \
+                    == stream(cfg.master_seed, purpose, t,
+                              c).bit_generator.state
+    for t in reversed(range(cfg.fl.rounds)):
+        fresh = _Experiment(cfg)
+        fresh.global_model = models[t]
+        assert replayed_fields(fresh.run_round(t)) \
+            == replayed_fields(reports[t])
