@@ -1,22 +1,25 @@
-"""Datasets: synthetic blobs, IDX files, label-skew partitioning, and
-backdoor construction (trigger injection, trigger sharding, edge-case
-augmentation).
+"""Datasets: synthetic blobs, IDX files, label-skew partitioning, the
+run's shard table, and backdoor construction (trigger injection, trigger
+sharding, edge-case augmentation).
 
 A training pool is a `PoolStream`: its labels up front and its features
 one block at a time (a class block of the blobs, or a run of IDX rows).
 The partition draws on the labels alone, so a run reads the stream once,
 straight into a table of the distinct rows its clients hold, and never
-holds the whole pool. A client's shard is then `TableRows`: row ids into
-that shared table. `synth_blobs` and `load_idx` read every row of the
-same streams.
+holds the whole pool. `shard_table` builds that read-only table and
+hands each client's shard back as `TableRows`: row ids into it. This
+module is the only one that knows that format: `stack_rows` makes every
+copy of a shard's rows, for training and for poisoning alike.
+`synth_blobs` and `load_idx` read every row of the same streams.
 """
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -59,10 +62,6 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
-
-    def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.intp)
-        return Dataset(self.features[idx], self.labels[idx], self.n_classes)
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,7 @@ class PoolStream:
 
     def gather(self, rows: np.ndarray) -> Dataset:
         """The rows `rows`, in ascending order, as one table: the bits of
-        `read().subset(rows)`, without holding every row. Each block's
+        `read()`'s rows `rows`, without holding every row. Each block's
         rows are taken straight into their place in the table. The stream
         is spent after."""
         rows = np.asarray(rows, dtype=np.intp)
@@ -334,21 +333,50 @@ def partition_label_skew(labels: np.ndarray, n_classes: int,
     return shards
 
 
-def _owned_rows(ds: Union[Dataset, TableRows], extra: int = 0
-                ) -> Tuple[np.ndarray, np.ndarray]:
-    """The features and labels of `ds` in new arrays with room for `extra`
-    rows after them. Each row is copied once: the rows of a `TableRows`
-    are taken straight from its table."""
-    n = len(ds)
-    feats = np.empty((n + extra, ds.n_features))
+def shard_table(pool: PoolStream, ids: Sequence[np.ndarray]
+                ) -> List[TableRows]:
+    """The rows that each list of pool row ids in `ids` draws, as one
+    `TableRows` per list, all on one read-only table of the distinct rows
+    drawn. The table is gathered from `pool` in its one pass, and every
+    shard's row ids are a view of one read-only array. The stream is spent
+    after."""
+    drawn, where = np.unique(np.concatenate(ids), return_inverse=True)
+    table = pool.gather(drawn)
+    # shards share rows, so a write into one shard's rows raises instead
+    # of reaching the others
+    for array in (table.features, table.labels, where):
+        array.setflags(write=False)
+    ends = list(itertools.accumulate(len(rows) for rows in ids))
+    return [TableRows(table, rows) for rows in np.split(where, ends[:-1])]
+
+
+def stack_rows(datasets: Sequence[Union[Dataset, TableRows]],
+               extra: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+    """New float64 features and int64 labels holding the rows of the
+    (non-empty) `datasets` in order, then `extra` unfilled rows. The rows
+    of every `TableRows` on the first one's table come from one take on
+    it; any other dataset (a poisoned shard among clean ones, say) is
+    then copied into its place."""
+    table = next((ds.table for ds in datasets
+                  if isinstance(ds, TableRows)), None)
+    ids, own, n = [], [], 0  # own: (first row, dataset) off the table
+    for ds in datasets:
+        if isinstance(ds, TableRows) and ds.table is table:
+            ids.append(ds.rows)
+        else:
+            ids.append(np.zeros(len(ds), dtype=np.intp))
+            own.append((n, ds))
+        n += len(ds)
+    feats = np.empty((n + extra, datasets[0].n_features))
     labels = np.empty(n + extra, dtype=np.int64)
-    if isinstance(ds, TableRows):
+    if table is not None:
+        ids = np.concatenate(ids)
         # mode="raise" would buffer `out` through a temporary of the rows
-        ds.table.features.take(ds.rows, axis=0, out=feats[:n], mode="clip")
-        ds.table.labels.take(ds.rows, out=labels[:n], mode="clip")
-    else:
-        feats[:n] = ds.features
-        labels[:n] = ds.labels
+        table.features.take(ids, axis=0, out=feats[:n], mode="clip")
+        table.labels.take(ids, out=labels[:n], mode="clip")
+    for lo, ds in own:
+        feats[lo:lo + len(ds)] = ds.features
+        labels[lo:lo + len(ds)] = ds.labels
     return feats, labels
 
 
@@ -367,7 +395,7 @@ def apply_trigger(ds: Union[Dataset, TableRows], trig: TriggerSpec,
     if not 0 <= trig.target_label < ds.n_classes:
         raise ValueError("target label outside class range")
     n_poison = int(round(fraction * len(ds)))
-    feats, labels = _owned_rows(ds)
+    feats, labels = stack_rows([ds])
     if n_poison == 0:
         return Dataset(feats, labels, ds.n_classes), np.empty(0, dtype=np.intp)
     chosen = np.sort(rng.choice(len(ds), size=n_poison, replace=False))
@@ -387,9 +415,9 @@ def backdoor_eval_set(ds: Dataset, trig: TriggerSpec) -> Dataset:
     keep = np.flatnonzero(ds.labels != trig.target_label)
     if keep.size == 0:
         raise ValueError("no rows with label != target_label")
-    feats = ds.features[keep].copy()
+    feats = ds.features[keep]
     feats[:, list(trig.feature_indices)] = trig.trigger_value
-    return Dataset(feats, ds.labels[keep].copy(), ds.n_classes)
+    return Dataset(feats, ds.labels[keep], ds.n_classes)
 
 
 class BackdoorFlavor(Enum):  # how an adversary poisons its shard
@@ -417,24 +445,14 @@ def dba_shards(trig: TriggerSpec, n_adversaries: int) -> List[TriggerSpec]:
             for part in parts]
 
 
-def edge_label_mask(edge_ds: Dataset, n_classes: int) -> np.ndarray:
-    """Boolean mask over the class ids below max(n_classes, the pool's):
-    True for each label the edge pool holds."""
-    mask = np.zeros(max(n_classes, edge_ds.n_classes), dtype=bool)
-    mask[edge_ds.labels] = True
-    return mask
-
-
 def edge_case_augment(client_ds: Union[Dataset, TableRows], edge_ds: Dataset,
                       ratio: float, rng: np.random.Generator,
-                      pool_labels: np.ndarray) -> Union[Dataset, TableRows]:
+                      target_label: int) -> Union[Dataset, TableRows]:
     """Append edge-case rows sized relative to the matching benign rows.
 
-    Counts the client's rows whose label appears in the edge pool and
-    appends floor(ratio * count) edge rows, drawn without replacement when
-    the pool is large enough. `pool_labels` is the pool's
-    `edge_label_mask` over at least the client's classes, built once per
-    pool by the caller.
+    Every row of `edge_ds` is labelled `target_label`. Counts the client's
+    rows of that label and appends floor(ratio * count) edge rows, drawn
+    without replacement when the pool is large enough.
     """
     if ratio < 0:
         raise ValueError("ratio must be >= 0")
@@ -442,13 +460,13 @@ def edge_case_augment(client_ds: Union[Dataset, TableRows], edge_ds: Dataset,
         return client_ds
     if len(edge_ds) == 0:
         raise ValueError("edge pool is empty")
-    matches = int(np.count_nonzero(pool_labels[client_ds.labels]))
+    matches = int(np.count_nonzero(client_ds.labels == target_label))
     n_extra = int(ratio * matches)
     if n_extra == 0:
         return client_ds
     chosen = rng.choice(len(edge_ds), size=n_extra,
                         replace=len(edge_ds) < n_extra)
-    feats, labels = _owned_rows(client_ds, n_extra)
+    feats, labels = stack_rows([client_ds], n_extra)
     n = len(client_ds)
     edge_ds.features.take(chosen, axis=0, out=feats[n:], mode="clip")
     edge_ds.labels.take(chosen, out=labels[n:], mode="clip")

@@ -17,8 +17,9 @@ Two derivations build that generator, and they give the same one:
 - `ClientStreams` serves the per-client streams of a round (`train`,
   `train-benign`, `poison`, `noise`). On first use it hashes the keys of
   every client for a chunk of whole rounds at once: `state_words` is a
-  vectorised copy of SeedSequence's `mix_entropy` followed by
-  `generate_state(4, np.uint64)`, on uint32 arrays. Each generator is then
+  vectorised copy of SeedSequence's `mix_entropy` on the 4-word (seed,
+  purpose, round, client) keys, followed by `generate_state(4,
+  np.uint64)`, on uint32 arrays. Each generator is then
   `PCG64(StateWords(words))`, so PCG64 takes its four words without
   hashing again.
 
@@ -39,19 +40,16 @@ from __future__ import annotations
 
 import functools
 import zlib
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 _WORD = 0xFFFFFFFF
 
-# SeedSequence's constants: its pool size, the hash multipliers of
-# `mix_entropy` (A) and `generate_state` (B), the mix multipliers and the
-# xor shift
+# SeedSequence's constants: its pool size, which is also the length of a
+# (seed, purpose, round, client) key, the mix multipliers and the xor shift
 _POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _SHIFT = np.uint32(16)
 
@@ -77,7 +75,6 @@ def stream(master_seed: int, purpose: str, *indices: int) -> np.random.Generator
         np.random.SeedSequence(np.array(key, dtype=np.uint32))))
 
 
-@functools.lru_cache(maxsize=None)
 def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
     """(2, calls, 1) uint32: the constant each of `calls` successive
     hashmix calls xors its value with, and the one it multiplies by. They
@@ -89,6 +86,12 @@ def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
     out = np.array(consts, dtype=np.uint32).T[:, :, None].copy()
     out.setflags(write=False)
     return out
+
+
+# the hashmix constants of `mix_entropy` on a 4-word key (A) and of
+# `generate_state(4, np.uint64)` (B)
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, _POOL * _POOL)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL)
 
 
 def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
@@ -106,33 +109,23 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _mix_entropy(keys: np.ndarray) -> np.ndarray:
-    """SeedSequence.mix_entropy of each column of the (L, n) uint32 keys:
+    """SeedSequence.mix_entropy of each column of the (4, n) uint32 keys:
     the (4, n) pools."""
-    n_words = len(keys)
-    extra = max(0, n_words - _POOL)
-    consts = _hash_constants(_INIT_A, _MULT_A,
-                             _POOL * _POOL + _POOL * extra)
-    head = np.zeros((_POOL, keys.shape[1]), dtype=np.uint32)
-    head[:n_words] = keys[:_POOL]
-    pool = _hashmix(head, consts[:, :_POOL])
+    pool = _hashmix(keys, _HASH_A[:, :_POOL])
     at = _POOL
     for src in range(_POOL):
         # mixer[src] is not written while it is mixed into the others
         dst = [d for d in range(_POOL) if d != src]
-        hashed = _hashmix(pool[src], consts[:, at:at + _POOL - 1])
+        hashed = _hashmix(pool[src], _HASH_A[:, at:at + _POOL - 1])
         pool[dst] = _mix(pool[dst], hashed)
         at += _POOL - 1
-    for src in range(_POOL, n_words):
-        pool = _mix(pool, _hashmix(keys[src], consts[:, at:at + _POOL]))
-        at += _POOL
     return pool
 
 
 def _generate_state(pools: np.ndarray) -> np.ndarray:
     """SeedSequence.generate_state(4, np.uint64) of each column of the
     (4, n) pools, as an (n, 4) uint64 array."""
-    consts = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
-    state = _hashmix(pools[[0, 1, 2, 3, 0, 1, 2, 3]], consts)
+    state = _hashmix(pools[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B)
     # numpy views the eight uint32 words as four little-endian uint64s
     words = state[1::2].T.astype(np.uint64, order="C")
     words <<= np.uint64(32)
@@ -140,22 +133,23 @@ def _generate_state(pools: np.ndarray) -> np.ndarray:
     return words
 
 
-def state_words(master_seed: int, purpose: str, *indices) -> np.ndarray:
+def state_words(master_seed: int, purpose: str, rounds: Sequence[int],
+                clients: Sequence[int]) -> np.ndarray:
     """The four uint64 words that PCG64 takes from the SeedSequence of
-    `stream(master_seed, purpose, *index)`, for every index tuple of the
-    broadcast `indices` (ints or integer arrays): an array of shape
-    (*broadcast shape, 4) whose rows are C-contiguous."""
+    `stream(master_seed, purpose, t, c)`, for every round t of `rounds`
+    and client c of `clients`: an array of shape (len(rounds),
+    len(clients), 4) whose rows are C-contiguous."""
     # np.asarray of an int past int64 is an object array; masking makes
     # every index a value below 2**32
-    masked = [np.asarray(np.asarray(i) & _WORD) for i in indices]
-    shape = np.broadcast_shapes(*(m.shape for m in masked))
-    keys = np.empty((2 + len(masked),) + shape, dtype=np.uint32)
+    rounds = np.asarray(rounds) & _WORD
+    clients = np.asarray(clients) & _WORD
+    keys = np.empty((_POOL, len(rounds), len(clients)), dtype=np.uint32)
     keys[0] = int(master_seed) & _WORD
     keys[1] = _purpose_crc(purpose)
-    for row, index in enumerate(masked, start=2):
-        keys[row] = index
-    pools = _mix_entropy(keys.reshape(len(keys), -1))
-    return _generate_state(pools).reshape(shape + (4,))
+    keys[2] = rounds[:, None]
+    keys[3] = clients
+    pools = _mix_entropy(keys.reshape(_POOL, -1))
+    return _generate_state(pools).reshape(len(rounds), len(clients), 4)
 
 
 class StateWords(ISeedSequence):
@@ -196,10 +190,10 @@ class ClientStreams:
         offset = round_index % self.chunk_rounds
         first = round_index - offset
         if first != self._first:
-            rounds = np.arange(first, first + self.chunk_rounds)
-            self._words = state_words(self.master_seed, self.purpose,
-                                      rounds[:, None],
-                                      np.arange(self.n_clients))
+            self._words = state_words(
+                self.master_seed, self.purpose,
+                np.arange(first, first + self.chunk_rounds),
+                np.arange(self.n_clients))
             self._words.setflags(write=False)
             self._first = first
         return np.random.Generator(np.random.PCG64(

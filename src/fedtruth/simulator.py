@@ -1,18 +1,19 @@
 """End-to-end federated round orchestration.
 
 Setup draws the client shards (and FLTrust's root set) on the training
-pool's labels, then reads the pool's feature blocks once into one
-read-only table of the distinct rows drawn; every shard is row ids into
-it, so a pool row that several clients drew is held once, and the pool
-itself is never held. Each round (`run_round`): select a roster,
-designate adversaries, train locally, apply the configured attack
-transform to adversarial contributions, aggregate, apply the global
-update, and evaluate. Every stochastic site draws from a stream derived
-from (master_seed, purpose, round, client), so runs are reproducible
-bit-for-bit regardless of execution order; wall-clock timings are the
-only nondeterministic report fields. The per-client streams come from one
-`ClientStreams` per purpose, which derives them a chunk of rounds at a
-time inside the first round that asks (see rng.py).
+pool's labels, then hands the draws to `data.shard_table`, which reads
+the pool's feature blocks once into one read-only table of the distinct
+rows drawn; every shard is row ids into it, so a pool row that several
+clients drew is held once, and the pool itself is never held. Each
+round (`run_round`): select a roster, designate adversaries, train
+locally, apply the configured attack transform to adversarial
+contributions, aggregate, apply the global update, and evaluate. Every
+stochastic site draws from a stream derived from (master_seed, purpose,
+round, client), so runs are reproducible bit-for-bit regardless of
+execution order; wall-clock timings are the only nondeterministic report
+fields. The per-client streams come from one `ClientStreams` per
+purpose, which derives them a chunk of rounds at a time inside the first
+round that asks (see rng.py).
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from .attacks import (AttackKind, AttackStrategy, boost_update,
                       constrain_and_scale, gaussian_noise, pgd_project)
 from .data import (BackdoorFlavor, DataSource, Dataset, PoolStream,
                    TableRows, TriggerSpec, apply_trigger, backdoor_eval_set,
-                   blob_stream, dba_shards, edge_case_augment,
-                   edge_label_mask, idx_stream, load_idx,
-                   partition_label_skew, synth_blobs, PartitionPlan)
+                   blob_stream, dba_shards, edge_case_augment, idx_stream,
+                   load_idx, partition_label_skew, shard_table, synth_blobs,
+                   PartitionPlan)
 from .rng import ClientStreams, stream
 from .training import (ModelSpec, extract_update, init_model, predict,
                        train_roster)
@@ -233,12 +234,10 @@ class _Experiment:
 
         # the poisoning inputs, built once per run: the trigger each
         # adversary applies, by its position among the round's adversaries
-        # (a DBA shard, else the whole trigger), or the edge-case pool and
-        # its label mask
+        # (a DBA shard, else the whole trigger), or the edge-case pool
         self.adversary_triggers: List[TriggerSpec] = []
         self.backdoor_test: Optional[Dataset] = None
         self.edge_pool: Optional[Dataset] = None
-        self.edge_labels: Optional[np.ndarray] = None
         atk = self.cfg.attack
         bd = atk.backdoor
         if atk.kind is AttackKind.BACKDOOR:
@@ -254,8 +253,6 @@ class _Experiment:
                                                          atk.n_adversaries)
             else:  # edge: a shifted pool, relabelled to the target
                 self.edge_pool, self.backdoor_test = self._edge_sets()
-                self.edge_labels = edge_label_mask(self.edge_pool,
-                                                   pool.n_classes)
         return pool
 
     def _edge_sets(self) -> Tuple[Dataset, Dataset]:
@@ -275,10 +272,8 @@ class _Experiment:
         return pool, eval_set
 
     def _partition(self, pool: PoolStream) -> None:
-        """Draw the shards and fltrust's root set on the pool's labels,
-        then read the pool once into one read-only table of the distinct
-        rows they drew: each shard, and the root set, is row ids into
-        it."""
+        """Draw the shards and fltrust's root set on the pool's labels;
+        `shard_table` reads the pool once into the rows they drew."""
         rows, root = None, []
         if self.cfg.aggregator.kind == "fltrust":
             n_root = max(1, int(self.cfg.fltrust_root_fraction * len(pool)))
@@ -298,19 +293,9 @@ class _Experiment:
                              self.cfg.dataset.samples_per_client)
         ids = partition_label_skew(pool.labels, pool.n_classes, plan,
                                    stream(self.seed, "partition"), rows)
-        drawn, where = np.unique(np.concatenate(ids + root),
-                                 return_inverse=True)
-        table = pool.gather(drawn)
-        # clients share rows, so a write into one shard's rows raises
-        # instead of reaching the others
-        for array in (table.features, table.labels, where):
-            array.setflags(write=False)
-        m = plan.samples_per_client
-        end = plan.n_clients * m
-        self.shards = [TableRows(table, where[lo:lo + m])
-                       for lo in range(0, end, m)]
-        self.root_ds: Optional[TableRows] = TableRows(
-            table, where[end:]) if root else None
+        self.shards = shard_table(pool, ids + root)
+        self.root_ds: Optional[TableRows] = (self.shards.pop() if root
+                                             else None)
 
     # -- per-round pieces ------------------------------------------------
 
@@ -320,7 +305,7 @@ class _Experiment:
         rng = self.client_streams["poison"](round_index, client)
         if bd.flavor is BackdoorFlavor.EDGE:
             return edge_case_augment(self.shards[client], self.edge_pool,
-                                     bd.edge_ratio, rng, self.edge_labels)
+                                     bd.edge_ratio, rng, bd.target_label)
         poisoned, _ = apply_trigger(self.shards[client],
                                     self.adversary_triggers[adv_position],
                                     bd.poison_fraction, rng)

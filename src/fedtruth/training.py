@@ -35,14 +35,14 @@ differently.
 A client's shuffles for all its epochs come from one `Generator.permuted`
 call on an (epochs, n) table of 0..n-1, written into its column of one
 (epochs, K, n) order table: the same orders, and the same generator
-state after, as one `permutation(n)` per epoch. The K clients'
-rows are stacked into one array (one `take` on the run table for the
-clients that are `TableRows` of it), a batch is gathered from it with
-`np.take`, and the gradient subtracts one-hot labels from the softmax,
-which only changes the true class (p - 0.0 is p). The softmax takes its class-axis
-max as elementwise maxima and, below 8 classes, its class-axis sum as a
-chain of adds: the values of the numpy reductions, whose sum is a plain
-left-to-right loop below 8 terms and pairwise from 8 on.
+state after, as one `permutation(n)` per epoch. The K clients' rows are
+stacked into one array by `data.stack_rows`, a batch is gathered from it
+with `np.take`, and the gradient subtracts one-hot labels from the
+softmax, which only changes the true class (p - 0.0 is p). The softmax
+takes its class-axis max as elementwise maxima and, below 8 classes, its
+class-axis sum as a chain of adds: the values of the numpy reductions,
+whose sum is a plain left-to-right loop below 8 terms and pairwise from
+8 on.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .data import Dataset, TableRows
+from .data import Dataset, TableRows, stack_rows
 
 
 class ModelKind(Enum):
@@ -211,30 +211,6 @@ def _roster_gradients(spec: ModelSpec, layers: Sequence[np.ndarray],
     np.add.reduce(dz1, axis=1, out=d_b1)
 
 
-def _stacked_rows(datasets: Sequence[Union[Dataset, TableRows]]
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """The datasets' features and labels, stacked in order. The rows of
-    every `TableRows` on the first one's table come with one take on it;
-    any other dataset (a poisoned shard among clean ones, say) is then
-    written over its place."""
-    table = next((ds.table for ds in datasets
-                  if isinstance(ds, TableRows)), None)
-    if table is None:
-        return (np.concatenate([ds.features for ds in datasets]),
-                np.concatenate([ds.labels for ds in datasets]))
-    n = len(datasets[0])
-    on_table = [isinstance(ds, TableRows) and ds.table is table
-                for ds in datasets]
-    ids = np.concatenate([ds.rows if here else np.zeros(n, dtype=np.intp)
-                          for ds, here in zip(datasets, on_table)])
-    feats, labels = table.features.take(ids, axis=0), table.labels.take(ids)
-    for k, (ds, here) in enumerate(zip(datasets, on_table)):
-        if not here:
-            feats[k * n:(k + 1) * n] = ds.features
-            labels[k * n:(k + 1) * n] = ds.labels
-    return feats, labels
-
-
 def train_roster(params: np.ndarray,
                  datasets: Sequence[Union[Dataset, TableRows]],
                  spec: ModelSpec, cfg: TrainConfig,
@@ -254,7 +230,7 @@ def train_roster(params: np.ndarray,
     if any(len(ds) != n for ds in datasets):
         raise ValueError("a roster block needs equal-size datasets")
     K = len(datasets)
-    feats, labels = _stacked_rows(datasets)
+    feats, labels = stack_rows(datasets)
     onehot = np.eye(spec.n_classes).take(labels, axis=0)
     # orders[e, k]: client k's shuffle in epoch e, as rows of feats; one
     # permuted() call per client draws all epochs' shuffles at once

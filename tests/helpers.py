@@ -6,9 +6,10 @@
   reference that the batched form must equal bit for bit;
 - `save_idx`: an IDX file writer, the inverse of `data.load_idx`, for
   fixtures;
+- `subset`: some rows of a Dataset, copied out;
 - `partition_reference` and `run_data_reference`: a run's shards and
   FLTrust root set gathered as they were before the training pool was
-  streamed, out of the whole pool with `Dataset.subset`.
+  streamed, out of the whole pool with `subset`.
 """
 
 import struct
@@ -100,6 +101,12 @@ def save_idx(ds: Dataset, images_path, labels_path,
         fh.write(ds.labels.astype(np.uint8).tobytes())
 
 
+def subset(ds: Dataset, rows) -> Dataset:
+    """The rows `rows` of `ds`, in order, as a new Dataset."""
+    idx = np.asarray(rows, dtype=np.intp)
+    return Dataset(ds.features[idx], ds.labels[idx], ds.n_classes)
+
+
 def partition_reference(ds: Dataset, plan: PartitionPlan,
                         rng: np.random.Generator,
                         rows: Optional[np.ndarray] = None) -> List[Dataset]:
@@ -123,7 +130,7 @@ def partition_reference(ds: Dataset, plan: PartitionPlan,
                 counts[c] = counts.get(c, 0) + 1
         drawn = [rng.choice(pools[c], size=k, replace=pools[c].size < k)
                  for c, k in counts.items() if k]
-        shards.append(ds.subset(np.concatenate(drawn)))
+        shards.append(subset(ds, np.concatenate(drawn)))
     return shards
 
 
@@ -145,7 +152,7 @@ def run_data_reference(cfg) -> Tuple[List[Dataset], Optional[Dataset]]:
                                                replace=False)
         mask = np.ones(len(pool), dtype=bool)
         mask[root_idx] = False
-        root, rows = pool.subset(root_idx), np.flatnonzero(mask)
+        root, rows = subset(pool, root_idx), np.flatnonzero(mask)
     plan = PartitionPlan(cfg.fl.total_clients, ds_cfg.noniid_bias,
                          ds_cfg.samples_per_client)
     return partition_reference(pool, plan, stream(seed, "partition"),

@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 from fedtruth.data import (Dataset, PartitionPlan, TableRows, TriggerSpec,
                            apply_trigger, backdoor_eval_set, blob_stream,
-                           dba_shards, edge_case_augment, edge_label_mask,
-                           idx_stream, load_idx, partition_label_skew,
-                           synth_blobs)
+                           dba_shards, edge_case_augment, idx_stream,
+                           load_idx, partition_label_skew, shard_table,
+                           stack_rows, synth_blobs)
 from fedtruth.rng import stream
 
-from helpers import save_idx
+from helpers import save_idx, subset
 
 
 def test_dataset_validation():
@@ -151,7 +151,7 @@ def test_blob_stream_gathers_the_rows_of_synth_blobs(n_samples, n_features,
                                               size=2 * n_samples))
     got = blob_stream(n_samples, n_features, n_classes, 0.3,
                       stream(2, "blobs")).gather(rows)
-    assert_same_rows(got, whole.subset(rows))
+    assert_same_rows(got, subset(whole, rows))
 
 
 def test_gather_refuses_rows_out_of_order():
@@ -181,14 +181,70 @@ def test_idx_stream_gathers_the_rows_of_load_idx(tmp_path):
     save_idx(ds, img, lab, rows=15, cols=20)
     assert_same_rows(load_idx(img, lab), ds)
     rows = np.sort(rng.integers(0, 700, size=1500))
-    assert_same_rows(idx_stream(img, lab).gather(rows), ds.subset(rows))
+    assert_same_rows(idx_stream(img, lab).gather(rows), subset(ds, rows))
+
+
+# -- the shard table and its copies ------------------------------------------
+
+def test_shard_table_holds_each_drawn_row_once_behind_read_only_views():
+    # two shards that draw repeats, and rows the other drew, and a root
+    # list of another length
+    whole = synth_blobs(50, 4, 2, 0.3, stream(2, "blobs"))
+    rng = stream(3, "ids")
+    ids = [rng.integers(0, 50, size=30), rng.integers(0, 50, size=30),
+           rng.choice(50, size=7, replace=False)]
+    shards = shard_table(blob_stream(50, 4, 2, 0.3, stream(2, "blobs")),
+                         ids)
+    table = shards[0].table
+    assert_same_rows(table, subset(whole, np.unique(np.concatenate(ids))))
+    for shard, rows in zip(shards, ids, strict=True):
+        assert shard.table is table
+        assert_same_rows(shard, subset(whole, rows))
+    # the row ids are views of one array, not copies of it
+    assert len({id(shard.rows.base) for shard in shards}) == 1
+    assert shards[0].rows.base is not None
+    for array in [table.features, table.labels] + [s.rows for s in shards]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def stacking_cases():
+    a = synth_blobs(40, 4, 3, 0.3, stream(4, "a"))
+    b = synth_blobs(30, 4, 3, 0.3, stream(5, "b"))
+    own = synth_blobs(12, 4, 3, 0.3, stream(6, "own"))
+    rng = stream(7, "rows")
+    on_a = [TableRows(a, rng.integers(0, 40, size=n)) for n in (9, 5)]
+    on_b = TableRows(b, rng.integers(0, 30, size=7))
+    return {"one Dataset": [own],
+            "Datasets": [own, a],
+            "one TableRows": [on_a[0]],
+            "two tables and a Dataset": [on_a[0], own, on_b, on_a[1]],
+            "another table first": [on_b, on_a[1], own, on_a[0]]}
+
+
+@pytest.mark.parametrize("extra", [0, 3])
+@pytest.mark.parametrize("case", sorted(stacking_cases()))
+def test_stack_rows_copies_the_rows_in_order(case, extra):
+    datasets = stacking_cases()[case]
+    feats, labels = stack_rows(datasets, extra)
+    n = sum(len(ds) for ds in datasets)
+    assert feats.shape == (n + extra, 4) and feats.dtype == np.float64
+    assert labels.shape == (n + extra,) and labels.dtype == np.int64
+    want = np.concatenate([ds.features for ds in datasets])
+    assert feats[:n].tobytes() == want.tobytes()
+    assert np.array_equal(labels[:n],
+                          np.concatenate([ds.labels for ds in datasets]))
+    for ds in datasets:
+        source = ds.table if isinstance(ds, TableRows) else ds
+        assert not np.shares_memory(feats, source.features)
+        assert not np.shares_memory(labels, source.labels)
 
 
 # -- partitioning ----------------------------------------------------------------
 
 def partition(ds, plan, rng, rows=None):
     """The shards that partition_label_skew's row ids pick out of `ds`."""
-    return [ds.subset(ids) for ids in
+    return [subset(ds, ids) for ids in
             partition_label_skew(ds.labels, ds.n_classes, plan, rng, rows)]
 
 
@@ -267,7 +323,7 @@ def test_partition_of_kept_rows_matches_partition_of_their_copy():
     rows = np.flatnonzero(np.random.default_rng(11).random(len(ds)) < 0.7)
     plan = PartitionPlan(n_clients=6, bias=0.8, samples_per_client=120)
     got = partition(ds, plan, stream(12, "part"), rows)
-    want = partition(ds.subset(rows), plan, stream(12, "part"))
+    want = partition(subset(ds, rows), plan, stream(12, "part"))
     for a, b in zip(got, want, strict=True):
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
@@ -322,9 +378,15 @@ def test_trigger_validation():
 
 def test_backdoor_eval_set_excludes_target_label():
     ds = make_pool(200)
+    before = ds.features.copy(), ds.labels.copy()
     eval_ds = backdoor_eval_set(ds, trigger())
     assert np.all(eval_ds.labels != 0)
     assert np.all(eval_ds.features[:, :4] == 1.0)
+    # the trigger is written into a copy of the kept rows
+    assert np.array_equal(ds.features, before[0])
+    assert np.array_equal(ds.labels, before[1])
+    assert not np.shares_memory(eval_ds.features, ds.features)
+    assert not np.shares_memory(eval_ds.labels, ds.labels)
 
 
 # -- DBA shards -----------------------------------------------------------------
@@ -370,8 +432,7 @@ def edge_pool(n=40):
 
 
 def augment(client, pool, ratio, rng):
-    return edge_case_augment(client, pool, ratio, rng,
-                             edge_label_mask(pool, client.n_classes))
+    return edge_case_augment(client, pool, ratio, rng, 2)
 
 
 def test_edge_augment_ratio_zero_identity():
@@ -416,7 +477,7 @@ def test_poisoning_copies_and_leaves_its_input_unmutated(poison):
     assert not np.shares_memory(out.labels, ds.labels)
     rows = np.random.default_rng(27).integers(0, len(ds), 40)
     from_table = POISONINGS[poison](TableRows(ds, rows))
-    from_copy = POISONINGS[poison](ds.subset(rows))
+    from_copy = POISONINGS[poison](subset(ds, rows))
     assert from_table.features.tobytes() == from_copy.features.tobytes()
     assert from_table.labels.tobytes() == from_copy.labels.tobytes()
     assert from_table.n_classes == from_copy.n_classes

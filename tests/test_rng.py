@@ -21,37 +21,45 @@ def from_words(words):
     return np.random.Generator(np.random.PCG64(StateWords(words)))
 
 
+def seed_sequence_state(seed, purpose, indices):
+    key = [seed & M, zlib.crc32(purpose.encode("utf-8"))]
+    key += [int(i) & M for i in indices]
+    return np.random.default_rng(
+        np.random.SeedSequence(key)).bit_generator.state
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=st.one_of(EDGES, st.integers(-2 ** 70, 2 ** 70)),
        purpose=st.text(max_size=12),
-       indices=st.lists(INDEX, max_size=3))
+       indices=st.lists(INDEX, max_size=3), t=INDEX, c=INDEX)
 def test_stream_state_pinned_to_seed_sequence_of_key_words(seed, purpose,
-                                                           indices):
+                                                           indices, t, c):
     # 0-3 indices make keys of 2-5 words; 5 words take SeedSequence's
-    # branch for more entropy than its pool of 4
-    key = [seed & M, zlib.crc32(purpose.encode("utf-8"))]
-    key += [int(i) & M for i in indices]
-    want = np.random.default_rng(np.random.SeedSequence(key))
+    # branch for more entropy than its pool of 4. state_words serves
+    # only the 4-word (round, client) keys
     assert stream(seed, purpose, *indices).bit_generator.state == \
-        want.bit_generator.state
-    words = state_words(seed, purpose, *indices)
-    assert from_words(words).bit_generator.state == want.bit_generator.state
+        seed_sequence_state(seed, purpose, indices)
+    words = state_words(seed, purpose, [t], [c])
+    assert words.shape == (1, 1, 4)
+    assert from_words(words[0, 0]).bit_generator.state == \
+        seed_sequence_state(seed, purpose, [t, c])
 
 
 def test_batched_words_are_the_scalar_words_of_each_index():
     rounds = np.array([0, 1, 2 ** 31, M, -1])
     clients = np.array([0, 5, M])
-    words = state_words(9, "train", rounds[:, None], clients)
+    words = state_words(9, "train", rounds, clients)
     assert words.shape == (5, 3, 4)
     for i, t in enumerate(rounds):
         for j, c in enumerate(clients):
-            assert np.array_equal(words[i, j], state_words(9, "train", t, c))
+            assert np.array_equal(words[i, j],
+                                  state_words(9, "train", [t], [c])[0, 0])
             assert from_words(words[i, j]).bit_generator.state == \
                 stream(9, "train", t, c).bit_generator.state
 
 
 def test_state_words_serves_only_pcg64s_request():
-    words = state_words(1, "train", 2, 3)
+    words = state_words(1, "train", [2], [3])[0, 0]
     served = StateWords(words).generate_state(4, np.uint64)
     # PCG64 reads the array's raw memory
     assert served.dtype == np.uint64 and served.shape == (4,)

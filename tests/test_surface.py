@@ -13,10 +13,17 @@ def parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def test_every_public_definition_is_read_inside_the_package():
-    # names read anywhere in the package's modules, by name; the
-    # __init__ re-exports are not readers
-    defined, read = {}, set()
+# members that code outside the package calls on a package object: numpy's
+# PCG64 asks its seed sequence for generate_state
+CALLED_FROM_OUTSIDE = {"StateWords.generate_state"}
+
+
+def package_names():
+    """The public top-level definitions (name -> module), the public
+    methods and properties of their classes ("Class.member" -> member),
+    and every name read anywhere in the package's modules, by name or as
+    an attribute; the __init__ re-exports are not readers."""
+    defined, members, read = {}, {}, set()
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
             continue
@@ -25,13 +32,30 @@ def test_every_public_definition_is_read_inside_the_package():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
                     and not node.name.startswith("_"):
                 defined[node.name] = path.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) \
+                            and not item.name.startswith("_"):
+                        members[f"{node.name}.{item.name}"] = item.name
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return defined, members, read
+
+
+def test_every_public_definition_is_read_inside_the_package():
+    defined, _, read = package_names()
     unread = sorted(f"{module}: {name}" for name, module in defined.items()
                     if name not in read)
+    assert unread == []
+
+
+def test_every_public_member_is_read_inside_the_package():
+    _, members, read = package_names()
+    unread = sorted(member for member, name in members.items()
+                    if name not in read and member not in CALLED_FROM_OUTSIDE)
     assert unread == []
 
 

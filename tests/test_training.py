@@ -13,6 +13,8 @@ from fedtruth.training import (ModelKind, ModelSpec, TrainConfig,
                                train_roster, _roster_gradients, _softmax,
                                _stacked_forward, _unpack)
 
+from helpers import subset
+
 LOGREG = ModelSpec(ModelKind.LOGREG, n_features=6, n_classes=3)
 MLP = ModelSpec(ModelKind.MLP, n_features=6, n_classes=3, hidden_units=5)
 
@@ -237,7 +239,7 @@ def test_rows_of_a_table_train_as_their_own_datasets():
     cfg = TrainConfig(local_epochs=2, batch_size=16, learning_rate=0.3)
     params = init_model(MLP, 0)
     for datasets in cases:
-        copies = [ds if isinstance(ds, Dataset) else table.subset(ds.rows)
+        copies = [ds if isinstance(ds, Dataset) else subset(table, ds.rows)
                   for ds in datasets]
         rngs = [stream(7, "t", k) for k in range(len(datasets))]
         want = train_roster(params, copies, MLP, cfg, rngs)
