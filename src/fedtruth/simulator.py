@@ -1,11 +1,13 @@
 """End-to-end federated round orchestration.
 
-Setup draws the client shards (and FLTrust's root set) on the training
-pool's labels, then hands the draws to `data.shard_table`, which reads
-the pool's feature blocks once into one read-only table of the distinct
-rows drawn; every shard is row ids into it, so a pool row that several
-clients drew is held once, and the pool itself is never held. Each
-round (`run_round`): select a roster, designate adversaries, train
+Setup is one read-only `RunData`, built by `build_run_data` from the
+config alone. It draws the client shards (and FLTrust's root set) on the
+training pool's labels, and `data.shard_table` reads the pool's feature
+blocks once into one table of the distinct rows drawn, so a pool row
+that several clients drew is held once and the pool itself never is.
+Setup calls the data and rng names through this module, where a tracer
+can rebind them. A round (`run_round`) reads only the config, the setup
+and the global model: select a roster, designate adversaries, train
 locally, apply the configured attack transform to adversarial
 contributions, aggregate, apply the global update, and evaluate. Every
 stochastic site draws from a stream derived from (master_seed, purpose,
@@ -29,8 +31,8 @@ import numpy as np
 from . import aggregators as agg
 from .attacks import (AttackKind, AttackStrategy, boost_update,
                       constrain_and_scale, gaussian_noise, pgd_project)
-from .data import (BackdoorFlavor, DataSource, Dataset, PoolStream,
-                   TableRows, TriggerSpec, apply_trigger, backdoor_eval_set,
+from .data import (BackdoorFlavor, DataSource, Dataset, TableRows,
+                   TriggerSpec, apply_trigger, backdoor_eval_set,
                    blob_stream, dba_shards, edge_case_augment, idx_stream,
                    load_idx, partition_label_skew, shard_table, synth_blobs,
                    PartitionPlan)
@@ -180,122 +182,145 @@ AGGREGATORS: Dict[str, Callable[
 }
 
 
+@dataclass(frozen=True)
+class RunData:
+    """A run's setup: everything its rounds read besides the config and
+    the global model. `__post_init__` makes every array in it read-only
+    in place, so no round can change what a later one sees."""
+
+    test_set: Dataset
+    shards: Tuple[TableRows, ...]  # by client id
+    root_set: Optional[TableRows]  # fltrust's, else None
+    backdoor_test: Optional[Dataset]
+    edge_pool: Optional[Dataset]
+    # the trigger each adversary applies, by its position among the
+    # round's adversaries: a DBA shard, else the whole trigger
+    triggers: Tuple[TriggerSpec, ...]
+    model_spec: ModelSpec
+    layer_sizes: Tuple[int, ...]  # consecutive layer lengths of a model
+    initial_model: np.ndarray
+
+    def __post_init__(self):
+        # the shard table and its row ids are read-only already
+        for ds in (self.test_set, self.backdoor_test, self.edge_pool):
+            if ds is not None:
+                ds.features.setflags(write=False)
+                ds.labels.setflags(write=False)
+        self.initial_model.setflags(write=False)
+
+
+def build_run_data(cfg: ExperimentConfig) -> RunData:
+    """The setup of a run of the validated `cfg`, a function of it alone.
+
+    Builds the test set and the poisoning inputs, then draws the client
+    shards and fltrust's root set on the training pool's labels;
+    `shard_table` reads the pool once into the rows they drew. Refuses
+    what `validate()` cannot see of IDX files.
+    """
+    seed, ds_cfg, atk = cfg.master_seed, cfg.dataset, cfg.attack
+    bd = atk.backdoor
+    backdoor = atk.kind is AttackKind.BACKDOOR
+    if ds_cfg.source is DataSource.SYNTH:
+        s = ds_cfg.synth
+        pool = blob_stream(s.n_train, s.n_features, s.n_classes, s.spread,
+                           stream(seed, "data-train"))
+        test_set = synth_blobs(s.n_test, s.n_features, s.n_classes,
+                               s.spread, stream(seed, "data-test"))
+    else:
+        idx = ds_cfg.idx
+        pool = idx_stream(idx.train_images, idx.train_labels)
+        test_set = load_idx(idx.test_images, idx.test_labels)
+        if test_set.n_features != pool.n_features:
+            raise ValueError(
+                f"dataset.idx.test_images: {idx.test_images} holds images "
+                f"of {test_set.n_features} features, the training images "
+                f"of {pool.n_features}")
+        if len(test_set) == 0:
+            raise ValueError(f"dataset.idx.test_images: "
+                             f"{idx.test_images} holds no images")
+        # validate() refuses both for synth and the edge flavour for IDX
+        if backdoor and not 0 <= bd.target_label < pool.n_classes:
+            raise ValueError(
+                f"attack.backdoor.target_label: {bd.target_label} outside "
+                f"[0, {pool.n_classes}), the classes of "
+                f"{idx.train_labels}")
+        if backdoor and (test_set.labels == bd.target_label).all():
+            raise ValueError(
+                f"attack.backdoor.target_label: every row of test set "
+                f"{idx.test_images} is labelled {bd.target_label}, so "
+                f"no row can measure the backdoor")
+
+    triggers: Tuple[TriggerSpec, ...] = ()
+    backdoor_test = edge_pool = None
+    if backdoor and bd.flavor is BackdoorFlavor.EDGE:
+        # an inverted-contrast pool labelled target, and an evaluation
+        # split of inverted rows whose true label differs
+        s = ds_cfg.synth
+        edge = synth_blobs(s.n_test, s.n_features, s.n_classes, s.spread,
+                           stream(seed, "edge-pool"))
+        edge_pool = Dataset(1.0 - edge.features,
+                            np.full(len(edge), bd.target_label),
+                            edge.n_classes)
+        eval_src = synth_blobs(s.n_test, s.n_features, s.n_classes,
+                               s.spread, stream(seed, "edge-eval"))
+        keep = np.flatnonzero(eval_src.labels != bd.target_label)
+        backdoor_test = Dataset(1.0 - eval_src.features[keep],
+                                eval_src.labels[keep], eval_src.n_classes)
+    elif backdoor:
+        trigger = TriggerSpec(tuple(bd.resolve_indices(pool.n_features)),
+                              bd.trigger_value, bd.target_label)
+        backdoor_test = backdoor_eval_set(test_set, trigger)
+        if bd.flavor is not BackdoorFlavor.DBA:
+            triggers = (trigger,) * atk.n_adversaries
+        elif atk.n_adversaries >= 1:
+            triggers = tuple(dba_shards(trigger, atk.n_adversaries))
+
+    spec = ModelSpec(cfg.model.kind, pool.n_features, pool.n_classes,
+                     cfg.model.hidden_units)
+    initial_model = init_model(spec, stream(seed, "init"))
+
+    rows, root = None, []
+    if cfg.aggregator.kind == "fltrust":
+        n_root = max(1, int(cfg.fltrust_root_fraction * len(pool)))
+        root = [stream(seed, "root").choice(len(pool), size=n_root,
+                                            replace=False)]
+        mask = np.ones(len(pool), dtype=bool)
+        mask[root[0]] = False
+        rows = np.flatnonzero(mask)
+        # classes the root holds and no row left to the clients does
+        taken = np.setdiff1d(pool.labels[root[0]], pool.labels[rows])
+        if taken.size:
+            raise ValueError(
+                f"fltrust_root_fraction: the root set takes every row "
+                f"of class {taken[0]}, so no client can draw one")
+    plan = PartitionPlan(cfg.fl.total_clients, ds_cfg.noniid_bias,
+                         ds_cfg.samples_per_client)
+    ids = partition_label_skew(pool.labels, pool.n_classes, plan,
+                               stream(seed, "partition"), rows)
+    shards = shard_table(pool, ids + root)
+    root_set = shards.pop() if root else None
+    return RunData(test_set, tuple(shards), root_set, backdoor_test,
+                   edge_pool, triggers, spec,
+                   tuple(math.prod(shape) for _, shape
+                         in spec.layer_shapes()),
+                   initial_model)
+
+
 class _Experiment:
-    """Mutable state for one run; see run_experiment."""
+    """One run: its config, its setup, its client streams and the global
+    model, the one thing a round changes; see run_experiment."""
 
     def __init__(self, cfg: ExperimentConfig):
         cfg.validate()
         self.cfg = cfg
-        self.seed = cfg.master_seed
-        self.train_cfg = cfg.fl.train_config()
-        pool = self._build_data()
-        self.model_spec = ModelSpec(cfg.model.kind, pool.n_features,
-                                    pool.n_classes, cfg.model.hidden_units)
-        self.layer_sizes = [math.prod(shape) for _, shape
-                            in self.model_spec.layer_shapes()]
-        self.global_model = init_model(self.model_spec,
-                                       stream(self.seed, "init"))
-        self._partition(pool)
+        self.data = build_run_data(cfg)
+        self.global_model = self.data.initial_model
         # stream(seed, purpose, round, client) of each per-client purpose;
         # nothing is derived until a round asks
         self.client_streams = {
-            purpose: ClientStreams(self.seed, purpose, cfg.fl.total_clients)
+            purpose: ClientStreams(cfg.master_seed, purpose,
+                                   cfg.fl.total_clients)
             for purpose in ("train", "train-benign", "poison", "noise")}
-
-    # -- setup -----------------------------------------------------------
-
-    def _build_data(self) -> PoolStream:
-        """Build the test set and the poisoning inputs; return the
-        training pool, not yet read."""
-        ds_cfg = self.cfg.dataset
-        if ds_cfg.source is DataSource.SYNTH:
-            s = ds_cfg.synth
-            pool = blob_stream(s.n_train, s.n_features, s.n_classes,
-                               s.spread, stream(self.seed, "data-train"))
-            self.test_set = synth_blobs(s.n_test, s.n_features, s.n_classes,
-                                        s.spread,
-                                        stream(self.seed, "data-test"))
-        else:
-            idx = ds_cfg.idx
-            pool = idx_stream(idx.train_images, idx.train_labels)
-            self.test_set = load_idx(idx.test_images, idx.test_labels)
-            if len(self.test_set) == 0:
-                raise ValueError(
-                    f"test set {idx.test_images} holds no images")
-            # validate() refuses this for synth; IDX labels are seen here
-            bd = self.cfg.attack.backdoor
-            if self.cfg.attack.kind is AttackKind.BACKDOOR \
-                    and bd.flavor is not BackdoorFlavor.EDGE \
-                    and (self.test_set.labels == bd.target_label).all():
-                raise ValueError(
-                    f"attack.backdoor.target_label: every row of test set "
-                    f"{idx.test_images} is labelled {bd.target_label}, so "
-                    f"no row can measure the backdoor")
-
-        # the poisoning inputs, built once per run: the trigger each
-        # adversary applies, by its position among the round's adversaries
-        # (a DBA shard, else the whole trigger), or the edge-case pool
-        self.adversary_triggers: List[TriggerSpec] = []
-        self.backdoor_test: Optional[Dataset] = None
-        self.edge_pool: Optional[Dataset] = None
-        atk = self.cfg.attack
-        bd = atk.backdoor
-        if atk.kind is AttackKind.BACKDOOR:
-            if bd.flavor is not BackdoorFlavor.EDGE:
-                trigger = TriggerSpec(
-                    tuple(bd.resolve_indices(pool.n_features)),
-                    bd.trigger_value, bd.target_label)
-                self.backdoor_test = backdoor_eval_set(self.test_set, trigger)
-                if bd.flavor is not BackdoorFlavor.DBA:
-                    self.adversary_triggers = [trigger] * atk.n_adversaries
-                elif atk.n_adversaries >= 1:
-                    self.adversary_triggers = dba_shards(trigger,
-                                                         atk.n_adversaries)
-            else:  # edge: a shifted pool, relabelled to the target
-                self.edge_pool, self.backdoor_test = self._edge_sets()
-        return pool
-
-    def _edge_sets(self) -> Tuple[Dataset, Dataset]:
-        """Edge-case pool (inverted-contrast blobs labelled target) plus an
-        evaluation split of inverted samples whose true label differs."""
-        s = self.cfg.dataset.synth
-        bd = self.cfg.attack.backdoor
-        pool = synth_blobs(s.n_test, s.n_features, s.n_classes, s.spread,
-                           stream(self.seed, "edge-pool"))
-        pool = Dataset(1.0 - pool.features,
-                       np.full(len(pool), bd.target_label), pool.n_classes)
-        eval_src = synth_blobs(s.n_test, s.n_features, s.n_classes, s.spread,
-                               stream(self.seed, "edge-eval"))
-        keep = np.flatnonzero(eval_src.labels != bd.target_label)
-        eval_set = Dataset(1.0 - eval_src.features[keep],
-                           eval_src.labels[keep], eval_src.n_classes)
-        return pool, eval_set
-
-    def _partition(self, pool: PoolStream) -> None:
-        """Draw the shards and fltrust's root set on the pool's labels;
-        `shard_table` reads the pool once into the rows they drew."""
-        rows, root = None, []
-        if self.cfg.aggregator.kind == "fltrust":
-            n_root = max(1, int(self.cfg.fltrust_root_fraction * len(pool)))
-            rng = stream(self.seed, "root")
-            root = [rng.choice(len(pool), size=n_root, replace=False)]
-            mask = np.ones(len(pool), dtype=bool)
-            mask[root[0]] = False
-            rows = np.flatnonzero(mask)
-            # classes the root holds and no row left to the clients does
-            taken = np.setdiff1d(pool.labels[root[0]], pool.labels[rows])
-            if taken.size:
-                raise ValueError(
-                    f"fltrust_root_fraction: the root set takes every row "
-                    f"of class {taken[0]}, so no client can draw one")
-        plan = PartitionPlan(self.cfg.fl.total_clients,
-                             self.cfg.dataset.noniid_bias,
-                             self.cfg.dataset.samples_per_client)
-        ids = partition_label_skew(pool.labels, pool.n_classes, plan,
-                                   stream(self.seed, "partition"), rows)
-        self.shards = shard_table(pool, ids + root)
-        self.root_ds: Optional[TableRows] = (self.shards.pop() if root
-                                             else None)
 
     # -- per-round pieces ------------------------------------------------
 
@@ -303,11 +328,11 @@ class _Experiment:
                         adv_position: int) -> Dataset:
         bd = self.cfg.attack.backdoor
         rng = self.client_streams["poison"](round_index, client)
+        shard = self.data.shards[client]
         if bd.flavor is BackdoorFlavor.EDGE:
-            return edge_case_augment(self.shards[client], self.edge_pool,
+            return edge_case_augment(shard, self.data.edge_pool,
                                      bd.edge_ratio, rng, bd.target_label)
-        poisoned, _ = apply_trigger(self.shards[client],
-                                    self.adversary_triggers[adv_position],
+        poisoned, _ = apply_trigger(shard, self.data.triggers[adv_position],
                                     bd.poison_fraction, rng)
         return poisoned
 
@@ -347,12 +372,13 @@ class _Experiment:
         for row, ds in enumerate(datasets):
             groups.setdefault(len(ds), []).append(row)
         block = max(1, BLOCK_ELEMENTS // w.size)
+        train_cfg = self.cfg.fl.train_config()
         for rows in groups.values():
             for lo in range(0, len(rows), block):
                 part = rows[lo:lo + block]
                 models[part] = train_roster(
-                    w, [datasets[r] for r in part], self.model_spec,
-                    self.train_cfg, [rngs[r] for r in part])
+                    w, [datasets[r] for r in part], self.data.model_spec,
+                    train_cfg, [rngs[r] for r in part])
         return models
 
     def _client_updates(self, round_index: int, roster: Sequence[int],
@@ -370,7 +396,8 @@ class _Experiment:
         # (row, client) of each adversary in roster order; its index here
         # is its position among the round's adversaries
         advs = [(row, c) for row, c in enumerate(roster) if c in adv_set]
-        datasets = [self.shards[c] for c in roster]
+        shards = self.data.shards
+        datasets = [shards[c] for c in roster]
         rngs = [self.client_streams["train"](round_index, c) for c in roster]
         blend = atk.kind is AttackKind.BACKDOOR \
             and atk.strategy is AttackStrategy.CONSTRAIN_AND_SCALE
@@ -378,7 +405,7 @@ class _Experiment:
             if atk.kind is AttackKind.BACKDOOR:
                 datasets[row] = self._poisoned_shard(round_index, c, position)
             if blend:
-                datasets.append(self.shards[c])
+                datasets.append(shards[c])
                 rngs.append(self.client_streams["train-benign"](
                     round_index, c))
         models = self._train(datasets, rngs)
@@ -401,15 +428,16 @@ class _Experiment:
         Weights align with the roster order.
         """
         cfg = self.cfg.aggregator
+        seed = self.cfg.master_seed
         ctx = AggregationContext(
-            layer_sizes=self.layer_sizes, config=cfg,
+            layer_sizes=self.data.layer_sizes, config=cfg,
             krum_f=self.cfg.attack.n_adversaries if cfg.krum_f is None
             else cfg.krum_f,
             server_update=lambda: extract_update(
                 self.global_model, self._train(
-                    [self.root_ds],
-                    [stream(self.seed, "fltrust", round_index)])[0]),
-            flame_rng=lambda: stream(self.seed, "flame", round_index))
+                    [self.data.root_set],
+                    [stream(seed, "fltrust", round_index)])[0]),
+            flame_rng=lambda: stream(seed, "flame", round_index))
         try:
             return AGGREGATORS[cfg.kind](updates, ctx)
         except NonFiniteWeights as err:
@@ -426,7 +454,7 @@ class _Experiment:
         trains."""
         roster, adversaries = select_round_roster(
             self.cfg.fl.total_clients, self.cfg.fl.clients_per_round,
-            self.cfg.attack.n_adversaries, t, self.seed)
+            self.cfg.attack.n_adversaries, t, self.cfg.master_seed)
         updates = self._client_updates(t, roster, adversaries)
         if not np.isfinite(updates).all():
             # name the first non-finite client in roster order
@@ -441,13 +469,14 @@ class _Experiment:
             self.global_model, delta, self.cfg.fl.server_lr)
         if not np.isfinite(self.global_model).all():
             raise NonFiniteUpdate(t)
-        accuracy = float((predict(self.global_model, self.test_set,
-                                  self.model_spec)
-                          == self.test_set.labels).mean())
+        data = self.data
+        accuracy = float((predict(self.global_model, data.test_set,
+                                  data.model_spec)
+                          == data.test_set.labels).mean())
         backdoor_acc = None
-        if self.backdoor_test is not None:
-            preds = predict(self.global_model, self.backdoor_test,
-                            self.model_spec)
+        if data.backdoor_test is not None:
+            preds = predict(self.global_model, data.backdoor_test,
+                            data.model_spec)
             backdoor_acc = float(
                 (preds == self.cfg.attack.backdoor.target_label).mean())
 

@@ -275,7 +275,8 @@ def test_criterion_09_layered_cost_and_agreement():
     updates = exp._client_updates(0, roster, advs)
     ftcfg = FedTruthConfig()
     flat_est = estimate_truth([u.flatten() for u in updates], ftcfg)
-    _, layer_ests = estimate_truth_layered(updates, exp.layer_sizes, ftcfg)
+    _, layer_ests = estimate_truth_layered(updates, exp.data.layer_sizes,
+                                           ftcfg)
     total_layer_iters = sum(e.iterations for e in layer_ests)
     cost_ok = total_layer_iters >= flat_est.iterations
 

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ import fedtruth.simulator
 from fedtruth.data import (Dataset, PartitionPlan, blob_stream,
                            partition_label_skew, synth_blobs)
 from fedtruth.simulator import (NonFiniteUpdate, _Experiment,
-                                apply_global_update, run_experiment,
-                                select_round_roster)
+                                apply_global_update, build_run_data,
+                                run_experiment, select_round_roster)
 from fedtruth.truth import NonFiniteWeights
 from fedtruth.training import (ModelKind, ModelSpec, TrainConfig,
                                extract_update, init_model, train_roster)
@@ -145,12 +146,12 @@ STREAMED_DIMS = {"dataset.synth": {"n_train": 997, "n_test": 50,
 @pytest.mark.parametrize("kind", ["fedavg", "fltrust"])
 def test_shards_and_root_are_those_of_the_whole_pool(kind):
     cfg = base_config(**STREAMED_DIMS, **{"aggregator.kind": kind})
-    exp = _Experiment(cfg)
+    data = build_run_data(cfg)
     shards, root = run_data_reference(cfg)
-    assert_same_datasets(exp.shards, shards)
-    assert (exp.root_ds is None) == (root is None)
+    assert_same_datasets(data.shards, shards)
+    assert (data.root_set is None) == (root is None)
     if root is not None:
-        assert_same_datasets([exp.root_ds], [root])
+        assert_same_datasets([data.root_set], [root])
 
 
 def test_idx_shards_and_root_are_those_of_the_whole_pool(tmp_path):
@@ -165,9 +166,9 @@ def test_idx_shards_and_root_are_those_of_the_whole_pool(tmp_path):
                          "dataset.idx": {k: str(tmp_path / v)
                                          for k, v in paths.items()},
                          "aggregator.kind": "fltrust"})
-    exp = _Experiment(cfg)
+    data = build_run_data(cfg)
     shards, root = run_data_reference(cfg)
-    assert_same_datasets(exp.shards + [exp.root_ds], shards + [root])
+    assert_same_datasets([*data.shards, data.root_set], shards + [root])
 
 
 def test_setup_never_holds_the_pool_and_the_shards_at_once():
@@ -201,8 +202,8 @@ def test_the_run_table_holds_each_drawn_pool_row_once():
     ids = np.concatenate(partition_label_skew(
         labels, 2, PartitionPlan(clients, 0.9, m),
         stream(cfg.master_seed, "partition")))
-    table = exp.shards[0].table
-    assert all(shard.table is table for shard in exp.shards)
+    table = exp.data.shards[0].table
+    assert all(shard.table is table for shard in exp.data.shards)
     assert len(table) == len(np.unique(ids)) < len(ids)
     row_bytes = (n_features + 1) * 8  # features and label
     block_rows = n_train // 2  # the blob stream's class block
@@ -211,17 +212,72 @@ def test_the_run_table_holds_each_drawn_pool_row_once():
     assert setup_peak_bytes(cfg) < bound
 
 
+def run_data_leaves(value, path="data"):
+    """(path, value) of every leaf of a RunData: its fields, walked
+    through dataclasses and tuples; an array is a leaf."""
+    if dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from run_data_leaves(getattr(value, field.name),
+                                       f"{path}.{field.name}")
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from run_data_leaves(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+# between them, every field of a RunData holds a value
+SETUP_CASES = {
+    "fltrust-dba": {"aggregator.kind": "fltrust",
+                    "attack": {"kind": "backdoor", "n_adversaries": 2,
+                               "backdoor": {"flavor": "dba",
+                                            "n_trigger_features": 2}}},
+    "edge": {"attack": {"kind": "backdoor", "n_adversaries": 2,
+                        "backdoor": {"flavor": "edge", "target_label": 1,
+                                     "edge_ratio": 0.3}}},
+}
+
+
 def test_shared_rows_are_read_only():
     # shards share the table's rows: a write into one client's rows must
     # raise instead of reaching every client that drew them
     exp = _Experiment(base_config(**{"aggregator.kind": "fltrust"}))
-    table = exp.shards[0].table
-    for array in (table.features, table.labels, exp.shards[0].rows,
-                  exp.root_ds.rows):
+    table = exp.data.shards[0].table
+    for array in (table.features, table.labels, exp.data.shards[0].rows,
+                  exp.data.root_set.rows):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
-    exp.shards[0].features[0] = -1.0  # a read is a copy of the rows
+    exp.data.shards[0].features[0] = -1.0  # a read is a copy of the rows
     assert (table.features >= 0.0).all()
+    # every round reads the whole setup, so no array of it takes a write
+    seen = set()
+    for over in SETUP_CASES.values():
+        arrays = {path: value for path, value
+                  in run_data_leaves(build_run_data(base_config(**over)))
+                  if isinstance(value, np.ndarray)}
+        for array in arrays.values():
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        seen |= arrays.keys()
+    assert {f"data.{ds}.{field}" for ds in ("test_set", "backdoor_test",
+                                            "edge_pool")
+            for field in ("features", "labels")} <= seen
+    assert {"data.shards[0].table.features", "data.shards[0].rows",
+            "data.root_set.rows", "data.initial_model"} <= seen
+
+
+@pytest.mark.parametrize("case", sorted(SETUP_CASES))
+def test_setup_is_rebuilt_equal_array_for_array(case):
+    cfg = base_config(**SETUP_CASES[case])
+    first, second = (list(run_data_leaves(build_run_data(cfg)))
+                     for _ in range(2))
+    assert [path for path, _ in first] == [path for path, _ in second]
+    for (path, a), (_, b) in zip(first, second):
+        if isinstance(a, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) \
+                == (b.dtype, b.shape, b.tobytes()), path
+        else:
+            assert a == b, path
 
 
 def test_a_root_set_that_takes_a_whole_class_is_refused():
@@ -263,6 +319,31 @@ def test_idx_backdoor_without_a_row_off_the_target_is_refused(tmp_path):
     assert str(tmp_path / "test-img") in message
 
 
+def test_idx_backdoor_target_outside_the_pool_classes_is_refused(tmp_path):
+    # the 2-class pool has no label 5; rounds used to die in apply_trigger
+    # with an unkeyed "target label outside class range"
+    cfg = idx_config(tmp_path, attack={
+        "kind": "backdoor", "n_adversaries": 1,
+        "backdoor": {"flavor": "trigger", "target_label": 5}})
+    with pytest.raises(ValueError, match=r"^attack\.backdoor\.target_label: "
+                                         r"5 outside \[0, 2\)"):
+        _Experiment(cfg)
+    cfg.attack.backdoor.target_label = 1
+    assert len(run_experiment(cfg)) == cfg.fl.rounds
+
+
+def test_idx_test_images_of_another_width_are_refused(tmp_path):
+    # 6-feature test images against 4-feature training images used to
+    # train a round and then fail in predict with numpy's matmul error
+    rng = stream(8, "idx")
+    test = Dataset(rng.integers(0, 256, size=(10, 6)) / 255.0,
+                   rng.integers(0, 2, size=10), 2)
+    cfg = idx_config(tmp_path, test)
+    with pytest.raises(ValueError, match=r"^dataset\.idx\.test_images: "
+                                         r".* 6 features, .* 4$"):
+        _Experiment(cfg)
+
+
 # -- full runs -----------------------------------------------------------------
 
 def test_fedavg_all_benign_conservation():
@@ -272,7 +353,8 @@ def test_fedavg_all_benign_conservation():
     exp = _Experiment(cfg)
     roster, advs = select_round_roster(8, 5, 0, 0, cfg.master_seed)
     updates = exp._client_updates(0, roster, advs)
-    counts = np.array([len(exp.shards[int(c)]) for c in roster], float)
+    counts = np.array([len(exp.data.shards[int(c)]) for c in roster],
+                      float)
     delta, weights, _ = exp._aggregate(updates, 0)
     assert np.array_equal(delta, fedavg(updates))
     assert np.array_equal(weights, counts / counts.sum())
@@ -353,7 +435,8 @@ def test_report_weights_come_from_the_aggregate(kind):
     else:
         w = exp.global_model
         server = extract_update(w, train_roster(
-            w, [exp.root_ds], exp.model_spec, exp.train_cfg,
+            w, [exp.data.root_set], exp.data.model_spec,
+            cfg.fl.train_config(),
             [stream(cfg.master_seed, "fltrust", 0)])[0])
         expected, scores = fltrust(updates, server)
         want = scores / scores.sum()
@@ -546,7 +629,7 @@ def test_every_model_trains_through_train_roster(tmp_path, monkeypatch):
     train_roster = fedtruth.simulator.train_roster
 
     def counting(params, datasets, *args):
-        if any(ds is exp.root_ds for ds in datasets):
+        if any(ds is exp.data.root_set for ds in datasets):
             trained["server"] += len(datasets)
         else:
             trained["client"] += len(datasets)
@@ -563,28 +646,56 @@ def test_every_model_trains_through_train_roster(tmp_path, monkeypatch):
     assert without_timing_bytes(counted) == without_timing_bytes(plain)
 
 
-def test_traced_names_are_read_through_the_simulator(tmp_path, monkeypatch):
-    # a tracer rebinds these attributes of the simulator module, so the
-    # round loop must look each one up there, at call time
-    cfg = base_config(**{"aggregator.kind": "fedtruth"})
+def traced_calls(tmp_path, monkeypatch, cfg, names):
+    """The calls of `names` made through the simulator module in a run of
+    cfg, by name in call order; the run must write the bytes of an
+    unwrapped one."""
     plain = tmp_path / "plain.csv"
     write_round_csv(plain, cfg, run_experiment(cfg))
 
-    calls = {"select_round_roster": 0, "estimate_truth": 0}
+    calls = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls.append(name)
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(fedtruth.simulator, name,
                             counted(name, getattr(fedtruth.simulator, name)))
     wrapped = tmp_path / "wrapped.csv"
     write_round_csv(wrapped, cfg, run_experiment(cfg))
-    assert calls == {"select_round_roster": 3, "estimate_truth": 3}
     assert without_timing_bytes(wrapped) == without_timing_bytes(plain)
+    return calls
+
+
+def test_traced_names_are_read_through_the_simulator(tmp_path, monkeypatch):
+    # a tracer rebinds these attributes of the simulator module, so the
+    # round loop must look each one up there, at call time
+    cfg = base_config(**{"aggregator.kind": "fedtruth"})
+    calls = traced_calls(tmp_path, monkeypatch, cfg,
+                         ["select_round_roster", "estimate_truth"])
+    assert Counter(calls) == {"select_round_roster": 3, "estimate_truth": 3}
+
+
+def test_setup_names_are_read_through_the_simulator(tmp_path, monkeypatch):
+    # a tracer times setup as everything before the first roster draw and
+    # its data and rng layers by these names, so setup must call each one
+    # through the simulator module, before the first roster draw
+    cfg = base_config(attack={"kind": "backdoor", "n_adversaries": 2,
+                              "backdoor": {"flavor": "dba",
+                                           "n_trigger_features": 2}})
+    calls = traced_calls(tmp_path, monkeypatch, cfg, [
+        "synth_blobs", "partition_label_skew", "backdoor_eval_set",
+        "dba_shards", "shard_table", "stream", "select_round_roster"])
+    first_round = calls.index("select_round_roster")
+    # the streams of the pool, the test set, the initial model and the
+    # partition
+    assert Counter(calls[:first_round]) == {
+        "synth_blobs": 1, "partition_label_skew": 1, "backdoor_eval_set": 1,
+        "dba_shards": 1, "shard_table": 1, "stream": 4}
+    assert calls.count("select_round_roster") == cfg.fl.rounds
 
 
 def test_fltrust_zero_server_update_falls_back():

@@ -68,3 +68,34 @@ def test_every_export_is_named_in_the_readme_library_section():
     undocumented = [name for name in exports
                     if not re.search(rf"\b{name}\b", section)]
     assert undocumented == []
+
+
+def attributes_set_by_method(path, class_name):
+    """method name -> the `self.` attributes it assigns or deletes, in
+    the class `class_name` of the module at `path`."""
+    cls = next(node for node in parse(path).body
+               if isinstance(node, ast.ClassDef) and node.name == class_name)
+    found = {}
+    for method in cls.body:
+        if not isinstance(method, ast.FunctionDef):
+            continue
+        names = found.setdefault(method.name, set())
+        for node in ast.walk(method):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, (ast.Store, ast.Del)) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == "self":
+                names.add(node.attr)
+    return found
+
+
+def test_a_run_changes_only_its_global_model_after_setup():
+    # a round must depend only on the setup (one read-only RunData, built
+    # in __init__) and the current global model, so no other method may
+    # set anything else
+    found = attributes_set_by_method(PACKAGE / "simulator.py", "_Experiment")
+    assert found.pop("__init__") == {"cfg", "data", "client_streams",
+                                     "global_model"}
+    assert {method: names - {"global_model"}
+            for method, names in found.items()
+            if names - {"global_model"}} == {}
