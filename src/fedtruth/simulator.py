@@ -1,21 +1,20 @@
 """End-to-end federated round orchestration.
 
-Setup is one read-only `RunData`, built by `build_run_data` from the
-config alone. It draws the client shards (and FLTrust's root set) on the
-training pool's labels, and `data.shard_table` reads the pool's feature
-blocks once into one table of the distinct rows drawn, so a pool row
-that several clients drew is held once and the pool itself never is.
-Setup calls the data and rng names through this module, where a tracer
-can rebind them. A round (`run_round`) reads only the config, the setup
-and the global model: select a roster, designate adversaries, train
-locally, apply the configured attack transform to adversarial
-contributions, aggregate, apply the global update, and evaluate. Every
-stochastic site draws from a stream derived from (master_seed, purpose,
-round, client), so runs are reproducible bit-for-bit regardless of
-execution order; wall-clock timings are the only nondeterministic report
-fields. The per-client streams come from one `ClientStreams` per
-purpose, which derives them a chunk of rounds at a time inside the first
-round that asks (see rng.py).
+A run is `build_run_data(cfg)`, `client_streams(cfg)` and a loop of
+`run_round(cfg, data, streams, w, t) -> (next_w, report)`: the global
+model is the only thing one round hands the next. Setup is one read-only
+`RunData`, a function of the config alone; data.py's `shard_table` reads
+the pool once into one table of the distinct rows the shards (and
+FLTrust's root set) drew, and setup calls the data and rng names through
+this module, where a tracer can rebind them. A round writes neither its
+setup nor `w`: select a roster and its adversaries, train locally from `w`,
+transform adversarial models and take their updates against `w`,
+aggregate, step the global model and evaluate it. Every stochastic site
+draws from a stream derived from (master_seed, purpose, round, client),
+so runs are bit-for-bit reproducible and a round replays from its start
+model alone; wall-clock timings are the only nondeterministic report
+fields. `ClientStreams` derives a purpose's per-client streams a chunk
+of rounds at a time and keeps only what its key determines (see rng.py).
 """
 
 from __future__ import annotations
@@ -37,13 +36,14 @@ from .data import (BackdoorFlavor, DataSource, Dataset, TableRows,
                    load_idx, partition_label_skew, shard_table, synth_blobs,
                    PartitionPlan)
 from .rng import ClientStreams, stream
-from .training import (ModelSpec, extract_update, init_model, predict,
-                       train_roster)
+from .training import (ModelSpec, TrainConfig, extract_update, init_model,
+                       predict, train_roster)
 from .truth import NonFiniteWeights, estimate_truth, estimate_truth_layered
 from .vectors import BLOCK_ELEMENTS, Updates
 
 if TYPE_CHECKING:
-    from .config import AggregatorConfig, ExperimentConfig
+    from .config import (AggregatorConfig, AttackConfig, BackdoorConfig,
+                         ExperimentConfig)
 
 
 class NonFiniteUpdate(RuntimeError):
@@ -235,6 +235,16 @@ def build_run_data(cfg: ExperimentConfig) -> RunData:
                 f"dataset.idx.test_images: {idx.test_images} holds images "
                 f"of {test_set.n_features} features, the training images "
                 f"of {pool.n_features}")
+        if test_set.n_classes > pool.n_classes:
+            raise ValueError(
+                f"dataset.idx.test_labels: {idx.test_labels} holds labels "
+                f"of {test_set.n_classes} classes, the training labels of "
+                f"{pool.n_classes}")
+        empty = np.flatnonzero(np.bincount(pool.labels,
+                                           minlength=pool.n_classes) == 0)
+        if empty.size:
+            raise ValueError(f"dataset.idx.train_labels: {idx.train_labels} "
+                             f"holds no row of class {empty[0]}")
         if len(test_set) == 0:
             raise ValueError(f"dataset.idx.test_images: "
                              f"{idx.test_images} holds no images")
@@ -306,192 +316,187 @@ def build_run_data(cfg: ExperimentConfig) -> RunData:
                    initial_model)
 
 
-class _Experiment:
-    """One run: its config, its setup, its client streams and the global
-    model, the one thing a round changes; see run_experiment."""
-
-    def __init__(self, cfg: ExperimentConfig):
-        cfg.validate()
-        self.cfg = cfg
-        self.data = build_run_data(cfg)
-        self.global_model = self.data.initial_model
-        # stream(seed, purpose, round, client) of each per-client purpose;
-        # nothing is derived until a round asks
-        self.client_streams = {
-            purpose: ClientStreams(cfg.master_seed, purpose,
+def client_streams(cfg: ExperimentConfig) -> Dict[str, ClientStreams]:
+    """stream(seed, purpose, round, client) of each per-client purpose;
+    nothing is derived until a round asks."""
+    return {purpose: ClientStreams(cfg.master_seed, purpose,
                                    cfg.fl.total_clients)
             for purpose in ("train", "train-benign", "poison", "noise")}
 
-    # -- per-round pieces ------------------------------------------------
 
-    def _poisoned_shard(self, round_index: int, client: int,
-                        adv_position: int) -> Dataset:
-        bd = self.cfg.attack.backdoor
-        rng = self.client_streams["poison"](round_index, client)
-        shard = self.data.shards[client]
-        if bd.flavor is BackdoorFlavor.EDGE:
-            return edge_case_augment(shard, self.data.edge_pool,
-                                     bd.edge_ratio, rng, bd.target_label)
-        poisoned, _ = apply_trigger(shard, self.data.triggers[adv_position],
-                                    bd.poison_fraction, rng)
-        return poisoned
+def _poisoned_shard(bd: BackdoorConfig, data: RunData, client: int,
+                    adv_position: int,
+                    rng: np.random.Generator) -> Dataset:
+    shard = data.shards[client]
+    if bd.flavor is BackdoorFlavor.EDGE:
+        return edge_case_augment(shard, data.edge_pool, bd.edge_ratio, rng,
+                                 bd.target_label)
+    poisoned, _ = apply_trigger(shard, data.triggers[adv_position],
+                                bd.poison_fraction, rng)
+    return poisoned
 
-    def _attack_pipeline(self, model: np.ndarray,
-                         benign: Optional[np.ndarray], round_index: int,
-                         client: int, n_adversaries: int) -> np.ndarray:
-        """Trained model -> model transform -> projection -> update
-        extraction -> update boosting. `benign` is the client's benign
-        model under constrain-and-scale, else None."""
-        atk = self.cfg.attack
-        w = self.global_model
-        factor = atk.resolve_factor(self.cfg.fl.clients_per_round,
-                                    n_adversaries)
-        if atk.kind is AttackKind.GAUSSIAN_NOISE:
-            noise_rng = self.client_streams["noise"](round_index, client)
-            model = gaussian_noise(model, atk.sigma, noise_rng)
-        elif benign is not None:
-            model = constrain_and_scale(benign, model, atk.alpha, factor)
 
-        if atk.pgd_radius is not None:
-            model = pgd_project(model, w, atk.pgd_radius)
+def _attack_pipeline(atk: AttackConfig, factor: Optional[float],
+                     w: np.ndarray,
+                     model: np.ndarray, benign: Optional[np.ndarray],
+                     noise_rng: Optional[np.random.Generator]) -> np.ndarray:
+    """Trained model -> model transform -> projection -> update
+    extraction -> update boosting, against the round's start model `w`.
+    `benign` is the client's benign model under constrain-and-scale, and
+    `noise_rng` its noise stream under the noise attack; else None."""
+    if noise_rng is not None:
+        model = gaussian_noise(model, atk.sigma, noise_rng)
+    elif benign is not None:
+        model = constrain_and_scale(benign, model, atk.alpha, factor)
 
-        delta = extract_update(w, model)
-        if atk.kind is AttackKind.MODEL_BOOST \
-                or atk.strategy is AttackStrategy.WITH_BOOSTING:
-            delta = boost_update(delta, factor)
-        return delta
+    if atk.pgd_radius is not None:
+        model = pgd_project(model, w, atk.pgd_radius)
 
-    def _train(self, datasets: Sequence[Union[Dataset, TableRows]],
-               rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        """One model per (dataset, stream) task, trained from the global
-        model, as rows in task order. Tasks whose datasets have the same
-        length train together, in blocks of at most BLOCK_ELEMENTS // d."""
-        w = self.global_model
-        models = np.empty((len(datasets), w.size))
-        groups: Dict[int, List[int]] = {}
-        for row, ds in enumerate(datasets):
-            groups.setdefault(len(ds), []).append(row)
-        block = max(1, BLOCK_ELEMENTS // w.size)
-        train_cfg = self.cfg.fl.train_config()
-        for rows in groups.values():
-            for lo in range(0, len(rows), block):
-                part = rows[lo:lo + block]
-                models[part] = train_roster(
-                    w, [datasets[r] for r in part], self.data.model_spec,
-                    train_cfg, [rngs[r] for r in part])
-        return models
+    delta = extract_update(w, model)
+    if atk.kind is AttackKind.MODEL_BOOST \
+            or atk.strategy is AttackStrategy.WITH_BOOSTING:
+        delta = boost_update(delta, factor)
+    return delta
 
-    def _client_updates(self, round_index: int, roster: Sequence[int],
-                        adversaries: Sequence[int]) -> np.ndarray:
-        """The round's (n, d) update matrix, one row per roster client in
-        roster order, not yet checked.
 
-        The round trains the roster's models, then the benign models of
-        constrain-and-scale adversaries, in one `_train` call.
-        """
-        atk = self.cfg.attack
-        roster = [int(c) for c in roster]
-        adv_set = set() if atk.kind is AttackKind.NONE \
-            else set(int(a) for a in adversaries)
-        # (row, client) of each adversary in roster order; its index here
-        # is its position among the round's adversaries
-        advs = [(row, c) for row, c in enumerate(roster) if c in adv_set]
-        shards = self.data.shards
-        datasets = [shards[c] for c in roster]
-        rngs = [self.client_streams["train"](round_index, c) for c in roster]
-        blend = atk.kind is AttackKind.BACKDOOR \
-            and atk.strategy is AttackStrategy.CONSTRAIN_AND_SCALE
-        for position, (row, c) in enumerate(advs):
-            if atk.kind is AttackKind.BACKDOOR:
-                datasets[row] = self._poisoned_shard(round_index, c, position)
-            if blend:
-                datasets.append(shards[c])
-                rngs.append(self.client_streams["train-benign"](
-                    round_index, c))
-        models = self._train(datasets, rngs)
+def _train(w: np.ndarray, datasets: Sequence[Union[Dataset, TableRows]],
+           rngs: Sequence[np.random.Generator], spec: ModelSpec,
+           train_cfg: TrainConfig) -> np.ndarray:
+    """One model per (dataset, stream) task, trained from `w`, as rows in
+    task order. Tasks whose datasets have the same length train together,
+    in blocks of at most BLOCK_ELEMENTS // d."""
+    models = np.empty((len(datasets), w.size))
+    groups: Dict[int, List[int]] = {}
+    for row, ds in enumerate(datasets):
+        groups.setdefault(len(ds), []).append(row)
+    block = max(1, BLOCK_ELEMENTS // w.size)
+    for rows in groups.values():
+        for lo in range(0, len(rows), block):
+            part = rows[lo:lo + block]
+            models[part] = train_roster(
+                w, [datasets[r] for r in part], spec, train_cfg,
+                [rngs[r] for r in part])
+    return models
 
-        n = len(roster)
-        attacked = [self._attack_pipeline(
-            models[row], models[n + position] if blend else None,
-            round_index, c, len(advs))
-            for position, (row, c) in enumerate(advs)]
-        updates = models[:n]
-        np.subtract(self.global_model, updates, out=updates)
-        for (row, _), delta in zip(advs, attacked):
-            updates[row] = delta
-        return updates
 
-    def _aggregate(self, updates: Updates, round_index: int):
-        """Run the configured aggregator on the round's update matrix.
+def _client_updates(cfg: ExperimentConfig, data: RunData,
+                    streams: Dict[str, ClientStreams], w: np.ndarray,
+                    round_index: int, roster: Sequence[int],
+                    adversaries: Sequence[int]) -> np.ndarray:
+    """The round's (n, d) update matrix against `w`, one row per roster
+    client in roster order, not yet checked.
 
-        Returns (delta, per-client weights or None, iterations or None).
-        Weights align with the roster order.
-        """
-        cfg = self.cfg.aggregator
-        seed = self.cfg.master_seed
-        ctx = AggregationContext(
-            layer_sizes=self.data.layer_sizes, config=cfg,
-            krum_f=self.cfg.attack.n_adversaries if cfg.krum_f is None
-            else cfg.krum_f,
-            server_update=lambda: extract_update(
-                self.global_model, self._train(
-                    [self.data.root_set],
-                    [stream(seed, "fltrust", round_index)])[0]),
-            flame_rng=lambda: stream(seed, "flame", round_index))
-        try:
-            return AGGREGATORS[cfg.kind](updates, ctx)
-        except NonFiniteWeights as err:
-            raise NonFiniteUpdate(round_index) from err
+    The round trains the roster's models, then the benign models of
+    constrain-and-scale adversaries, in one `_train` call.
+    """
+    atk = cfg.attack
+    roster = [int(c) for c in roster]
+    adv_set = set() if atk.kind is AttackKind.NONE \
+        else set(int(a) for a in adversaries)
+    # (row, client) of each adversary in roster order; its index here
+    # is its position among the round's adversaries
+    advs = [(row, c) for row, c in enumerate(roster) if c in adv_set]
+    datasets = [data.shards[c] for c in roster]
+    rngs = [streams["train"](round_index, c) for c in roster]
+    blend = atk.kind is AttackKind.BACKDOOR \
+        and atk.strategy is AttackStrategy.CONSTRAIN_AND_SCALE
+    for position, (row, c) in enumerate(advs):
+        if atk.kind is AttackKind.BACKDOOR:
+            datasets[row] = _poisoned_shard(
+                atk.backdoor, data, c, position,
+                streams["poison"](round_index, c))
+        if blend:
+            datasets.append(data.shards[c])
+            rngs.append(streams["train-benign"](round_index, c))
+    models = _train(w, datasets, rngs, data.model_spec,
+                    cfg.fl.train_config())
 
-    # -- driver ----------------------------------------------------------
+    n = len(roster)
+    factor = atk.resolve_factor(cfg.fl.clients_per_round, len(advs)) \
+        if advs else None
+    noisy = atk.kind is AttackKind.GAUSSIAN_NOISE
+    attacked = [_attack_pipeline(
+        atk, factor, w, models[row], models[n + position] if blend else None,
+        streams["noise"](round_index, c) if noisy else None)
+        for position, (row, c) in enumerate(advs)]
+    updates = models[:n]
+    np.subtract(w, updates, out=updates)
+    for (row, _), delta in zip(advs, attacked):
+        updates[row] = delta
+    return updates
 
-    def run(self) -> List[RoundReport]:
-        return [self.run_round(t) for t in range(self.cfg.fl.rounds)]
 
-    def run_round(self, t: int) -> RoundReport:
-        """Round t, from the current global model to the next. The round's
-        (n, d) update matrix is released on return, before the next round
-        trains."""
-        roster, adversaries = select_round_roster(
-            self.cfg.fl.total_clients, self.cfg.fl.clients_per_round,
-            self.cfg.attack.n_adversaries, t, self.cfg.master_seed)
-        updates = self._client_updates(t, roster, adversaries)
-        if not np.isfinite(updates).all():
-            # name the first non-finite client in roster order
-            row = np.isfinite(updates).all(axis=1).argmin()
-            raise NonFiniteUpdate(t, int(roster[row]))
+def _aggregate(cfg: ExperimentConfig, data: RunData, w: np.ndarray,
+               updates: Updates, round_index: int):
+    """Run the configured aggregator on the round's update matrix.
 
-        t0 = time.perf_counter()
-        delta, weights, iterations = self._aggregate(updates, t)
-        agg_time = time.perf_counter() - t0
+    Returns (delta, per-client weights or None, iterations or None).
+    Weights align with the roster order.
+    """
+    agg_cfg, seed = cfg.aggregator, cfg.master_seed
+    ctx = AggregationContext(
+        layer_sizes=data.layer_sizes, config=agg_cfg,
+        krum_f=cfg.attack.n_adversaries if agg_cfg.krum_f is None
+        else agg_cfg.krum_f,
+        server_update=lambda: extract_update(w, _train(
+            w, [data.root_set], [stream(seed, "fltrust", round_index)],
+            data.model_spec, cfg.fl.train_config())[0]),
+        flame_rng=lambda: stream(seed, "flame", round_index))
+    try:
+        return AGGREGATORS[agg_cfg.kind](updates, ctx)
+    except NonFiniteWeights as err:
+        raise NonFiniteUpdate(round_index) from err
 
-        self.global_model = apply_global_update(
-            self.global_model, delta, self.cfg.fl.server_lr)
-        if not np.isfinite(self.global_model).all():
-            raise NonFiniteUpdate(t)
-        data = self.data
-        accuracy = float((predict(self.global_model, data.test_set,
-                                  data.model_spec)
-                          == data.test_set.labels).mean())
-        backdoor_acc = None
-        if data.backdoor_test is not None:
-            preds = predict(self.global_model, data.backdoor_test,
-                            data.model_spec)
-            backdoor_acc = float(
-                (preds == self.cfg.attack.backdoor.target_label).mean())
 
-        return RoundReport(
-            round_index=t,
-            main_accuracy=accuracy,
-            backdoor_accuracy=backdoor_acc,
-            aggregation_wall_time=agg_time,
-            fedtruth_iterations=iterations,
-            weights=None if weights is None else [float(x) for x in weights],
-            client_ids=[int(c) for c in roster],
-            adversary_ids=[int(a) for a in adversaries],
-        )
+def run_round(cfg: ExperimentConfig, data: RunData,
+              streams: Dict[str, ClientStreams], w: np.ndarray,
+              t: int) -> Tuple[np.ndarray, RoundReport]:
+    """Round t from global model `w`, which it does not write: the next
+    global model and the round's report. The round's (n, d) update matrix
+    is released on return, before the next round trains."""
+    roster, adversaries = select_round_roster(
+        cfg.fl.total_clients, cfg.fl.clients_per_round,
+        cfg.attack.n_adversaries, t, cfg.master_seed)
+    updates = _client_updates(cfg, data, streams, w, t, roster, adversaries)
+    if not np.isfinite(updates).all():
+        # name the first non-finite client in roster order
+        row = np.isfinite(updates).all(axis=1).argmin()
+        raise NonFiniteUpdate(t, int(roster[row]))
+
+    t0 = time.perf_counter()
+    delta, weights, iterations = _aggregate(cfg, data, w, updates, t)
+    agg_time = time.perf_counter() - t0
+
+    next_w = apply_global_update(w, delta, cfg.fl.server_lr)
+    if not np.isfinite(next_w).all():
+        raise NonFiniteUpdate(t)
+    accuracy = float((predict(next_w, data.test_set, data.model_spec)
+                      == data.test_set.labels).mean())
+    backdoor_acc = None
+    if data.backdoor_test is not None:
+        preds = predict(next_w, data.backdoor_test, data.model_spec)
+        backdoor_acc = float(
+            (preds == cfg.attack.backdoor.target_label).mean())
+
+    return next_w, RoundReport(
+        round_index=t,
+        main_accuracy=accuracy,
+        backdoor_accuracy=backdoor_acc,
+        aggregation_wall_time=agg_time,
+        fedtruth_iterations=iterations,
+        weights=None if weights is None else [float(x) for x in weights],
+        client_ids=[int(c) for c in roster],
+        adversary_ids=[int(a) for a in adversaries],
+    )
 
 
 def run_experiment(cfg: ExperimentConfig) -> List[RoundReport]:
     """Run the configured experiment; one report per round."""
-    return _Experiment(cfg).run()
+    cfg.validate()
+    data = build_run_data(cfg)
+    streams = client_streams(cfg)
+    w, reports = data.initial_model, []
+    for t in range(cfg.fl.rounds):
+        w, report = run_round(cfg, data, streams, w, t)
+        reports.append(report)
+    return reports

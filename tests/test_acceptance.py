@@ -17,7 +17,9 @@ from fedtruth.aggregators import krum_select, coordinate_median, trimmed_mean
 from fedtruth.cli import bench_aggregation, main
 from fedtruth.config import config_from_dict
 from fedtruth.rng import stream
-from fedtruth.simulator import _Experiment, run_experiment, select_round_roster
+from fedtruth.simulator import (_client_updates, build_run_data,
+                                client_streams, run_experiment,
+                                select_round_roster)
 from fedtruth.training import ModelKind, ModelSpec
 from fedtruth.truth import (CoefficientFunction, FedTruthConfig,
                             estimate_truth, estimate_truth_layered)
@@ -270,12 +272,13 @@ def test_criterion_09_layered_cost_and_agreement():
         "aggregator": {"kind": "fedtruth"},
         "allow_majority_adversaries": False,
     })
-    exp = _Experiment(cfg)
+    data = build_run_data(cfg)
     roster, advs = select_round_roster(10, 10, 3, 0, 0)
-    updates = exp._client_updates(0, roster, advs)
+    updates = _client_updates(cfg, data, client_streams(cfg),
+                              data.initial_model, 0, roster, advs)
     ftcfg = FedTruthConfig()
     flat_est = estimate_truth([u.flatten() for u in updates], ftcfg)
-    _, layer_ests = estimate_truth_layered(updates, exp.data.layer_sizes,
+    _, layer_ests = estimate_truth_layered(updates, data.layer_sizes,
                                            ftcfg)
     total_layer_iters = sum(e.iterations for e in layer_ests)
     cost_ok = total_layer_iters >= flat_est.iterations

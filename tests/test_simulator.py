@@ -1,8 +1,13 @@
 import dataclasses
 import hashlib
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +16,13 @@ from fedtruth.cli import write_round_csv
 from fedtruth.config import config_from_dict
 from fedtruth.rng import stream
 import fedtruth.simulator
-from fedtruth.data import (Dataset, PartitionPlan, blob_stream,
+from fedtruth.data import (Dataset, PartitionPlan, blob_stream, load_idx,
                            partition_label_skew, synth_blobs)
-from fedtruth.simulator import (NonFiniteUpdate, _Experiment,
-                                apply_global_update, build_run_data,
-                                run_experiment, select_round_roster)
+from fedtruth.simulator import (NonFiniteUpdate, _aggregate,
+                                _client_updates, apply_global_update,
+                                build_run_data, client_streams,
+                                run_experiment, run_round,
+                                select_round_roster)
 from fedtruth.truth import NonFiniteWeights
 from fedtruth.training import (ModelKind, ModelSpec, TrainConfig,
                                extract_update, init_model, train_roster)
@@ -25,7 +32,7 @@ from helpers import run_data_reference, save_idx
 from test_cli import without_timing_bytes
 
 
-def base_config(**over):
+def config_dict(**over):
     d = {
         "master_seed": 1,
         "dataset": {"noniid_bias": 0.8, "samples_per_client": 40,
@@ -43,7 +50,11 @@ def base_config(**over):
             d.setdefault(section, {})[leaf] = value
         else:
             d[section] = value
-    return config_from_dict(d)
+    return d
+
+
+def base_config(**over):
+    return config_from_dict(config_dict(**over))
 
 
 # -- roster -------------------------------------------------------------------
@@ -110,7 +121,7 @@ def test_fltrust_small_root_still_trains():
 def setup_peak_bytes(cfg):
     tracemalloc.start()
     try:
-        _Experiment(cfg)
+        build_run_data(cfg)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -123,7 +134,7 @@ def test_fltrust_root_split_makes_no_pool_copy():
     dims = {"dataset.synth": {"n_train": n_train, "n_test": 200,
                               "n_features": n_features, "n_classes": 2,
                               "spread": 0.2}}
-    _Experiment(base_config(**dims))  # first-call costs out of the peaks
+    build_run_data(base_config(**dims))  # first-call costs out of the peaks
     fedavg_peak = setup_peak_bytes(base_config(**dims))
     fltrust_peak = setup_peak_bytes(
         base_config(**dims, **{"aggregator.kind": "fltrust"}))
@@ -181,7 +192,7 @@ def test_setup_never_holds_the_pool_and_the_shards_at_once():
                                            "n_classes": 10, "spread": 0.2},
                          "dataset.samples_per_client": m,
                          "fl.total_clients": clients})
-    _Experiment(cfg)  # first-call costs out of the peak
+    build_run_data(cfg)  # first-call costs out of the peak
     row_bytes = (n_features + 1) * 8  # features and label
     assert setup_peak_bytes(cfg) < (n_train + clients * m) * row_bytes
 
@@ -196,14 +207,14 @@ def test_the_run_table_holds_each_drawn_pool_row_once():
                          "dataset.samples_per_client": m,
                          "dataset.noniid_bias": 0.9,
                          "fl.total_clients": clients})
-    exp = _Experiment(cfg)  # also takes first-call costs out of the peak
+    data = build_run_data(cfg)  # also takes first-call costs out of the peak
     labels = blob_stream(n_train, n_features, 2, 0.2,
                          stream(cfg.master_seed, "data-train")).labels
     ids = np.concatenate(partition_label_skew(
         labels, 2, PartitionPlan(clients, 0.9, m),
         stream(cfg.master_seed, "partition")))
-    table = exp.data.shards[0].table
-    assert all(shard.table is table for shard in exp.data.shards)
+    table = data.shards[0].table
+    assert all(shard.table is table for shard in data.shards)
     assert len(table) == len(np.unique(ids)) < len(ids)
     row_bytes = (n_features + 1) * 8  # features and label
     block_rows = n_train // 2  # the blob stream's class block
@@ -241,13 +252,13 @@ SETUP_CASES = {
 def test_shared_rows_are_read_only():
     # shards share the table's rows: a write into one client's rows must
     # raise instead of reaching every client that drew them
-    exp = _Experiment(base_config(**{"aggregator.kind": "fltrust"}))
-    table = exp.data.shards[0].table
-    for array in (table.features, table.labels, exp.data.shards[0].rows,
-                  exp.data.root_set.rows):
+    data = build_run_data(base_config(**{"aggregator.kind": "fltrust"}))
+    table = data.shards[0].table
+    for array in (table.features, table.labels, data.shards[0].rows,
+                  data.root_set.rows):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
-    exp.data.shards[0].features[0] = -1.0  # a read is a copy of the rows
+    data.shards[0].features[0] = -1.0  # a read is a copy of the rows
     assert (table.features >= 0.0).all()
     # every round reads the whole setup, so no array of it takes a write
     seen = set()
@@ -327,7 +338,7 @@ def test_idx_backdoor_target_outside_the_pool_classes_is_refused(tmp_path):
         "backdoor": {"flavor": "trigger", "target_label": 5}})
     with pytest.raises(ValueError, match=r"^attack\.backdoor\.target_label: "
                                          r"5 outside \[0, 2\)"):
-        _Experiment(cfg)
+        build_run_data(cfg)
     cfg.attack.backdoor.target_label = 1
     assert len(run_experiment(cfg)) == cfg.fl.rounds
 
@@ -341,7 +352,32 @@ def test_idx_test_images_of_another_width_are_refused(tmp_path):
     cfg = idx_config(tmp_path, test)
     with pytest.raises(ValueError, match=r"^dataset\.idx\.test_images: "
                                          r".* 6 features, .* 4$"):
-        _Experiment(cfg)
+        build_run_data(cfg)
+
+
+def test_idx_test_labels_the_pool_lacks_are_refused(tmp_path):
+    # a 5-class test set against the 2-class pool used to run, scoring
+    # its rows of labels 2-4 as misses that no 2-class model can avoid
+    rng = stream(8, "idx")
+    test = Dataset(rng.integers(0, 256, size=(10, 4)) / 255.0,
+                   np.arange(10) % 5, 5)
+    cfg = idx_config(tmp_path, test)
+    with pytest.raises(ValueError, match=r"^dataset\.idx\.test_labels: "
+                                         r".* 5 classes, .* 2$"):
+        build_run_data(cfg)
+
+
+def test_idx_training_labels_with_an_empty_class_are_refused(tmp_path):
+    # labels {0, 2} make 3 classes, and partition_label_skew used to
+    # refuse the run without a key: "class 1 has no samples to draw from"
+    cfg = idx_config(tmp_path)
+    idx = cfg.dataset.idx
+    train = load_idx(idx.train_images, idx.train_labels)
+    save_idx(Dataset(train.features, 2 * train.labels, 3),
+             idx.train_images, idx.train_labels)
+    with pytest.raises(ValueError, match=r"^dataset\.idx\.train_labels: "
+                                         r".* no row of class 1$"):
+        build_run_data(cfg)
 
 
 # -- full runs -----------------------------------------------------------------
@@ -350,12 +386,13 @@ def test_fedavg_all_benign_conservation():
     # the round's 1/n weights are the sample-count weights of its shards,
     # bit for bit: every shard holds samples_per_client rows
     cfg = base_config()
-    exp = _Experiment(cfg)
+    data = build_run_data(cfg)
+    w = data.initial_model
     roster, advs = select_round_roster(8, 5, 0, 0, cfg.master_seed)
-    updates = exp._client_updates(0, roster, advs)
-    counts = np.array([len(exp.data.shards[int(c)]) for c in roster],
-                      float)
-    delta, weights, _ = exp._aggregate(updates, 0)
+    updates = _client_updates(cfg, data, client_streams(cfg), w, 0, roster,
+                              advs)
+    counts = np.array([len(data.shards[int(c)]) for c in roster], float)
+    delta, weights, _ = _aggregate(cfg, data, w, updates, 0)
     assert np.array_equal(delta, fedavg(updates))
     assert np.array_equal(weights, counts / counts.sum())
     assert np.asarray(weights).sum() == pytest.approx(1.0, abs=1e-12)
@@ -370,6 +407,58 @@ def report_fields(reports, skip_timing=True):
             d.pop("aggregation_wall_time")
         rows.append(d)
     return rows
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# between them, they reach every per-client stream, DBA triggers, the edge
+# pool, PGD and constrain-and-scale
+ONE_PROCESS_CASES = {
+    "noise": {"attack": {"kind": "gaussian_noise", "strategy": "base",
+                         "n_adversaries": 2, "sigma": 0.5}},
+    "dba": {"attack": {"kind": "backdoor", "n_adversaries": 2,
+                       "backdoor": {"flavor": "dba",
+                                    "n_trigger_features": 2}}},
+    "edge-pgd": {"attack": {"kind": "backdoor",
+                            "strategy": "constrain_and_scale",
+                            "n_adversaries": 2, "alpha": 0.5,
+                            "boosting_factor": 2.0, "pgd_radius": 0.5,
+                            "backdoor": {"flavor": "edge",
+                                         "target_label": 1,
+                                         "edge_ratio": 0.3}}},
+}
+
+
+def fresh_process_fields(config_json):
+    """report_fields of a run of the JSON config in a new interpreter."""
+    code = ("import dataclasses, json, sys\n"
+            "from fedtruth.config import config_from_dict\n"
+            "from fedtruth.simulator import run_experiment\n"
+            "cfg = config_from_dict(json.loads(sys.argv[1]))\n"
+            "print(json.dumps([dataclasses.asdict(r)\n"
+            "                  for r in run_experiment(cfg)]))\n")
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code, config_json],
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True).stdout
+    fields = json.loads(out)
+    for row in fields:
+        del row["aggregation_wall_time"]
+    return fields
+
+
+@pytest.mark.parametrize("case", sorted(ONE_PROCESS_CASES))
+def test_runs_in_one_process_share_no_state(case):
+    # the benchmark runs several master seeds in one process: a run must
+    # read nothing an earlier one left behind
+    configs = {seed: json.dumps(config_dict(master_seed=seed,
+                                            **ONE_PROCESS_CASES[case]))
+               for seed in (1, 2)}
+    fresh = {seed: fresh_process_fields(c) for seed, c in configs.items()}
+    for seed in (1, 2, 1):
+        cfg = config_from_dict(json.loads(configs[seed]))
+        assert report_fields(run_experiment(cfg)) == fresh[seed]
 
 
 def test_run_deterministic_in_master_seed():
@@ -423,19 +512,20 @@ def test_every_aggregator_completes(agg):
 @pytest.mark.parametrize("kind", ["flame", "fltrust"])
 def test_report_weights_come_from_the_aggregate(kind):
     cfg = base_config(**{"aggregator.kind": kind})
-    exp = _Experiment(cfg)
+    data = build_run_data(cfg)
+    w = data.initial_model
     roster, advs = select_round_roster(8, 5, 0, 0, cfg.master_seed)
-    updates = exp._client_updates(0, roster, advs)
-    delta, weights, _ = exp._aggregate(updates, 0)
+    updates = _client_updates(cfg, data, client_streams(cfg), w, 0, roster,
+                              advs)
+    delta, weights, _ = _aggregate(cfg, data, w, updates, 0)
     if kind == "flame":
         expected, kept = flame(updates, cfg.aggregator.flame_noise_factor,
                                stream(cfg.master_seed, "flame", 0))
         want = np.zeros(len(updates))
         want[kept] = 1.0 / len(kept)
     else:
-        w = exp.global_model
         server = extract_update(w, train_roster(
-            w, [exp.data.root_set], exp.data.model_spec,
+            w, [data.root_set], data.model_spec,
             cfg.fl.train_config(),
             [stream(cfg.master_seed, "fltrust", 0)])[0])
         expected, scores = fltrust(updates, server)
@@ -567,15 +657,15 @@ def test_nonfinite_client_update_names_round_and_client(bad, monkeypatch):
     cfg = base_config()
     roster, _ = select_round_roster(8, 5, 0, 1, cfg.master_seed)
     victim = int(roster[2])
-    client_updates = _Experiment._client_updates
 
-    def one_bad_entry(self, round_index, roster, adversaries):
-        updates = client_updates(self, round_index, roster, adversaries)
+    def one_bad_entry(*args):
+        updates = _client_updates(*args)
+        round_index, roster = args[4:6]
         if round_index == 1:
             updates[list(roster).index(victim), 3] = bad
         return updates
 
-    monkeypatch.setattr(_Experiment, "_client_updates", one_bad_entry)
+    monkeypatch.setattr(fedtruth.simulator, "_client_updates", one_bad_entry)
     with pytest.raises(NonFiniteUpdate) as info:
         run_experiment(cfg)
     assert info.value.round_index == 1
@@ -624,12 +714,12 @@ def test_every_model_trains_through_train_roster(tmp_path, monkeypatch):
     plain = tmp_path / "plain.csv"
     write_round_csv(plain, cfg, run_experiment(cfg))
 
-    exp = _Experiment(cfg)
+    data = build_run_data(cfg)
     trained = {"client": 0, "server": 0}
     train_roster = fedtruth.simulator.train_roster
 
     def counting(params, datasets, *args):
-        if any(ds is exp.data.root_set for ds in datasets):
+        if any(ds is data.root_set for ds in datasets):
             trained["server"] += len(datasets)
         else:
             trained["client"] += len(datasets)
@@ -637,7 +727,8 @@ def test_every_model_trains_through_train_roster(tmp_path, monkeypatch):
 
     monkeypatch.setattr(fedtruth.simulator, "train_roster", counting)
     counted = tmp_path / "counted.csv"
-    write_round_csv(counted, cfg, exp.run())
+    write_round_csv(counted, cfg,
+                    run_rounds(cfg, data, client_streams(cfg))[1])
     rounds = cfg.fl.rounds
     assert trained == {
         "client": rounds * (cfg.fl.clients_per_round
@@ -732,7 +823,7 @@ def test_empty_idx_test_set_refused_at_setup(tmp_path):
     empty = Dataset(np.zeros((0, 4)), np.zeros(0, dtype=int), 2)
     cfg = idx_config(tmp_path, empty)
     with pytest.raises(ValueError):
-        _Experiment(cfg)
+        build_run_data(cfg)
     # the same files with the training images as test set do run
     cfg.dataset.idx.test_images = cfg.dataset.idx.train_images
     cfg.dataset.idx.test_labels = cfg.dataset.idx.train_labels
@@ -747,7 +838,7 @@ def test_idx_trigger_indices_refused_at_setup(tmp_path):
         "backdoor": {"feature_indices": [2, 4]}})
     with pytest.raises(ValueError, match=r"^attack\.backdoor\."
                        r"feature_indices: \[4\] outside \[0, 4\)$"):
-        _Experiment(cfg)
+        build_run_data(cfg)
     cfg.attack.backdoor.feature_indices = [2, 3]
     assert len(run_experiment(cfg)) == cfg.fl.rounds
 
@@ -861,25 +952,37 @@ def replayed_fields(report):
     return fields
 
 
+def run_rounds(cfg, data, streams):
+    """run_experiment's rounds on the given setup and streams: the global
+    model entering each round and the one after the last, and the
+    reports."""
+    models, reports = [data.initial_model], []
+    for t in range(cfg.fl.rounds):
+        w, report = run_round(cfg, data, streams, models[-1], t)
+        models.append(w)
+        reports.append(report)
+    return models, reports
+
+
+def replayed_round(cfg, w, t):
+    """Round t from `w`, made read-only so that no round may write its
+    input model, on a fresh setup and fresh streams."""
+    w.setflags(write=False)
+    return run_round(cfg, build_run_data(cfg), client_streams(cfg), w, t)
+
+
 @pytest.mark.parametrize("case", sorted(PURITY_CASES) + sorted(PINNED_RUNS))
 def test_a_round_is_a_function_of_its_global_model(case):
     # a fresh run given only round t's global model replays round t; the
     # pinned configs are built as their digest test builds them
     over = PURITY_CASES[case] if case in PURITY_CASES else PINNED_RUNS[case][0]
     cfg = base_config(**{"fl.rounds": 4}, **over)
-    exp = _Experiment(cfg)
-    models, reports = [], []
-    for t in range(cfg.fl.rounds):
-        models.append(exp.global_model.copy())
-        reports.append(exp.run_round(t))
+    models, reports = run_rounds(cfg, build_run_data(cfg),
+                                 client_streams(cfg))
     for t in sorted({0, 1, cfg.fl.rounds - 1}):
-        fresh = _Experiment(cfg)
-        fresh.global_model = models[t]
-        assert replayed_fields(fresh.run_round(t)) \
-            == replayed_fields(reports[t])
-        assert np.array_equal(fresh.global_model,
-                              models[t + 1] if t + 1 < len(models)
-                              else exp.global_model)
+        replayed = replayed_round(cfg, models[t], t)
+        assert replayed_fields(replayed[1]) == replayed_fields(reports[t])
+        assert np.array_equal(replayed[0], models[t + 1])
 
 
 CHUNKED_CASES = {
@@ -896,23 +999,18 @@ def test_a_run_is_the_same_over_chunks_of_client_streams(monkeypatch, case):
     # 2 rounds a chunk: the run spans 3 chunks
     monkeypatch.setattr("fedtruth.rng.CHUNK_KEYS",
                         2 * cfg.fl.total_clients)
-    exp = _Experiment(cfg)
-    models, reports = [], []
-    for t in range(cfg.fl.rounds):
-        models.append(exp.global_model.copy())
-        reports.append(exp.run_round(t))
+    streams = client_streams(cfg)
+    models, reports = run_rounds(cfg, build_run_data(cfg), streams)
     assert [replayed_fields(r) for r in reports] \
         == [replayed_fields(r) for r in whole]
     order = list(range(cfg.fl.rounds)) + list(range(cfg.fl.rounds))[::-1]
-    for purpose, streams in exp.client_streams.items():
-        assert streams.chunk_rounds == 2
+    for purpose, purpose_streams in streams.items():
+        assert purpose_streams.chunk_rounds == 2
         for t in order:
             for c in range(cfg.fl.total_clients):
-                assert streams(t, c).bit_generator.state \
+                assert purpose_streams(t, c).bit_generator.state \
                     == stream(cfg.master_seed, purpose, t,
                               c).bit_generator.state
     for t in reversed(range(cfg.fl.rounds)):
-        fresh = _Experiment(cfg)
-        fresh.global_model = models[t]
-        assert replayed_fields(fresh.run_round(t)) \
+        assert replayed_fields(replayed_round(cfg, models[t], t)[1]) \
             == replayed_fields(reports[t])

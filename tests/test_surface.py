@@ -70,32 +70,34 @@ def test_every_export_is_named_in_the_readme_library_section():
     assert undocumented == []
 
 
-def attributes_set_by_method(path, class_name):
-    """method name -> the `self.` attributes it assigns or deletes, in
-    the class `class_name` of the module at `path`."""
-    cls = next(node for node in parse(path).body
-               if isinstance(node, ast.ClassDef) and node.name == class_name)
-    found = {}
-    for method in cls.body:
-        if not isinstance(method, ast.FunctionDef):
+def round_state_writes(path):
+    """'function: global' or 'function: nonlocal' for each such statement
+    in a function of the module at `path`, and 'Class.method: self.name'
+    for each `self.` attribute a method other than __init__ or
+    __post_init__ assigns or deletes."""
+    found = []
+    for node in ast.walk(parse(path)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [f"{node.name}: {type(n).__name__.lower()}"
+                      for n in ast.walk(node)
+                      if isinstance(n, (ast.Global, ast.Nonlocal))]
+        if not isinstance(node, ast.ClassDef):
             continue
-        names = found.setdefault(method.name, set())
-        for node in ast.walk(method):
-            if isinstance(node, ast.Attribute) \
-                    and isinstance(node.ctx, (ast.Store, ast.Del)) \
-                    and isinstance(node.value, ast.Name) \
-                    and node.value.id == "self":
-                names.add(node.attr)
+        for method in node.body:
+            if not isinstance(method, ast.FunctionDef) \
+                    or method.name in ("__init__", "__post_init__"):
+                continue
+            found += [f"{node.name}.{method.name}: self.{n.attr}"
+                      for n in ast.walk(method)
+                      if isinstance(n, ast.Attribute)
+                      and isinstance(n.ctx, (ast.Store, ast.Del))
+                      and isinstance(n.value, ast.Name)
+                      and n.value.id == "self"]
     return found
 
 
-def test_a_run_changes_only_its_global_model_after_setup():
-    # a round must depend only on the setup (one read-only RunData, built
-    # in __init__) and the current global model, so no other method may
-    # set anything else
-    found = attributes_set_by_method(PACKAGE / "simulator.py", "_Experiment")
-    assert found.pop("__init__") == {"cfg", "data", "client_streams",
-                                     "global_model"}
-    assert {method: names - {"global_model"}
-            for method, names in found.items()
-            if names - {"global_model"}} == {}
+def test_a_round_keeps_no_state_between_calls():
+    # a round must depend only on the setup (one read-only RunData) and
+    # the global model it is given, so nothing in the simulator may
+    # carry a value from one call to the next
+    assert round_state_writes(PACKAGE / "simulator.py") == []
