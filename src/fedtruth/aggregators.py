@@ -122,7 +122,6 @@ def _cosine_distance_matrix(X: np.ndarray, norms: np.ndarray) -> np.ndarray:
     zero = norms == 0.0
     sim[zero, :] = 0.0
     sim[:, zero] = 0.0
-    np.fill_diagonal(sim, np.where(zero, 0.0, 1.0))
     return 1.0 - np.clip(sim, -1.0, 1.0)
 
 

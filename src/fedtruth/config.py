@@ -199,6 +199,8 @@ class ExperimentConfig:
                 raise ValueError(f"fl.{key} must be >= 1")
         if fl.learning_rate < 0:
             raise ValueError("fl.learning_rate must be >= 0")
+        if fl.server_lr < 0:
+            raise ValueError("fl.server_lr must be >= 0")
         if attack.n_adversaries < 0 or attack.n_adversaries > fl.clients_per_round:
             raise ValueError("attack.n_adversaries outside [0, roster size]")
         if (attack.n_adversaries >= fl.clients_per_round / 2

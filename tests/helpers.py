@@ -1,84 +1,20 @@
-"""Test-side code that the package itself never runs.
-
-- `resilience_gap`: criterion 01's oracle for the resilient-averaging
-  bound, batched over every client subset of an instance at once;
-- `resilience_gap_loop`: the same gap one subset at a time, the
-  reference that the batched form must equal bit for bit;
-- `save_idx`: an IDX file writer, the inverse of `data.load_idx`, for
-  fixtures;
-- `subset`: some rows of a Dataset, copied out;
-- `partition_reference` and `run_data_reference`: a run's shards and
-  FLTrust root set gathered as they were before the training pool was
-  streamed, out of the whole pool with `subset`.
-"""
+"""Inputs, fixtures and assertions that several test modules share; the
+references they are checked against live in `oracles.py`."""
 
 import struct
-from itertools import combinations
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
+import yaml
+from hypothesis import strategies as st
 
-from fedtruth.data import (IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, DataSource,
-                           Dataset, PartitionPlan, load_idx, synth_blobs)
+from fedtruth.data import (IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, Dataset,
+                           synth_blobs)
 from fedtruth.rng import stream
-from fedtruth.vectors import Updates, _row_dots, update_matrix
+from fedtruth.training import _roster_gradients, _unpack, init_model
+from fedtruth.vectors import BLOCK_ELEMENTS
 
-
-def _checked(updates: Updates, f: int, aggregate):
-    X = update_matrix(updates)
-    n = len(X)
-    if not 0 <= f < n / 2:
-        raise ValueError(f"need 0 <= f < n/2, got f={f}, n={n}")
-    pair_dist = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2)
-    return X, pair_dist, np.asarray(aggregate, dtype=np.float64)
-
-
-def _subsets(n: int, f: int, rng: Optional[np.random.Generator],
-             n_samples: int):
-    """Every subset of size n - f for n <= 12, else n_samples drawn
-    uniformly (from a fixed stream unless rng is supplied)."""
-    if n <= 12:
-        return combinations(range(n), n - f)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return (rng.choice(n, size=n - f, replace=False)
-            for _ in range(n_samples))
-
-
-def resilience_gap(updates: Updates, f: int, aggregate: np.ndarray,
-                   rng: Optional[np.random.Generator] = None,
-                   n_samples: int = 1000) -> float:
-    """Empirical check of (f, 1)-resilient averaging.
-
-    Over subsets S of size n - f, returns the maximum of
-        ||aggregate - mean(S)|| - max_{i,j in S} ||x_i - x_j||.
-    All subsets are enumerated for n <= 12; otherwise n_samples subsets are
-    drawn uniformly. A non-positive result witnesses the resilience
-    inequality on the tested subsets. One (subsets, n - f) index array
-    gathers every subset's rows and pairwise distances at once.
-    """
-    X, pair_dist, aggregate = _checked(updates, f, aggregate)
-    S = np.array(list(_subsets(len(X), f, rng, n_samples)), dtype=np.intp)
-    means = X[S].mean(axis=1)
-    diameters = pair_dist[S[:, :, None], S[:, None, :]].max(axis=(1, 2))
-    diff = aggregate - means
-    return float((np.sqrt(_row_dots(diff, diff)) - diameters).max())
-
-
-def resilience_gap_loop(updates: Updates, f: int, aggregate: np.ndarray,
-                        rng: Optional[np.random.Generator] = None,
-                        n_samples: int = 1000) -> float:
-    """`resilience_gap` one subset at a time."""
-    X, pair_dist, aggregate = _checked(updates, f, aggregate)
-    worst = -np.inf
-    for subset in _subsets(len(X), f, rng, n_samples):
-        idx = np.fromiter(subset, dtype=np.intp)
-        mean_s = X[idx].mean(axis=0)
-        diameter = pair_dist[np.ix_(idx, idx)].max()
-        gap = float(np.linalg.norm(aggregate - mean_s)) - float(diameter)
-        if gap > worst:
-            worst = gap
-    return worst
+from oracles import reference_cross_entropy
 
 
 def save_idx(ds: Dataset, images_path, labels_path,
@@ -101,59 +37,143 @@ def save_idx(ds: Dataset, images_path, labels_path,
         fh.write(ds.labels.astype(np.uint8).tobytes())
 
 
-def subset(ds: Dataset, rows) -> Dataset:
-    """The rows `rows` of `ds`, in order, as a new Dataset."""
-    idx = np.asarray(rows, dtype=np.intp)
-    return Dataset(ds.features[idx], ds.labels[idx], ds.n_classes)
+MINIMAL = {
+    "dataset": {"samples_per_client": 30,
+                "synth": {"n_train": 400, "n_test": 120, "n_features": 6,
+                          "n_classes": 2, "spread": 0.2}},
+    "fl": {"total_clients": 6, "clients_per_round": 4, "rounds": 3,
+           "learning_rate": 0.3, "batch_size": 16},
+    "aggregator": {"kind": "fedtruth"},
+}
 
 
-def partition_reference(ds: Dataset, plan: PartitionPlan,
-                        rng: np.random.Generator,
-                        rows: Optional[np.ndarray] = None) -> List[Dataset]:
-    """`data.partition_label_skew`'s draws, each shard copied out of the
-    whole pool `ds` with `subset`."""
-    if rows is None:
-        rows = np.arange(len(ds))
-    kept = ds.labels[rows]
-    pools = [rows[kept == c] for c in range(ds.n_classes)]
-    shards = []
-    for client in range(plan.n_clients):
-        primary = plan.primary_label(client, ds.n_classes)
-        others = [c for c in range(ds.n_classes) if c != primary]
-        n_primary = int((rng.random(plan.samples_per_client)
-                         < plan.bias).sum())
-        counts = {primary: n_primary}
-        if plan.samples_per_client - n_primary > 0:
-            for j in rng.choice(len(others),
-                                size=plan.samples_per_client - n_primary):
-                c = others[int(j)]
-                counts[c] = counts.get(c, 0) + 1
-        drawn = [rng.choice(pools[c], size=k, replace=pools[c].size < k)
-                 for c, k in counts.items() if k]
-        shards.append(subset(ds, np.concatenate(drawn)))
-    return shards
+def write_config(tmp_path, name="exp", extra=None):
+    data = dict(MINIMAL)
+    if extra:
+        data = {**data, **extra}
+    data.setdefault("output", {})["directory"] = str(tmp_path / "out")
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(yaml.safe_dump(data))
+    return path
 
 
-def run_data_reference(cfg) -> Tuple[List[Dataset], Optional[Dataset]]:
-    """A run's client shards and FLTrust root set (None under any other
-    aggregator), from the whole training pool: the root drawn first and
-    copied out, the shards drawn from the rows left."""
-    seed, ds_cfg = cfg.master_seed, cfg.dataset
-    if ds_cfg.source is DataSource.SYNTH:
-        s = ds_cfg.synth
-        pool = synth_blobs(s.n_train, s.n_features, s.n_classes, s.spread,
-                           stream(seed, "data-train"))
+def without_timing_bytes(path):
+    lines = path.read_bytes().splitlines(keepends=True)
+    drop = lines[0].split(b",").index(b"agg_time_s")
+    return [b",".join(f for i, f in enumerate(line.split(b",")) if i != drop)
+            for line in lines]
+
+
+def random_instances(count, n, dim, seed_tag):
+    rng = stream(20240, seed_tag)
+    return [[rng.normal(size=dim) for _ in range(n)] for _ in range(count)]
+
+
+# (n, d) pairs whose n * d exceeds BLOCK_ELEMENTS: several row blocks, and
+# one row per block once d alone exceeds it
+WIDE_SHAPES = [(40, 2000), (9, 8000), (3, BLOCK_ELEMENTS + 5)]
+
+
+@st.composite
+def update_sets(draw):
+    """An (n, d) update set, possibly a column block of a wider array, with
+    zero rows, repeated rows and rows parallel to another row."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.integers(0, 4)) == 0:
+        n, d = draw(st.sampled_from(WIDE_SHAPES))
     else:
-        pool = load_idx(ds_cfg.idx.train_images, ds_cfg.idx.train_labels)
-    root, rows = None, None
-    if cfg.aggregator.kind == "fltrust":
-        n_root = max(1, int(cfg.fltrust_root_fraction * len(pool)))
-        root_idx = stream(seed, "root").choice(len(pool), size=n_root,
-                                               replace=False)
-        mask = np.ones(len(pool), dtype=bool)
-        mask[root_idx] = False
-        root, rows = subset(pool, root_idx), np.flatnonzero(mask)
-    plan = PartitionPlan(cfg.fl.total_clients, ds_cfg.noniid_bias,
-                         ds_cfg.samples_per_client)
-    return partition_reference(pool, plan, stream(seed, "partition"),
-                               rows), root
+        n = draw(st.integers(1, 40))
+        d = draw(st.sampled_from([1, 2, 3, 5, 42, 300]))
+    offset = draw(st.sampled_from([0, 0, 3]))
+    full = rng.normal(size=(n, d + offset))
+    full *= 10.0 ** rng.integers(-3, 4, size=(n, 1))
+    X = full[:, offset:]
+    for k in range(n):
+        shape = draw(st.integers(0, 9))
+        if shape == 0:
+            X[k] = 0.0
+        elif shape == 1 and k > 0:
+            scale = draw(st.sampled_from([1.0, -1.0, 2.5]))
+            X[k] = X[rng.integers(k)] * scale
+    return X
+
+
+@st.composite
+def reference_and_rows(draw):
+    """A reference vector and rows to measure from it: an `update_sets`
+    set with a zero reference, a scaled row of it, its mean or a random
+    vector; or up to 6 rows of up to 9 values drawn in [-100, 100], each
+    row zero or a multiple of the reference, which may be zero."""
+    if draw(st.booleans()):
+        X = draw(update_sets())
+        choice = draw(st.sampled_from(["zero", "row", "mean", "random"]))
+        if choice == "zero":
+            return np.zeros(X.shape[1]), X
+        if choice == "row":
+            return X[draw(st.integers(0, len(X) - 1))] * draw(
+                st.sampled_from([1.0, -2.0, 1e-3])), X
+        if choice == "mean":
+            return X.mean(axis=0), X
+        return np.random.default_rng(len(X)).normal(size=X.shape[1]), X
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    value = st.floats(min_value=-100.0, max_value=100.0,
+                      allow_nan=False, allow_infinity=False)
+    ref = np.array(draw(st.lists(value, min_size=d, max_size=d)))
+    X = np.array(draw(st.lists(st.lists(value, min_size=d, max_size=d),
+                               min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        ref[:] = 0.0
+    for k in range(n):
+        if draw(st.integers(0, 3)) == 0:
+            X[k] = 0.0
+        elif draw(st.integers(0, 3)) == 0:
+            X[k] = ref * draw(st.sampled_from([1.0, -1.0, 2.5]))
+    return ref, X
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def assert_same_datasets(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.features.tobytes() == b.features.tobytes()
+        assert np.array_equal(a.labels, b.labels)
+        assert a.n_classes == b.n_classes
+
+
+def assert_same_estimate(est, want):
+    """Two estimates (a `TruthEstimate` or the oracle's `RowEstimate`)
+    agree bit for bit."""
+    assert bits(est.truth) == bits(want.truth)
+    assert bits(est.weights) == bits(want.weights)
+    assert bits(est.performances) == bits(want.performances)
+    assert (est.iterations, est.converged) == \
+        (want.iterations, want.converged)
+
+
+def finite_difference_check(spec, n_coords=100, h=1e-6, seed=5):
+    """The worst relative error, over up to n_coords parameters, of the
+    package's analytic gradient of the mean loss on 40 blob rows against
+    central differences of the reference loss."""
+    ds = synth_blobs(40, spec.n_features, spec.n_classes, 0.15,
+                     stream(seed, "train-data"))
+    params = init_model(spec, seed)
+    grad = np.empty((1, params.size))
+    _roster_gradients(spec, _unpack(spec, params[None]), ds.features[None],
+                      np.eye(spec.n_classes)[ds.labels][:, None],
+                      _unpack(spec, grad))
+    grad = grad[0]
+    rng = np.random.default_rng(seed)
+    coords = rng.choice(params.size, size=min(n_coords, params.size),
+                        replace=False)
+    worst = 0.0
+    for j in coords:
+        up, down = params.copy(), params.copy()
+        up[j] += h
+        down[j] -= h
+        numeric = (reference_cross_entropy(spec, up, ds)
+                   - reference_cross_entropy(spec, down, ds)) / (2 * h)
+        denom = max(abs(numeric), abs(grad[j]), 1e-8)
+        worst = max(worst, abs(numeric - grad[j]) / denom)
+    return worst

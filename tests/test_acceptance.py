@@ -6,7 +6,6 @@ Everything here is deterministic except wall-clock timings.
 """
 
 import copy
-import csv
 import time
 from functools import lru_cache
 
@@ -24,8 +23,10 @@ from fedtruth.training import ModelKind, ModelSpec
 from fedtruth.truth import (CoefficientFunction, FedTruthConfig,
                             estimate_truth, estimate_truth_layered)
 
-from helpers import resilience_gap
-from test_training import finite_difference_check
+from helpers import (finite_difference_check, random_instances,
+                     without_timing_bytes)
+from oracles import (krum_bruteforce, median_reference, resilience_gap,
+                     trimmed_mean_reference)
 
 
 def conclude(number, name, ok, detail=""):
@@ -103,11 +104,6 @@ def run_cell(scenario_name, aggregator, distance, coefficient, seed,
     reports = run_experiment(config_from_dict(d))
     last = reports[-1]
     return last.main_accuracy, last.backdoor_accuracy
-
-
-def random_instances(count, n, dim, seed_tag):
-    rng = stream(20240, seed_tag)
-    return [[rng.normal(size=dim) for _ in range(n)] for _ in range(count)]
 
 
 # -- criteria -------------------------------------------------------------------
@@ -302,20 +298,11 @@ def test_criterion_10_baseline_oracles():
         n = int(rng.integers(2, 10))
         dim = int(rng.integers(1, 9))
         updates = [rng.normal(size=dim) for _ in range(n)]
-        med = coordinate_median(updates)
-        med_oracle = np.array([
-            sorted(u[j] for u in updates)[n // 2] if n % 2 else
-            (sorted(u[j] for u in updates)[n // 2 - 1]
-             + sorted(u[j] for u in updates)[n // 2]) / 2
-            for j in range(dim)])
         trim_k = int(rng.integers(0, (n - 1) // 2 + 1))
-        tm = trimmed_mean(updates, trim_k)
-        tm_oracle = np.array([
-            (lambda col: sum(col[trim_k:n - trim_k])
-             / (n - 2 * trim_k))(sorted(u[j] for u in updates))
-            for j in range(dim)])
-        if not (np.array_equal(med, med_oracle)
-                and np.array_equal(tm, tm_oracle)):
+        if not (np.array_equal(coordinate_median(updates),
+                               median_reference(updates))
+                and np.array_equal(trimmed_mean(updates, trim_k),
+                                   trimmed_mean_reference(updates, trim_k))):
             exact = False
             break
 
@@ -327,12 +314,7 @@ def test_criterion_10_baseline_oracles():
                    for _ in range(n)]
         dim = max(u.size for u in updates)
         updates = [np.resize(u, dim) for u in updates]
-        scores = []
-        for i in range(n):
-            dists = sorted(float(np.sum((updates[i] - updates[j]) ** 2))
-                           for j in range(n) if j != i)
-            scores.append(sum(dists[:n - f - 2]))
-        if krum_select(updates, f) != int(np.argmin(scores)):
+        if krum_select(updates, f) != krum_bruteforce(updates, f):
             krum_ok = False
             break
     conclude(10, "baseline oracles", exact and krum_ok,
@@ -367,11 +349,7 @@ def test_criterion_12_run_determinism(tmp_path):
         path = tmp_path / f"{name}.yaml"
         path.write_text(yaml.safe_dump(data))
         assert main(["run", str(path)]) == 0
-        with open(tmp_path / f"{name}.csv") as fh:
-            table = list(csv.reader(fh))
-        drop = table[0].index("agg_time_s")
-        rows.append([[c for i, c in enumerate(r) if i != drop]
-                     for r in table])
+        rows.append(without_timing_bytes(tmp_path / f"{name}.csv"))
     ok = rows[0] == rows[1]
     conclude(12, "run determinism", ok,
              f"{len(rows[0]) - 1} rows byte-identical modulo timing")

@@ -8,7 +8,9 @@ from fedtruth.aggregators import (_cosine_distance_matrix,
                                   flame, flame_survivors, fltrust,
                                   krum_select, trimmed_mean)
 from fedtruth.rng import stream
-from fedtruth.vectors import weighted_sum
+
+from oracles import (cosine_distances, flame_reference, fltrust_reference,
+                     krum_bruteforce, krum_rows, majority_cut)
 
 
 def vecs(*rows):
@@ -43,17 +45,8 @@ def test_krum_too_small():
         krum_select(vecs([0.0], [1.0], [2.0]), 1)
 
 
-def krum_bruteforce(updates, f):
-    n = len(updates)
-    scores = []
-    for i in range(n):
-        dists = sorted(np.sum((updates[i] - updates[j]) ** 2)
-                       for j in range(n) if j != i)
-        scores.append(sum(dists[: n - f - 2]))
-    return int(np.argmin(scores))
-
-
 def test_krum_matches_bruteforce():
+    # criterion 10 draws d >= 2 only; this draw also meets d = 1
     rng = np.random.default_rng(42)
     for _ in range(300):
         n = int(rng.integers(4, 9))
@@ -106,39 +99,6 @@ def test_trim_k_zero_equals_uniform_fedavg():
 def test_default_trim_k():
     assert default_trim_k(10) == 2
     assert default_trim_k(4) == 0
-
-
-def sort_oracle(updates, trim_k):
-    X = np.array(updates)
-    out = np.empty(X.shape[1])
-    for j in range(X.shape[1]):
-        col = sorted(X[:, j])
-        kept = col[trim_k: len(col) - trim_k] if trim_k else col
-        out[j] = sum(kept) / len(kept)
-    return out
-
-
-def median_oracle(updates):
-    X = np.array(updates)
-    out = np.empty(X.shape[1])
-    for j in range(X.shape[1]):
-        col = sorted(X[:, j])
-        mid = len(col) // 2
-        out[j] = col[mid] if len(col) % 2 else (col[mid - 1] + col[mid]) / 2
-    return out
-
-
-def test_median_and_trimmed_match_naive_oracle():
-    rng = np.random.default_rng(7)
-    for _ in range(300):
-        n = int(rng.integers(2, 10))
-        dim = int(rng.integers(1, 9))
-        updates = [rng.normal(size=dim) for _ in range(n)]
-        assert np.array_equal(coordinate_median(updates),
-                              median_oracle(updates))
-        trim_k = int(rng.integers(0, (n - 1) // 2 + 1))
-        assert np.array_equal(trimmed_mean(updates, trim_k),
-                              sort_oracle(updates, trim_k))
 
 
 @pytest.mark.parametrize("n", [100, 99])
@@ -250,30 +210,6 @@ def test_flame_majority_cluster_size():
         assert len(kept) >= n // 2 + 1
 
 
-def threshold_majority_oracle(dist):
-    """Brute-force cut: raise the height through the distinct pairwise
-    distances until a component of the graph of edges <= height holds a
-    majority; return its members."""
-    n = len(dist)
-    for height in np.unique(dist[np.triu_indices(n, k=1)]):
-        upper = np.triu(dist <= height, k=1)
-        adjacent = upper | upper.T
-        seen = set()
-        for start in range(n):
-            if start in seen:
-                continue
-            component, frontier = {start}, [start]
-            while frontier:
-                for j in np.flatnonzero(adjacent[frontier.pop()]):
-                    if int(j) not in component:
-                        component.add(int(j))
-                        frontier.append(int(j))
-            seen |= component
-            if len(component) >= n // 2 + 1:
-                return sorted(component)
-    raise AssertionError("no majority at the largest height")
-
-
 def test_flame_survivors_match_threshold_oracle():
     # ties come from duplicates, sign flips, zero vectors and d = 1
     rng = np.random.default_rng(11)
@@ -288,10 +224,13 @@ def test_flame_survivors_match_threshold_oracle():
                 X[i] = -X[rng.integers(n)]
             elif roll < 0.4:
                 X[i] = 0.0
-        updates = list(X)
-        assert flame_survivors(updates).tolist() == \
-            threshold_majority_oracle(
-                _cosine_distance_matrix(X, np.linalg.norm(X, axis=1)))
+        dist = cosine_distances(X)
+        assert flame_survivors(list(X)).tolist() == majority_cut(dist)
+        # the heights the cut reads, i < j: a per-pair dot and gemm sum in
+        # another order, so they agree to a few ulps of [0, 2]
+        upper = np.triu_indices(n, k=1)
+        got = _cosine_distance_matrix(X, np.linalg.norm(X, axis=1))
+        assert np.allclose(got[upper], dist[upper], rtol=0.0, atol=1e-12)
 
 
 # -- update sets ------------------------------------------------------------------
@@ -322,55 +261,6 @@ def test_list_and_stacked_array_give_identical_results(name):
 
 
 # -- the whole-matrix baselines against their per-row loops ---------------------
-
-def krum_reference(X, f):
-    """Krum as a loop over rows: each row's distances without its own,
-    sorted, the n - f - 2 smallest summed."""
-    n = len(X)
-    sq_norms = np.einsum("ij,ij->i", X, X)
-    sq = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (X @ X.T)
-    np.maximum(sq, 0.0, out=sq)
-    scores = np.empty(n)
-    for i in range(n):
-        others = np.delete(sq[i], i)
-        others.sort()
-        scores[i] = others[:n - f - 2].sum()
-    return int(np.argmin(scores))
-
-
-def fltrust_reference(X, server):
-    """FLTrust as a loop over the rows of nonzero norm."""
-    server_norm = float(np.linalg.norm(server))
-    if server_norm == 0.0:
-        return server.copy(), np.zeros(len(X))
-    norms = np.linalg.norm(X, axis=1)
-    scores = np.zeros(len(X))
-    normalized = np.zeros_like(X)
-    for i in np.flatnonzero(norms > 0.0):
-        cos = float(np.dot(X[i], server)) / (norms[i] * server_norm)
-        scores[i] = max(0.0, cos)
-        normalized[i] = X[i] * (server_norm / norms[i])
-    total = scores.sum()
-    if total == 0.0:
-        return server.copy(), scores
-    return weighted_sum(normalized, scores / total), scores
-
-
-def flame_reference(X, noise_factor, rng):
-    """FLAME's clip stage as a loop over the survivors."""
-    keep = flame_survivors(X)
-    clipped = X[keep]
-    norms = np.linalg.norm(clipped, axis=1)
-    median_norm = float(np.median(norms))
-    for i in range(len(clipped)):
-        if norms[i] > median_norm and norms[i] > 0:
-            clipped[i] *= median_norm / norms[i]
-    result = clipped.mean(axis=0)
-    sigma = noise_factor * median_norm
-    if sigma > 0:
-        result = result + rng.normal(0.0, sigma, size=result.shape)
-    return result, keep
-
 
 def update_set(seed, d, kinds, server_kind):
     """Rows drawn by kind: Gaussian, zero, a copy of an earlier row (or
@@ -413,7 +303,7 @@ def test_baselines_match_their_row_loops_bitwise(seed, d, kinds, server_kind,
     f = int(f_frac * (len(X) - 3))
     # huge rows overflow: the warnings are expected, the bits must agree
     with np.errstate(all="ignore"):
-        assert krum_select(X, f) == krum_reference(X, f)
+        assert krum_select(X, f) == krum_rows(X, f)
         fl = fltrust(X, server), fltrust_reference(X, server)
         fm = (flame(X, noise, stream(seed, "flame", 0)),
               flame_reference(X, noise, stream(seed, "flame", 0)))

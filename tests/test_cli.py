@@ -10,38 +10,14 @@ from fedtruth.cli import bench_aggregation, main
 from fedtruth.config import config_from_dict
 from fedtruth.simulator import AGGREGATORS
 
+from helpers import MINIMAL, without_timing_bytes, write_config
+
 ROOT = Path(__file__).resolve().parent.parent
-
-MINIMAL = {
-    "dataset": {"samples_per_client": 30,
-                "synth": {"n_train": 400, "n_test": 120, "n_features": 6,
-                          "n_classes": 2, "spread": 0.2}},
-    "fl": {"total_clients": 6, "clients_per_round": 4, "rounds": 3,
-           "learning_rate": 0.3, "batch_size": 16},
-    "aggregator": {"kind": "fedtruth"},
-}
-
-
-def write_config(tmp_path, name="exp", extra=None):
-    data = dict(MINIMAL)
-    if extra:
-        data = {**data, **extra}
-    data.setdefault("output", {})["directory"] = str(tmp_path / "out")
-    path = tmp_path / f"{name}.yaml"
-    path.write_text(yaml.safe_dump(data))
-    return path
 
 
 def read_csv(path):
     with open(path) as fh:
         return list(csv.reader(fh))
-
-
-def strip_timing(rows):
-    header = rows[0]
-    drop = header.index("agg_time_s")
-    return [[cell for i, cell in enumerate(row) if i != drop]
-            for row in rows]
 
 
 def test_missing_config_is_reported(capsys):
@@ -138,8 +114,8 @@ def test_runs_byte_identical_modulo_timing(tmp_path):
     path_b = write_config(tmp_path, "b")
     main(["run", str(path_a)])
     main(["run", str(path_b)])
-    rows_a = strip_timing(read_csv(tmp_path / "out" / "a.csv"))
-    rows_b = strip_timing(read_csv(tmp_path / "out" / "b.csv"))
+    rows_a = without_timing_bytes(tmp_path / "out" / "a.csv")
+    rows_b = without_timing_bytes(tmp_path / "out" / "b.csv")
     assert rows_a == rows_b
 
 
@@ -362,13 +338,6 @@ def test_bench_rejects_bad_sizes():
         bench_aggregation([0], dim=16)
     with pytest.raises(ValueError):
         bench_aggregation([4], dim=16, repetitions=0)
-
-
-def without_timing_bytes(path):
-    lines = path.read_bytes().splitlines(keepends=True)
-    drop = lines[0].split(b",").index(b"agg_time_s")
-    return [b",".join(f for i, f in enumerate(line.split(b",")) if i != drop)
-            for line in lines]
 
 
 def test_sweep_example_matches_committed_golden(tmp_path, monkeypatch):

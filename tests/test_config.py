@@ -14,7 +14,7 @@ from fedtruth.training import ModelKind, ModelSpec
 from fedtruth.truth import CoefficientFunction, FedTruthConfig
 from fedtruth.vectors import DistanceKind
 
-from test_cli import MINIMAL, write_config
+from helpers import MINIMAL, write_config
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
@@ -242,6 +242,7 @@ RANGE_ERRORS = {
     "fl.local_epochs": (0, {}),
     "fl.batch_size": (0, {}),
     "fl.learning_rate": (-1, {}),
+    "fl.server_lr": (-1, {}),
     "dataset.samples_per_client": (0, {}),
     "dataset.synth.spread": (0, {}),
     "model.hidden_units": (0, {"model.kind": "mlp"}),

@@ -10,7 +10,8 @@ from fedtruth.data import (Dataset, PartitionPlan, TableRows, TriggerSpec,
                            stack_rows, synth_blobs)
 from fedtruth.rng import stream
 
-from helpers import save_idx, subset
+from helpers import assert_same_datasets, save_idx
+from oracles import reference_blobs, subset
 
 
 def test_dataset_validation():
@@ -45,20 +46,6 @@ def test_synth_blobs_deterministic_in_seed():
     b = synth_blobs(50, 4, 2, 0.1, stream(5, "blobs"))
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
-
-
-def reference_blobs(n_samples, n_features, n_classes, spread, rng):
-    """synth_blobs as one normal() draw per class added to its mean."""
-    per_class = np.full(n_classes, n_samples // n_classes)
-    per_class[: n_samples % n_classes] += 1
-    feats, labels = [], []
-    for c in range(n_classes):
-        mean = np.zeros(n_features)
-        mean[c] = 1.0
-        count = int(per_class[c])
-        feats.append(mean + rng.normal(0.0, spread, size=(count, n_features)))
-        labels.append(np.full(count, c))
-    return np.clip(np.concatenate(feats), 0.0, 1.0), np.concatenate(labels)
 
 
 # spreads so small that spread * z underflows to -0.0 check the sign of zero
@@ -134,12 +121,6 @@ def test_idx_count_mismatch_rejected(tmp_path):
 
 # -- streamed pools --------------------------------------------------------------
 
-def assert_same_rows(got, want):
-    assert got.features.tobytes() == want.features.tobytes()
-    assert np.array_equal(got.labels, want.labels)
-    assert got.n_classes == want.n_classes
-
-
 @pytest.mark.parametrize("n_samples,n_features,n_classes",
                          [(101, 5, 3), (997, 30, 10), (3, 5, 4)])
 def test_blob_stream_gathers_the_rows_of_synth_blobs(n_samples, n_features,
@@ -151,7 +132,7 @@ def test_blob_stream_gathers_the_rows_of_synth_blobs(n_samples, n_features,
                                               size=2 * n_samples))
     got = blob_stream(n_samples, n_features, n_classes, 0.3,
                       stream(2, "blobs")).gather(rows)
-    assert_same_rows(got, subset(whole, rows))
+    assert_same_datasets([got], [subset(whole, rows)])
 
 
 def test_gather_refuses_rows_out_of_order():
@@ -179,9 +160,10 @@ def test_idx_stream_gathers_the_rows_of_load_idx(tmp_path):
                  rng.integers(0, 10, size=700), 10)
     img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
     save_idx(ds, img, lab, rows=15, cols=20)
-    assert_same_rows(load_idx(img, lab), ds)
+    assert_same_datasets([load_idx(img, lab)], [ds])
     rows = np.sort(rng.integers(0, 700, size=1500))
-    assert_same_rows(idx_stream(img, lab).gather(rows), subset(ds, rows))
+    assert_same_datasets([idx_stream(img, lab).gather(rows)],
+                         [subset(ds, rows)])
 
 
 # -- the shard table and its copies ------------------------------------------
@@ -196,10 +178,11 @@ def test_shard_table_holds_each_drawn_row_once_behind_read_only_views():
     shards = shard_table(blob_stream(50, 4, 2, 0.3, stream(2, "blobs")),
                          ids)
     table = shards[0].table
-    assert_same_rows(table, subset(whole, np.unique(np.concatenate(ids))))
+    assert_same_datasets([table],
+                         [subset(whole, np.unique(np.concatenate(ids)))])
     for shard, rows in zip(shards, ids, strict=True):
         assert shard.table is table
-        assert_same_rows(shard, subset(whole, rows))
+        assert_same_datasets([shard], [subset(whole, rows)])
     # the row ids are views of one array, not copies of it
     assert len({id(shard.rows.base) for shard in shards}) == 1
     assert shards[0].rows.base is not None

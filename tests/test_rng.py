@@ -1,11 +1,11 @@
-import zlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedtruth.rng import ClientStreams, StateWords, state_words, stream
+
+from oracles import seed_sequence_state
 
 M = 2 ** 32 - 1
 # the key words' ends, and ints that the mod-2**32 masking folds onto them
@@ -19,13 +19,6 @@ INDEX = st.one_of(EDGES,
 
 def from_words(words):
     return np.random.Generator(np.random.PCG64(StateWords(words)))
-
-
-def seed_sequence_state(seed, purpose, indices):
-    key = [seed & M, zlib.crc32(purpose.encode("utf-8"))]
-    key += [int(i) & M for i in indices]
-    return np.random.default_rng(
-        np.random.SeedSequence(key)).bit_generator.state
 
 
 @settings(max_examples=300, deadline=None)

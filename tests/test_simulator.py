@@ -28,8 +28,8 @@ from fedtruth.training import (ModelKind, ModelSpec, TrainConfig,
                                extract_update, init_model, train_roster)
 from fedtruth.aggregators import fedavg, flame, fltrust
 
-from helpers import run_data_reference, save_idx
-from test_cli import without_timing_bytes
+from helpers import assert_same_datasets, save_idx, without_timing_bytes
+from oracles import run_data_reference
 
 
 def config_dict(**over):
@@ -140,13 +140,6 @@ def test_fltrust_root_split_makes_no_pool_copy():
         base_config(**dims, **{"aggregator.kind": "fltrust"}))
     pool_bytes = n_train * (n_features + 1) * 8  # features and labels
     assert fltrust_peak - fedavg_peak < pool_bytes / 2
-
-
-def assert_same_datasets(got, want):
-    for a, b in zip(got, want, strict=True):
-        assert a.features.tobytes() == b.features.tobytes()
-        assert np.array_equal(a.labels, b.labels)
-        assert a.n_classes == b.n_classes
 
 
 STREAMED_DIMS = {"dataset.synth": {"n_train": 997, "n_test": 50,
@@ -399,14 +392,13 @@ def test_fedavg_all_benign_conservation():
     assert len(run_experiment(cfg)) == cfg.fl.rounds
 
 
-def report_fields(reports, skip_timing=True):
-    rows = []
-    for r in reports:
-        d = dataclasses.asdict(r)
-        if skip_timing:
-            d.pop("aggregation_wall_time")
-        rows.append(d)
-    return rows
+def report_fields(reports):
+    """Each report's fields, aggregation_wall_time left out; a report may
+    also come as a dict of its fields, as a JSON round trip gives it."""
+    rows = [r if isinstance(r, dict) else dataclasses.asdict(r)
+            for r in reports]
+    return [{key: value for key, value in row.items()
+             if key != "aggregation_wall_time"} for row in rows]
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -442,10 +434,7 @@ def fresh_process_fields(config_json):
     out = subprocess.run([sys.executable, "-c", code, config_json],
                          env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True).stdout
-    fields = json.loads(out)
-    for row in fields:
-        del row["aggregation_wall_time"]
-    return fields
+    return report_fields(json.loads(out))
 
 
 @pytest.mark.parametrize("case", sorted(ONE_PROCESS_CASES))
@@ -946,12 +935,6 @@ PURITY_CASES = {
 }
 
 
-def replayed_fields(report):
-    fields = dataclasses.asdict(report)
-    del fields["aggregation_wall_time"]
-    return fields
-
-
 def run_rounds(cfg, data, streams):
     """run_experiment's rounds on the given setup and streams: the global
     model entering each round and the one after the last, and the
@@ -981,7 +964,7 @@ def test_a_round_is_a_function_of_its_global_model(case):
                                  client_streams(cfg))
     for t in sorted({0, 1, cfg.fl.rounds - 1}):
         replayed = replayed_round(cfg, models[t], t)
-        assert replayed_fields(replayed[1]) == replayed_fields(reports[t])
+        assert report_fields([replayed[1]]) == report_fields([reports[t]])
         assert np.array_equal(replayed[0], models[t + 1])
 
 
@@ -1001,8 +984,7 @@ def test_a_run_is_the_same_over_chunks_of_client_streams(monkeypatch, case):
                         2 * cfg.fl.total_clients)
     streams = client_streams(cfg)
     models, reports = run_rounds(cfg, build_run_data(cfg), streams)
-    assert [replayed_fields(r) for r in reports] \
-        == [replayed_fields(r) for r in whole]
+    assert report_fields(reports) == report_fields(whole)
     order = list(range(cfg.fl.rounds)) + list(range(cfg.fl.rounds))[::-1]
     for purpose, purpose_streams in streams.items():
         assert purpose_streams.chunk_rounds == 2
@@ -1012,5 +994,5 @@ def test_a_run_is_the_same_over_chunks_of_client_streams(monkeypatch, case):
                     == stream(cfg.master_seed, purpose, t,
                               c).bit_generator.state
     for t in reversed(range(cfg.fl.rounds)):
-        assert replayed_fields(replayed_round(cfg, models[t], t)[1]) \
-            == replayed_fields(reports[t])
+        assert report_fields([replayed_round(cfg, models[t], t)[1]]) \
+            == report_fields([reports[t]])

@@ -1,5 +1,7 @@
 """The package keeps only what a run, the CLI or the README's library
-example reaches: code that only tests call lives under tests/."""
+example reaches: code that only tests call lives under tests/. The tests'
+references live in tests/oracles.py and call none of the code they check,
+and no test module imports another."""
 
 import ast
 import re
@@ -7,6 +9,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fedtruth"
+TESTS = ROOT / "tests"
 
 
 def parse(path):
@@ -101,3 +104,76 @@ def test_a_round_keeps_no_state_between_calls():
     # the global model it is given, so nothing in the simulator may
     # carry a value from one call to the next
     assert round_state_writes(PACKAGE / "simulator.py") == []
+
+
+# what an oracle may take from the package: the builders of its inputs and
+# the value types it is handed
+ORACLE_MAY_IMPORT = {"stream", "synth_blobs", "load_idx", "Dataset",
+                     "DataSource", "DistanceKind", "CoefficientFunction",
+                     "ModelKind"}
+
+
+def call_root(node):
+    """The name an attribute chain such as np.linalg.norm starts from."""
+    while isinstance(node, (ast.Attribute, ast.Call, ast.Subscript)):
+        node = node.func if isinstance(node, ast.Call) else node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def oracle_package_uses(tree):
+    """Each package name that the module `tree` imports and
+    ORACLE_MAY_IMPORT does not allow, and each call of a function or
+    method that the package defines, other than through numpy or math."""
+    defined = {node.name for path in PACKAGE.glob("*.py")
+               for node in ast.walk(parse(path))
+               if isinstance(node, ast.FunctionDef)
+               and not node.name.startswith("__")}
+    own = {node.name for node in ast.walk(tree)
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    package = defined - own - ORACLE_MAY_IMPORT
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names
+                      if a.name.split(".")[0] == "fedtruth"]
+        elif isinstance(node, ast.ImportFrom) \
+                and (node.module or "").split(".")[0] == "fedtruth":
+            found += [a.name for a in node.names
+                      if a.name not in ORACLE_MAY_IMPORT]
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in package:
+                found.append(func.id)
+            elif isinstance(func, ast.Attribute) and func.attr in package \
+                    and call_root(func) not in ("np", "math"):
+                found.append(func.attr)
+    return found
+
+
+def test_oracles_call_no_code_they_check():
+    assert oracle_package_uses(parse(TESTS / "oracles.py")) == []
+
+
+def imported_test_modules(tree):
+    """The test_* modules that the module `tree` imports."""
+    names = [a.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for a in node.names]
+    names += [node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module]
+    return [name for name in names if name.split(".")[0].startswith("test_")]
+
+
+def test_no_test_module_imports_another():
+    # shared code lives in helpers.py and oracles.py
+    found = [f"{path.name}: {name}" for path in sorted(TESTS.glob("*.py"))
+             for name in imported_test_modules(parse(path))]
+    assert found == []
+
+
+def test_the_import_guards_see_a_seeded_violation():
+    seeded = ast.parse("from fedtruth.aggregators import flame_survivors\n"
+                       "p = g.performance_shares(np.linalg.norm(X))")
+    assert oracle_package_uses(seeded) == ["flame_survivors",
+                                           "performance_shares"]
+    assert imported_test_modules(ast.parse("from test_cli import MINIMAL")) \
+        == ["test_cli"]

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,10 +8,11 @@ from fedtruth.data import Dataset, TableRows, synth_blobs
 from fedtruth.rng import stream
 from fedtruth.training import (ModelKind, ModelSpec, TrainConfig,
                                extract_update, init_model, predict,
-                               train_roster, _roster_gradients, _softmax,
-                               _stacked_forward, _unpack)
+                               train_roster, _softmax, _stacked_forward,
+                               _unpack)
 
-from helpers import subset
+from oracles import (reference_cross_entropy, reference_forward,
+                     reference_softmax, reference_train, subset)
 
 LOGREG = ModelSpec(ModelKind.LOGREG, n_features=6, n_classes=3)
 MLP = ModelSpec(ModelKind.MLP, n_features=6, n_classes=3, hidden_units=5)
@@ -28,14 +27,6 @@ def forward(spec, params, X):
     forward as a stack of one: (B, classes)."""
     probs, _ = _stacked_forward(spec, _unpack(spec, params[None]), X[None])
     return probs[:, 0]
-
-
-def cross_entropy(spec, params, ds):
-    """Mean softmax cross-entropy of a model on a dataset, with its true
-    class probabilities floored at 1e-15."""
-    probs = forward(spec, params, ds.features)
-    true = probs[np.arange(len(ds)), ds.labels]
-    return float(-np.log(np.maximum(true, 1e-15)).mean())
 
 
 def accuracy(spec, params, ds):
@@ -91,13 +82,6 @@ def test_softmax_stable_at_large_logits():
     assert np.all(np.isfinite(probs))
 
 
-def reference_softmax(logits):
-    """Softmax with both class-axis reductions as numpy reductions."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exps = np.exp(shifted)
-    return exps / exps.sum(axis=-1, keepdims=True)
-
-
 # moderate logits, and logits that overflow exp or are infinite
 LOGITS = st.one_of(st.floats(-30.0, 30.0),
                    st.sampled_from([1e308, -1e308, 710.0, -746.0, 0.0, -0.0,
@@ -133,39 +117,6 @@ def test_softmax_matches_reduction_form_bitwise(logits):
     assert got.tobytes() == want.tobytes()
 
 
-# -- gradients ------------------------------------------------------------------
-
-def finite_difference_check(spec, n_coords=100, h=1e-6, seed=5):
-    ds = blobs(40, seed=seed)
-    params = init_model(spec, seed)
-    grad = np.empty((1, params.size))
-    _roster_gradients(spec, _unpack(spec, params[None]), ds.features[None],
-                      np.eye(spec.n_classes)[ds.labels][:, None],
-                      _unpack(spec, grad))
-    grad = grad[0]
-    rng = np.random.default_rng(seed)
-    coords = rng.choice(params.size, size=min(n_coords, params.size),
-                        replace=False)
-    worst = 0.0
-    for j in coords:
-        up, down = params.copy(), params.copy()
-        up[j] += h
-        down[j] -= h
-        numeric = (cross_entropy(spec, up, ds)
-                   - cross_entropy(spec, down, ds)) / (2 * h)
-        denom = max(abs(numeric), abs(grad[j]), 1e-8)
-        worst = max(worst, abs(numeric - grad[j]) / denom)
-    return worst
-
-
-def test_gradients_match_finite_differences_logreg():
-    assert finite_difference_check(LOGREG) < 1e-5
-
-
-def test_gradients_match_finite_differences_mlp():
-    assert finite_difference_check(MLP) < 1e-5
-
-
 # -- training -------------------------------------------------------------------
 
 def test_zero_learning_rate_keeps_params():
@@ -182,8 +133,8 @@ def test_one_epoch_lowers_training_loss():
         params = init_model(spec, 3)
         cfg = TrainConfig(local_epochs=1, batch_size=32, learning_rate=0.1)
         trained = train_roster(params, [ds], spec, cfg, [stream(1, "t")])[0]
-        assert cross_entropy(spec, trained, ds) \
-            < cross_entropy(spec, params, ds)
+        assert reference_cross_entropy(spec, trained, ds) \
+            < reference_cross_entropy(spec, params, ds)
 
 
 def test_training_does_not_mutate_input():
@@ -271,45 +222,6 @@ def test_train_roster_refuses_a_parameter_vector_of_the_wrong_length(size):
 
 # -- batched training against the per-client reference ---------------------------
 
-def reference_layers(spec, params):
-    out, offset = [], 0
-    for _, shape in spec.layer_shapes():
-        size = math.prod(shape)
-        out.append(params[offset:offset + size].reshape(shape))
-        offset += size
-    return out
-
-
-def reference_train(params, ds, spec, cfg, rng):
-    """One client's SGD with 2-D products and its own forward pass: a
-    permutation per epoch, reduction-form softmax, fancy-index labels."""
-    current = params
-    for _ in range(cfg.local_epochs):
-        order = rng.permutation(len(ds))
-        for start in range(0, len(ds), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            X, y = ds.features[batch], ds.labels[batch]
-            if spec.kind is ModelKind.LOGREG:
-                W, b = reference_layers(spec, current)
-                g = reference_softmax(X @ W.T + b)
-            else:
-                W1, b1, W2, b2 = reference_layers(spec, current)
-                z1 = X @ W1.T + b1
-                h = np.maximum(z1, 0.0)
-                g = reference_softmax(h @ W2.T + b2)
-            g[np.arange(len(y)), y] -= 1.0
-            g /= len(y)
-            if spec.kind is ModelKind.LOGREG:
-                grad = np.concatenate([(g.T @ X).reshape(-1), g.sum(axis=0)])
-            else:
-                dz1 = (g @ W2) * (z1 > 0.0)
-                grad = np.concatenate([(dz1.T @ X).reshape(-1),
-                                       dz1.sum(axis=0),
-                                       (g.T @ h).reshape(-1), g.sum(axis=0)])
-            current = current - cfg.learning_rate * grad
-    return current
-
-
 def assert_roster_matches_per_client(spec, params, datasets, cfg, seed):
     def rngs():
         return [stream(seed, "train", 0, k) for k in range(len(datasets))]
@@ -381,17 +293,6 @@ def test_train_roster_bitwise_at_model_sizes(spec, clients, shard, cfg):
 
 # -- prediction -------------------------------------------------------------------
 
-def reference_forward(spec, params, X):
-    """One model's 2-D forward on X (B, features): its probabilities
-    (B, classes), from plain 2-D products and the training softmax."""
-    if spec.kind is ModelKind.LOGREG:
-        W, b = reference_layers(spec, params)
-        return _softmax(X @ W.T + b)
-    W1, b1, W2, b2 = reference_layers(spec, params)
-    h = np.maximum(X @ W1.T + b1, 0.0)
-    return _softmax(h @ W2.T + b2)
-
-
 # a single input feature, hidden unit or test row sends numpy's matmul to
 # gemv, dot or its own loop in place of gemm; the examples pin those shapes
 @settings(max_examples=200, deadline=None)
@@ -431,7 +332,7 @@ def test_constant_predictor_on_balanced_two_class():
     spec = ModelSpec(ModelKind.LOGREG, 4, 2)
     params = np.zeros_like(init_model(spec, 0))
     assert accuracy(spec, params, ds) == 0.5
-    assert cross_entropy(spec, params, ds) >= 0.0
+    assert reference_cross_entropy(spec, params, ds) >= 0.0
 
 
 def test_trainable_to_perfect_separation():

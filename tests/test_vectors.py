@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +5,8 @@ from hypothesis import strategies as st
 
 from fedtruth.vectors import (DistanceKind, UpdateRows, distances_to,
                               update_matrix, weighted_sum)
+
+from oracles import row_distances
 
 ALL_KINDS = list(DistanceKind)
 
@@ -46,21 +46,6 @@ def test_weighted_sum_errors():
         weighted_sum([np.zeros(2), np.zeros(3)], [0.5, 0.5])
     with pytest.raises(ValueError):
         weighted_sum([np.zeros(2)], [0.5, 0.5])
-
-
-def test_weighted_sum_list_and_array_bit_identical():
-    rng = np.random.default_rng(12)
-    X = rng.normal(size=(9, 42))
-    w = rng.dirichlet(np.ones(9))
-    out = weighted_sum(X, w)
-    assert np.array_equal(out, weighted_sum(list(X), w))
-    expected = np.zeros(42)
-    for k in range(9):
-        expected += w[k] * X[k]
-    assert np.array_equal(out, expected)
-    block = X[:, 5:20]
-    assert np.array_equal(weighted_sum(block, w),
-                          weighted_sum([u[5:20].copy() for u in X], w))
 
 
 def test_distance_examples():
@@ -137,52 +122,6 @@ def test_angular_clamps_float_drift():
     assert distances_to(DistanceKind.ANGULAR, u, [u * (1 + 1e-16)])[0] >= 0.0
 
 
-def reference_distance(kind, u, v):
-    """Per-pair restatement of each distance formula."""
-    if kind is DistanceKind.EUCLIDEAN:
-        return float(np.linalg.norm(u - v))
-    if kind is DistanceKind.MANHATTAN:
-        return float(np.abs(u - v).sum())
-    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
-    zero = nu == 0.0 or nv == 0.0
-    if kind is DistanceKind.COSINE:
-        return 1.0 - (0.0 if zero else float(np.dot(u, v) / (nu * nv)))
-    angular = 0.5 if zero else 2.0 * math.atan2(
-        float(np.linalg.norm(u / nu - v / nv)),
-        float(np.linalg.norm(u / nu + v / nv))) / math.pi
-    if kind is DistanceKind.ANGULAR:
-        return angular
-    return 0.5 * angular + 0.5 * float(np.linalg.norm(u - v))
-
-
-@st.composite
-def reference_and_rows(draw):
-    n = draw(st.integers(1, 6))
-    d = draw(st.integers(1, 9))
-    value = st.floats(min_value=-100.0, max_value=100.0,
-                      allow_nan=False, allow_infinity=False)
-    ref = np.array(draw(st.lists(value, min_size=d, max_size=d)))
-    X = np.array(draw(st.lists(st.lists(value, min_size=d, max_size=d),
-                               min_size=n, max_size=n)))
-    if draw(st.booleans()):
-        ref[:] = 0.0
-    for k in range(n):
-        if draw(st.integers(0, 3)) == 0:
-            X[k] = 0.0
-        elif draw(st.integers(0, 3)) == 0:
-            X[k] = ref * draw(st.sampled_from([1.0, -1.0, 2.5]))
-    return ref, X
-
-
-@settings(max_examples=300, deadline=None)
-@given(case=reference_and_rows(), kind=st.sampled_from(ALL_KINDS))
-def test_distances_to_matches_per_pair_formula_bitwise(case, kind):
-    ref, X = case
-    expected = np.array([reference_distance(kind, ref, x) for x in X])
-    assert np.array_equal(distances_to(kind, ref, X), expected)
-    assert np.array_equal(distances_to(kind, ref, list(X)), expected)
-
-
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_distances_to_bitwise_at_model_sizes(kind):
     # long rows take the blocked paths of dot and sum; rows of a column
@@ -192,8 +131,7 @@ def test_distances_to_bitwise_at_model_sizes(kind):
     ref = X.mean(axis=0)
     for rows in (X, X[:, 3:5000]):
         r = ref[:rows.shape[1]]
-        expected = np.array([reference_distance(kind, r, x.copy())
-                             for x in rows])
+        expected = row_distances(kind, r, [x.copy() for x in rows])
         assert np.array_equal(distances_to(kind, r, rows), expected)
 
 
