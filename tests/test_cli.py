@@ -20,6 +20,26 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+DROP = object()  # the spec leaves the key out
+
+
+def write_sweep(tmp_path, config=None, **fields):
+    """A one-cell sweep spec (fedtruth, 0 adversaries, bias 0.8, euclidean,
+    seed 0) over `config`, a fresh minimal config if None; each of `fields`
+    replaces its key, or leaves it out if DROP."""
+    spec = {"base": str(config or write_config(tmp_path)),
+            "aggregators": ["fedtruth"], "adversary_counts": [0],
+            "biases": [0.8], "distances": ["euclidean"], "seeds": [0]}
+    for key, value in fields.items():
+        if value is DROP:
+            del spec[key]
+        else:
+            spec[key] = value
+    path = tmp_path / "sweep.yaml"
+    path.write_text(yaml.safe_dump(spec))
+    return path
+
+
 def test_missing_config_is_reported(capsys):
     rc = main(["run", "/nonexistent/config.yaml"])
     assert rc == 1
@@ -87,23 +107,14 @@ def test_unknown_aggregator_kind_rejected(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["run", str(path), "--set", "aggregator.kind=nope"]) == 1
     assert "nope" in capsys.readouterr().err
-    spec = tmp_path / "sweep.yaml"
-    spec.write_text(yaml.safe_dump({
-        "base": str(path), "aggregators": ["fedtruth", "nope"],
-        "adversary_counts": [0], "biases": [0.8],
-        "distances": ["euclidean"], "seeds": [0]}))
+    spec = write_sweep(tmp_path, path, aggregators=["fedtruth", "nope"])
     assert main(["sweep", str(spec)]) == 1
     assert "nope" in capsys.readouterr().err
     assert not (tmp_path / "out" / "sweep").exists()
 
 
 def test_misspelt_sweep_distance_refused_before_execution(tmp_path, capsys):
-    path = write_config(tmp_path)
-    spec = tmp_path / "sweep.yaml"
-    spec.write_text(yaml.safe_dump({
-        "base": str(path), "aggregators": ["fedtruth"],
-        "adversary_counts": [0], "biases": [0.8],
-        "distances": ["euclidean", "cosin"], "seeds": [0]}))
+    spec = write_sweep(tmp_path, distances=["euclidean", "cosin"])
     assert main(["sweep", str(spec)]) == 1
     assert "cosin" in capsys.readouterr().err
     assert not (tmp_path / "out" / "sweep").exists()
@@ -120,16 +131,7 @@ def test_runs_byte_identical_modulo_timing(tmp_path):
 
 
 def test_sweep_produces_cells_and_merged(tmp_path):
-    base = write_config(tmp_path)
-    spec = tmp_path / "sweep.yaml"
-    spec.write_text(yaml.safe_dump({
-        "base": str(base),
-        "aggregators": ["fedtruth", "fedavg"],
-        "adversary_counts": [0],
-        "biases": [0.8],
-        "distances": ["euclidean"],
-        "seeds": [0],
-    }))
+    spec = write_sweep(tmp_path, aggregators=["fedtruth", "fedavg"])
     assert main(["sweep", str(spec)]) == 0
     out = tmp_path / "out" / "sweep"
     cells = sorted(p.name for p in out.glob("*_seed0.csv"))
@@ -145,47 +147,26 @@ def test_sweep_produces_cells_and_merged(tmp_path):
 
 
 def test_sweep_cap_refused_before_execution(tmp_path):
-    base = write_config(tmp_path)
-    spec = tmp_path / "sweep.yaml"
-    spec.write_text(yaml.safe_dump({
-        "base": str(base),
-        "aggregators": ["fedtruth", "fedavg"],
-        "adversary_counts": [0, 1],
-        "biases": [0.5, 0.8],
-        "distances": ["euclidean"],
-        "seeds": [0, 1],
-        "cap": 3,
-    }))
+    spec = write_sweep(tmp_path, aggregators=["fedtruth", "fedavg"],
+                       adversary_counts=[0, 1], biases=[0.5, 0.8],
+                       seeds=[0, 1], cap=3)
     assert main(["sweep", str(spec)]) == 1
     assert not (tmp_path / "out" / "sweep").exists()
 
 
 def test_sweep_rejects_empty_lists(tmp_path):
-    base = write_config(tmp_path)
-    spec = tmp_path / "sweep.yaml"
-    spec.write_text(yaml.safe_dump({
-        "base": str(base), "aggregators": [], "adversary_counts": [0],
-        "biases": [0.8], "distances": ["euclidean"], "seeds": [0]}))
+    spec = write_sweep(tmp_path, aggregators=[])
     assert main(["sweep", str(spec)]) == 1
 
 
 @pytest.mark.parametrize("field", ["seeds", "aggregators", "biases"])
 def test_sweep_refuses_non_list_field(field, tmp_path, capsys):
-    base = write_config(tmp_path)
-    spec = {"base": str(base), "aggregators": ["fedtruth"],
-            "adversary_counts": [0], "biases": [0.8],
-            "distances": ["euclidean"], "seeds": [0]}
-    spec[field] = 3
-    path = tmp_path / "sweep.yaml"
-    path.write_text(yaml.safe_dump(spec))
+    path = write_sweep(tmp_path, **{field: 3})
     assert main(["sweep", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"sweep spec: {field}: expected a list" in err
     assert not (tmp_path / "out" / "sweep").exists()
-
-
-DROP = object()  # the spec leaves the key out
 
 
 @pytest.mark.parametrize("key, value", [
@@ -196,15 +177,7 @@ DROP = object()  # the spec leaves the key out
 def test_bad_sweep_spec_names_its_key(key, value, tmp_path, capsys):
     # no-seeds, cap-null and name-number used to die with a TypeError
     # traceback, and a cap of 1.5 was taken
-    spec = {"base": str(write_config(tmp_path)), "aggregators": ["fedtruth"],
-            "adversary_counts": [0], "biases": [0.8],
-            "distances": ["euclidean"], "seeds": [0]}
-    if value is DROP:
-        del spec[key]
-    else:
-        spec[key] = value
-    path = tmp_path / "sweep.yaml"
-    path.write_text(yaml.safe_dump(spec))
+    path = write_sweep(tmp_path, **{key: value})
     assert main(["sweep", str(path)]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
@@ -222,11 +195,7 @@ def test_bad_sweep_spec_names_its_key(key, value, tmp_path, capsys):
 def test_sweep_refuses_repeated_values(key, values, shown, tmp_path, capsys):
     # a repeated value used to run its cells twice, double the merged rows
     # and still report every cell ok
-    spec = {"base": str(write_config(tmp_path)), "aggregators": ["fedtruth"],
-            "adversary_counts": [0], "biases": [0.8],
-            "distances": ["euclidean"], "seeds": [0], key: values}
-    path = tmp_path / "sweep.yaml"
-    path.write_text(yaml.safe_dump(spec))
+    path = write_sweep(tmp_path, **{key: values})
     assert main(["sweep", str(path)]) == 1
     assert capsys.readouterr().err.splitlines() == [
         f"error: sweep spec: {key}: repeats {shown}"]
@@ -235,11 +204,7 @@ def test_sweep_refuses_repeated_values(key, values, shown, tmp_path, capsys):
 
 @pytest.mark.parametrize("cap", [0, -2])
 def test_sweep_refuses_cap_below_one(cap, tmp_path, capsys):
-    spec = {"base": str(write_config(tmp_path)), "aggregators": ["fedtruth"],
-            "adversary_counts": [0], "biases": [0.8],
-            "distances": ["euclidean"], "seeds": [0], "cap": cap}
-    path = tmp_path / "sweep.yaml"
-    path.write_text(yaml.safe_dump(spec))
+    path = write_sweep(tmp_path, cap=cap)
     assert main(["sweep", str(path)]) == 1
     assert capsys.readouterr().err.splitlines() == [
         "error: sweep spec: cap: must be >= 1"]
@@ -261,15 +226,7 @@ def test_sweep_partial_failure_recorded(tmp_path):
     base = write_config(tmp_path, extra={
         "attack": {"kind": "model_boost", "strategy": "with_boosting",
                    "n_adversaries": 0, "boosting_factor": 1e305}})
-    spec = tmp_path / "sweep.yaml"
-    spec.write_text(yaml.safe_dump({
-        "base": str(base),
-        "aggregators": ["fedtruth"],
-        "adversary_counts": [0, 1],
-        "biases": [0.8],
-        "distances": ["euclidean"],
-        "seeds": [0],
-    }))
+    spec = write_sweep(tmp_path, base, adversary_counts=[0, 1])
     rc = main(["sweep", str(spec)])
     assert rc == 1
     statuses = read_csv(tmp_path / "out" / "sweep" / "sweep_cells.csv")
@@ -282,11 +239,7 @@ def test_sweep_refused_when_a_cell_breaks_validation(tmp_path, capsys):
     # the first cell and record the second as failed
     base = write_config(tmp_path, extra={
         "attack": {"kind": "model_boost", "strategy": "with_boosting"}})
-    spec = tmp_path / "sweep.yaml"
-    spec.write_text(yaml.safe_dump({
-        "base": str(base), "aggregators": ["fedtruth"],
-        "adversary_counts": [1, 2], "biases": [0.8],
-        "distances": ["euclidean"], "seeds": [0]}))
+    spec = write_sweep(tmp_path, base, adversary_counts=[1, 2])
     assert main(["sweep", str(spec)]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1

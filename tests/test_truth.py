@@ -282,6 +282,16 @@ def test_convergence_stays_in_budget():
 
 # -- layered ------------------------------------------------------------------
 
+def test_single_layer_matches_flat_bit_for_bit():
+    rng = np.random.default_rng(8)
+    flats = [rng.normal(size=12) for _ in range(6)]
+    flat_est = estimate_truth(flats, FedTruthConfig())
+    combined, ests = estimate_truth_layered(flats, [12], FedTruthConfig())
+    assert np.array_equal(combined, flat_est.truth)
+    assert np.array_equal(ests[0].weights, flat_est.weights)
+    assert ests[0].iterations == flat_est.iterations
+
+
 def test_layer_weights_vary_per_layer():
     rng = np.random.default_rng(9)
     shared = rng.normal(size=4)
@@ -295,6 +305,13 @@ def test_layer_weights_vary_per_layer():
     assert ests[0].weights == pytest.approx([1 / n] * n, abs=1e-9)
     assert ests[1].weights[-1] < 1 / n  # outlier downweighted on layer 1 only
     assert len(ests) == 2 and combined.shape == (8,)
+
+
+def test_layered_total_iterations_sum():
+    rng = np.random.default_rng(10)
+    updates = [rng.normal(size=9) for _ in range(5)]
+    _, ests = estimate_truth_layered(updates, [6, 3], FedTruthConfig())
+    assert sum(e.iterations for e in ests) >= max(e.iterations for e in ests)
 
 
 @pytest.mark.parametrize("kind", list(DistanceKind))
@@ -335,6 +352,14 @@ def test_resilience_gap_all_equal():
 def test_resilience_gap_two_clients():
     updates = [np.array([0.0]), np.array([2.0])]
     assert resilience_gap(updates, 0, np.array([1.0])) == pytest.approx(-2.0)
+
+
+def test_resilience_gap_fedtruth_enumerated():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        updates = [rng.normal(size=6) for _ in range(10)]
+        est = estimate_truth(updates, FedTruthConfig())
+        assert resilience_gap(updates, 3, est.truth) <= 1e-9
 
 
 def test_resilience_gap_sampled_path():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from fedtruth.vectors import (DistanceKind, UpdateRows, distances_to,
                               update_matrix, weighted_sum)
 
-from oracles import row_distances
+from oracles import row_distances, row_weighted_sum
 
 ALL_KINDS = list(DistanceKind)
 
@@ -46,6 +46,18 @@ def test_weighted_sum_errors():
         weighted_sum([np.zeros(2), np.zeros(3)], [0.5, 0.5])
     with pytest.raises(ValueError):
         weighted_sum([np.zeros(2)], [0.5, 0.5])
+
+
+def test_weighted_sum_list_and_array_bit_identical():
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(9, 42))
+    w = rng.dirichlet(np.ones(9))
+    out = weighted_sum(X, w)
+    assert np.array_equal(out, weighted_sum(list(X), w))
+    assert np.array_equal(out, row_weighted_sum(X, w))
+    block = X[:, 5:20]
+    assert np.array_equal(weighted_sum(block, w),
+                          weighted_sum([u[5:20].copy() for u in X], w))
 
 
 def test_distance_examples():
