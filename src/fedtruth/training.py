@@ -14,31 +14,42 @@ client makes, so row k equals training client k alone bit for bit.
 There is one forward pass, `_stacked_forward`: training runs it on the
 stack, and `predict` runs it on a stack of one model.
 
-A step allocates no (K, d) array. The K models and one gradient buffer
-are held layer-major: in each flat buffer every layer of all K models is
-one contiguous (K, *shape) block, so a bias is a whole row of K * width,
-not K strided rows of width. The weight-gradient products write into
-those blocks with `matmul(..., out=)`, the bias gradients with
-`add.reduce(..., out=)`, and `grad *= lr; current -= grad` is
-`current - lr * grad` in place; one `concatenate` at the end of the block
-gives back the (K, d) parameter rows. Activations (logits, softmax, the
-hidden layer's pre-activations) are batch-major, (batch, K, width): the
-forward product writes into a transposed view, and the bias add and the
-softmax then run over contiguous rows of K * width. The bias gradient
-sums the batch axis one row after another, as a single client's
-`g.sum(axis=0)` does. The weight-gradient products take K-major
-contiguous operands (a copy of the softmax gradient, the hidden layer
-written K-major): a strided operand can send numpy's matmul down another
-BLAS or loop path when a dimension is 1, and that path rounds
-differently.
+A step allocates no array: every numpy call in it writes through `out=`
+into a `_Workspace`, built once per block and batch length (the full
+batch, and a short last one) before the epoch loop. It holds the
+batch's feature and one-hot rows, the activations and their K-major
+views, the softmax's class columns, row max and row sum, the MLP's
+hidden layer, mask and hidden gradient, the Wᵀ views of the layer
+blocks, and 0-d operands for the batch size and 0.0. The K models and
+one gradient buffer are held layer-major: in each flat buffer every
+layer of all K models is one contiguous (K, *shape) block, so a bias is
+a whole row of K * width, not K strided rows of width, and the Wᵀ views
+stay valid because the update `current - lr * grad` runs in place. The
+weight-gradient products write into those blocks with `matmul(...,
+out=)`, the bias gradients with `add.reduce(..., out=)`; one
+`concatenate` at the end of the block gives back the (K, d) parameter
+rows. Activations (logits, softmax, the hidden layer's pre-activations)
+are batch-major, (batch, K, width): the forward product writes into a
+transposed view, and the bias add and the softmax then run over
+contiguous rows of K * width. The bias gradient sums the batch axis one
+row after another, as a single client's `g.sum(axis=0)` does.
+
+The weight-gradient and hidden-gradient products read the batch-major
+softmax gradient through a strided K-major view; the hidden layer is
+written K-major. A strided operand rounds as a contiguous one does as
+long as the product's other operand is wider than 1. At width 1
+(`n_features` 1 for logreg, `hidden_units` 1 for the MLP) numpy's matmul
+takes a gemv or loop path that rounds by the layout, so there, and only
+there, the step copies the softmax gradient K-major first.
 
 A client's shuffles for all its epochs come from one `Generator.permuted`
 call on an (epochs, n) table of 0..n-1, written into its column of one
 (epochs, K, n) order table: the same orders, and the same generator
 state after, as one `permutation(n)` per epoch. The K clients' rows are
-stacked into one array by `data.stack_rows`, a batch is gathered from it
-with `np.take`, and the gradient subtracts one-hot labels from the
-softmax, which only changes the true class (p - 0.0 is p). The softmax
+stacked into one array by `data.stack_rows`, and a batch is gathered from
+it with `np.take` into the workspace; the gradient subtracts one-hot
+labels from the softmax, which only changes the true class (p - 0.0 is
+p). The softmax
 takes its class-axis max as elementwise maxima and, below 8 classes, its
 class-axis sum as a chain of adds: the values of the numpy reductions,
 whose sum is a plain left-to-right loop below 8 terms and pairwise from
@@ -55,6 +66,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .data import Dataset, TableRows, stack_rows
+
+# A 0-d operand: numpy converts a scalar operand on every call
+_ZERO = np.array(0.0)
 
 
 class ModelKind(Enum):
@@ -132,83 +146,122 @@ def _unpack(spec: ModelSpec, params: np.ndarray) -> List[np.ndarray]:
     return out
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
+def _softmax_buffers(z: np.ndarray) -> Tuple[List[np.ndarray], np.ndarray,
+                                              np.ndarray]:
+    """The class columns z[..., c:c + 1] of `z` and two buffers of their
+    shape, the row max and the row sum, for `_softmax(z, ...)`."""
+    cols = [z[..., c:c + 1] for c in range(z.shape[-1])]
+    return cols, np.empty(cols[0].shape), np.empty(cols[0].shape)
+
+
+def _softmax(z: np.ndarray, cols: Sequence[np.ndarray], top: np.ndarray,
+             total: np.ndarray) -> np.ndarray:
+    """The softmax of `z` over its last axis, in place; `cols`, `top` and
+    `total` are its `_softmax_buffers`."""
     # The class-axis max as elementwise maxima of the class columns: the
-    # value of logits.max(axis=-1) without a reduction call per row. Below
-    # 8 classes the sum is a chain of adds too, which is numpy's own
+    # value of z.max(axis=-1) without a reduction call per row. Below 8
+    # classes the sum is a chain of adds too, which is numpy's own
     # left-to-right loop; from 8 terms on numpy adds pairwise, so the sum
     # stays a reduction there.
-    classes = logits.shape[-1]
-    top = logits[..., 0]
-    for c in range(1, classes):
-        top = np.maximum(top, logits[..., c])
-    exps = np.exp(logits - top[..., None])
-    if classes >= 8:
-        return exps / exps.sum(axis=-1, keepdims=True)
-    total = exps[..., 0]
-    for c in range(1, classes):
-        total = total + exps[..., c]
-    return exps / total[..., None]
+    np.maximum(cols[0], cols[1], out=top)
+    for col in cols[2:]:
+        np.maximum(top, col, out=top)
+    np.exp(np.subtract(z, top, out=z), out=z)
+    if len(cols) >= 8:
+        np.add.reduce(z, axis=-1, keepdims=True, out=total)
+    else:
+        np.add(cols[0], cols[1], out=total)
+        for col in cols[2:]:
+            np.add(total, col, out=total)
+    return np.divide(z, total, out=z)
 
 
-def _batch_major_affine(X: np.ndarray, W: np.ndarray,
-                        b: np.ndarray) -> np.ndarray:
-    """X @ W.T + b of a stack, (K, B, i) by (K, o, i) and (K, o), laid out
-    batch-major, (B, K, o): the bias add runs over whole rows of K * o."""
-    K, B = X.shape[:2]
-    out = np.empty((B, K, W.shape[1]))
-    np.matmul(X, W.swapaxes(-1, -2), out=out.transpose(1, 0, 2))
-    out += b
-    return out
-
-
-def _stacked_forward(spec: ModelSpec, layers: Sequence[np.ndarray],
-                     X: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Probabilities of K models on K equal-size batches.
+class _Workspace:
+    """Every array that a stacked step of K models on B batch rows writes
+    or reads, built once, so that the step allocates nothing.
 
     `layers` are the per-layer (K, *shape) views of a parameter stack (see
-    `_unpack`) and X is (K, B, features). Returns the probabilities
-    batch-major, (B, K, classes), and the hidden layer K-major, (K, B,
-    hidden), or None for logreg.
+    `_unpack`); the Wᵀ views taken of them stay valid while the stack is
+    updated in place. X is the (K, B, features) batch. A training
+    workspace also takes the batch's one-hot labels, batch-major (B, K,
+    classes), and the per-layer blocks of the gradient buffer; a
+    forward-only one (for `predict`) takes neither. Activations are
+    batch-major, (B, K, width), and each product writes into a K-major
+    view of them; the MLP's hidden layer is K-major, (K, B, hidden).
     """
-    if spec.kind is ModelKind.LOGREG:
-        W, b = layers
-        return _softmax(_batch_major_affine(X, W, b)), None
-    W1, b1, W2, b2 = layers
-    z1 = _batch_major_affine(X, W1, b1)
-    h = np.maximum(z1.transpose(1, 0, 2), 0.0,
-                   out=np.empty(X.shape[:2] + z1.shape[2:]))
-    return _softmax(_batch_major_affine(h, W2, b2)), h
+
+    def __init__(self, layers: Sequence[np.ndarray], X: np.ndarray,
+                 onehot: Optional[np.ndarray] = None,
+                 grads: Optional[Sequence[np.ndarray]] = None):
+        K, B = X.shape[:2]
+        self.X, self.onehot, self.grads = X, onehot, grads
+        self.h: Optional[np.ndarray] = None
+        if len(layers) == 4:
+            W1, self.b1, self.W, self.b = layers
+            self.W1_T = W1.swapaxes(-1, -2)
+            self.z1 = np.empty((B, K, W1.shape[1]))
+            self.z1_T = self.z1.transpose(1, 0, 2)
+            self.h = np.empty((K, B, W1.shape[1]))
+        else:
+            self.W, self.b = layers
+        self.a = X if self.h is None else self.h  # the output layer's input
+        self.W_T = self.W.swapaxes(-1, -2)
+        self.z = np.empty((B, K, self.W.shape[1]))
+        self.z_T = self.z.transpose(1, 0, 2)
+        self.softmax = _softmax_buffers(self.z)
+        if grads is None:
+            return
+        self.rows = np.array(float(B))
+        # the softmax gradient K-major: a strided view, or a contiguous
+        # copy where the products' other operand has width 1 (see the
+        # module docstring)
+        self.g_src: Optional[np.ndarray] = None
+        self.g_k = self.z_T
+        if self.a.shape[-1] == 1:
+            self.g_src, self.g_k = self.g_k, np.empty(self.g_k.shape)
+        self.g_kT = self.g_k.swapaxes(-1, -2)
+        if self.h is not None:
+            self.dz1 = np.empty(self.h.shape)
+            self.dz1_T = self.dz1.swapaxes(-1, -2)
+            self.mask = np.empty(self.h.shape, dtype=bool)
 
 
-def _roster_gradients(spec: ModelSpec, layers: Sequence[np.ndarray],
-                      X: np.ndarray, onehot: np.ndarray,
-                      grads: Sequence[np.ndarray]) -> None:
-    """Mean cross-entropy gradients of K models on K equal-size batches.
+def _stacked_forward(ws: _Workspace) -> Tuple[np.ndarray,
+                                              Optional[np.ndarray]]:
+    """Probabilities of K models on K equal-size batches: the workspace's
+    (B, K, classes) probabilities and its (K, B, hidden) hidden layer, or
+    None for logreg."""
+    if ws.h is not None:
+        np.matmul(ws.X, ws.W1_T, out=ws.z1_T)
+        np.add(ws.z1, ws.b1, out=ws.z1)
+        np.maximum(ws.z1_T, _ZERO, out=ws.h)
+    np.matmul(ws.a, ws.W_T, out=ws.z_T)
+    np.add(ws.z, ws.b, out=ws.z)
+    return _softmax(ws.z, *ws.softmax), ws.h
 
-    `layers` and `grads` are the per-layer (K, *shape) blocks of the
-    parameter stack and of the gradient buffer (see `train_roster`); X is
-    (K, B, features) and the one-hot labels are batch-major, (B, K,
-    classes). Writes the gradients into `grads`.
-    """
-    g, h = _stacked_forward(spec, layers, X)
-    g -= onehot  # p - 0.0 is p: only the true class changes
-    g /= len(onehot)  # the batch size
+
+def _roster_gradients(ws: _Workspace) -> None:
+    """Mean cross-entropy gradients of K models on K equal-size batches,
+    written into the workspace's gradient blocks."""
+    g, h = _stacked_forward(ws)
+    # p - 0.0 is p: only the true class changes
+    np.subtract(g, ws.onehot, out=g)
+    np.divide(g, ws.rows, out=g)  # the batch size
     # the output layer's gradients (W, b; or W2, b2): the bias gradient
     # sums over the batch, one row after another
-    d_w, d_b = grads[-2:]
+    d_w, d_b = ws.grads[-2:]
     np.add.reduce(g, axis=0, out=d_b)
-    # the weight-gradient products take K-major contiguous operands, the
-    # layout a single client's 2-D products see
-    gk = np.ascontiguousarray(g.transpose(1, 0, 2))
-    np.matmul(gk.swapaxes(-1, -2), X if h is None else h, out=d_w)
+    if ws.g_src is not None:
+        np.copyto(ws.g_k, ws.g_src)
+    np.matmul(ws.g_kT, ws.a, out=d_w)
     if h is None:
         return
-    d_w1, d_b1 = grads[:2]
-    dz1 = gk @ layers[2]  # the output layer's weights, W2
-    dz1 *= h > 0.0  # where z1 > 0.0, read K-major
-    np.matmul(dz1.swapaxes(-1, -2), X, out=d_w1)
-    np.add.reduce(dz1, axis=1, out=d_b1)
+    d_w1, d_b1 = ws.grads[:2]
+    np.matmul(ws.g_k, ws.W, out=ws.dz1)
+    # where z1 > 0.0, read K-major
+    np.multiply(ws.dz1, np.greater(h, _ZERO, out=ws.mask), out=ws.dz1)
+    np.matmul(ws.dz1_T, ws.X, out=d_w1)
+    np.add.reduce(ws.dz1, axis=1, out=d_b1)
 
 
 def train_roster(params: np.ndarray,
@@ -251,13 +304,32 @@ def train_roster(params: np.ndarray,
         grads.append(grad[offset:end].reshape((K,) + layer.shape))
         layers[-1][...] = layer
         offset = end
-    for order in orders:
-        for start in range(0, n, cfg.batch_size):
-            batch = order[:, start:start + cfg.batch_size]
-            _roster_gradients(spec, layers, feats.take(batch, axis=0),
-                              onehot.take(batch.T, axis=0), grads)
-            grad *= cfg.learning_rate  # current - lr * grad, in place
-            current -= grad
+    # one workspace per batch length, the full one and a short last one.
+    # A step position's batches of all epochs are copied out once, K-major
+    # for the features and batch-major for the labels, so that `take`
+    # reads contiguous rows of indices
+    workspaces = {}
+    steps = []
+    for start in range(0, n, cfg.batch_size):
+        batches = orders[:, :, start:start + cfg.batch_size]
+        B = batches.shape[-1]
+        if B not in workspaces:
+            workspaces[B] = _Workspace(
+                layers, np.empty((K, B, feats.shape[1])),
+                np.empty((B, K, spec.n_classes)), grads)
+        steps.append((np.ascontiguousarray(batches),
+                      np.ascontiguousarray(batches.transpose(0, 2, 1)),
+                      workspaces[B]))
+    lr = np.array(cfg.learning_rate)
+    for e in range(cfg.local_epochs):
+        for batches, batches_t, ws in steps:
+            # mode="clip" gathers straight into the buffer; "raise" would
+            # gather into a copy first (every index is in range)
+            feats.take(batches[e], axis=0, out=ws.X, mode="clip")
+            onehot.take(batches_t[e], axis=0, out=ws.onehot, mode="clip")
+            _roster_gradients(ws)
+            np.multiply(grad, lr, out=grad)  # current - lr * grad, in place
+            np.subtract(current, grad, out=current)
     return np.concatenate([layer.reshape(K, -1) for layer in layers], axis=1)
 
 
@@ -275,7 +347,8 @@ def extract_update(global_params: np.ndarray,
 
 def predict(params: np.ndarray, ds: Dataset,
             spec: ModelSpec) -> np.ndarray:
-    """Argmax class predictions: the training forward as a stack of one."""
-    probs, _ = _stacked_forward(spec, _unpack(spec, params[None]),
-                                ds.features[None])
+    """Argmax class predictions: the training forward on a workspace of
+    one model, sized to the dataset's rows."""
+    probs, _ = _stacked_forward(
+        _Workspace(_unpack(spec, params[None]), ds.features[None]))
     return probs[:, 0].argmax(axis=1)

@@ -58,7 +58,7 @@ class CoefficientFunction(Enum):
         """
         p = np.empty(d.size) if out is None else out
         total = np.empty(())
-        if self is CoefficientFunction.INVERSE:
+        if self is _INVERSE:
             # 1 - cos of parallel vectors can round to -2.2e-16, whose
             # square root is NaN
             d = np.sqrt(np.maximum(d, _ZERO, out=p), out=p)
@@ -68,6 +68,10 @@ class CoefficientFunction(Enum):
             np.divide(d, total, out=p)
         np.maximum(p, _FLOOR, out=p)
         return np.divide(p, np.add.reduce(p, out=total), out=p)
+
+
+# as `vectors._EUCLIDEAN`: a module name costs less than the member lookup
+_INVERSE = CoefficientFunction.INVERSE
 
 
 @dataclass(frozen=True)
@@ -121,7 +125,7 @@ def _weights(p: np.ndarray, g: CoefficientFunction,
     """
     a = np.empty(p.size) if out is None else out
     total = np.empty(())
-    if g is CoefficientFunction.INVERSE:
+    if g is _INVERSE:
         np.add.reduce(np.divide(_ONE, p, out=a), out=total)
         uniform = total.item() <= 0.0
     else:

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from fedtruth.data import (IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, Dataset,
                            synth_blobs)
 from fedtruth.rng import stream
-from fedtruth.training import _roster_gradients, _unpack, init_model
+from fedtruth.training import (_Workspace, _roster_gradients, _unpack,
+                               init_model)
 from fedtruth.vectors import BLOCK_ELEMENTS
 
 from oracles import reference_cross_entropy
@@ -160,9 +161,10 @@ def finite_difference_check(spec, n_coords=100, h=1e-6, seed=5):
                      stream(seed, "train-data"))
     params = init_model(spec, seed)
     grad = np.empty((1, params.size))
-    _roster_gradients(spec, _unpack(spec, params[None]), ds.features[None],
-                      np.eye(spec.n_classes)[ds.labels][:, None],
-                      _unpack(spec, grad))
+    _roster_gradients(_Workspace(_unpack(spec, params[None]),
+                                 ds.features[None],
+                                 np.eye(spec.n_classes)[ds.labels][:, None],
+                                 _unpack(spec, grad)))
     grad = grad[0]
     rng = np.random.default_rng(seed)
     coords = rng.choice(params.size, size=min(n_coords, params.size),

@@ -8,8 +8,8 @@ from fedtruth.data import Dataset, TableRows, synth_blobs
 from fedtruth.rng import stream
 from fedtruth.training import (ModelKind, ModelSpec, TrainConfig,
                                extract_update, init_model, predict,
-                               train_roster, _softmax, _stacked_forward,
-                               _unpack)
+                               train_roster, _softmax, _softmax_buffers,
+                               _stacked_forward, _unpack, _Workspace)
 
 from oracles import (reference_cross_entropy, reference_forward,
                      reference_softmax, reference_train, subset)
@@ -25,7 +25,8 @@ def blobs(n=120, seed=0):
 def forward(spec, params, X):
     """One model's probabilities on X (B, features), through the stacked
     forward as a stack of one: (B, classes)."""
-    probs, _ = _stacked_forward(spec, _unpack(spec, params[None]), X[None])
+    probs, _ = _stacked_forward(_Workspace(_unpack(spec, params[None]),
+                                           X[None]))
     return probs[:, 0]
 
 
@@ -111,7 +112,8 @@ def boundary_logits(classes):
 @example(logits=boundary_logits(8))
 def test_softmax_matches_reduction_form_bitwise(logits):
     with np.errstate(over="ignore", invalid="ignore"):
-        got = _softmax(logits)
+        got = logits.copy()
+        _softmax(got, *_softmax_buffers(got))
         want = reference_softmax(logits)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -238,7 +240,8 @@ def assert_roster_matches_per_client(spec, params, datasets, cfg, seed):
 # n_classes crosses 8, where numpy's class-axis sum turns pairwise; a batch
 # at least as long as the shard makes one batch per epoch. A size-1 input
 # width, hidden layer or batch routes numpy's matmul to gemv, dot or its
-# own loop in place of gemm, so the last four examples pin those shapes
+# own loop in place of gemm, so the third to sixth examples pin those
+# shapes
 @settings(max_examples=150, deadline=None)
 @given(mlp=st.booleans(), n_features=st.integers(1, 12),
        n_classes=st.integers(2, 12), hidden=st.integers(1, 9),
@@ -257,6 +260,18 @@ def assert_roster_matches_per_client(spec, params, datasets, cfg, seed):
          shard=12, batch=5, epochs=2, lr=0.7, seed=4)
 @example(mlp=True, n_features=8, n_classes=10, hidden=6, clients=6,
          shard=33, batch=8, epochs=2, lr=0.7, seed=6)
+# a step copies its softmax gradient K-major only where the products'
+# other operand has width 1 (n_features 1 for logreg, hidden 1 for the
+# MLP); a short last batch of one row, one model and a batch at least as
+# long as the shard each give the step's buffers another shape
+@example(mlp=False, n_features=1, n_classes=2, hidden=1, clients=6,
+         shard=13, batch=4, epochs=3, lr=0.7, seed=7)
+@example(mlp=True, n_features=4, n_classes=9, hidden=1, clients=5,
+         shard=10, batch=3, epochs=2, lr=0.7, seed=8)
+@example(mlp=False, n_features=5, n_classes=8, hidden=1, clients=1,
+         shard=14, batch=14, epochs=3, lr=0.7, seed=9)
+@example(mlp=True, n_features=1, n_classes=2, hidden=3, clients=1,
+         shard=6, batch=40, epochs=2, lr=0.7, seed=10)
 def test_train_roster_matches_per_client_training_bitwise(
         mlp, n_features, n_classes, hidden, clients, shard, batch, epochs,
         lr, seed):
@@ -315,7 +330,7 @@ def test_predict_and_stacked_forward_match_2d_forward_bitwise(
     rng = np.random.default_rng(seed)
     params = np.stack([init_model(spec, rng) * scale for _ in range(models)])
     X = rng.normal(size=(models, rows, n_features))
-    probs, _ = _stacked_forward(spec, _unpack(spec, params), X)
+    probs, _ = _stacked_forward(_Workspace(_unpack(spec, params), X))
     assert probs.shape == (rows, models, n_classes)
     for k in range(models):
         want = reference_forward(spec, params[k], X[k])
