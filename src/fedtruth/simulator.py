@@ -23,7 +23,7 @@ import math
 import time
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
-                    Sequence, Tuple, Union)
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -36,10 +36,10 @@ from .data import (BackdoorFlavor, DataSource, Dataset, TableRows,
                    load_idx, partition_label_skew, shard_table, synth_blobs,
                    PartitionPlan)
 from .rng import ClientStreams, stream
-from .training import (ModelSpec, TrainConfig, extract_update, init_model,
-                       predict, train_roster)
+from .training import (ModelSpec, extract_update, init_model, predict,
+                       train_roster)
 from .truth import NonFiniteWeights, estimate_truth, estimate_truth_layered
-from .vectors import BLOCK_ELEMENTS, Updates
+from .vectors import Updates
 
 if TYPE_CHECKING:
     from .config import (AggregatorConfig, AttackConfig, BackdoorConfig,
@@ -359,26 +359,6 @@ def _attack_pipeline(atk: AttackConfig, factor: Optional[float],
     return delta
 
 
-def _train(w: np.ndarray, datasets: Sequence[Union[Dataset, TableRows]],
-           rngs: Sequence[np.random.Generator], spec: ModelSpec,
-           train_cfg: TrainConfig) -> np.ndarray:
-    """One model per (dataset, stream) task, trained from `w`, as rows in
-    task order. Tasks whose datasets have the same length train together,
-    in blocks of at most BLOCK_ELEMENTS // d."""
-    models = np.empty((len(datasets), w.size))
-    groups: Dict[int, List[int]] = {}
-    for row, ds in enumerate(datasets):
-        groups.setdefault(len(ds), []).append(row)
-    block = max(1, BLOCK_ELEMENTS // w.size)
-    for rows in groups.values():
-        for lo in range(0, len(rows), block):
-            part = rows[lo:lo + block]
-            models[part] = train_roster(
-                w, [datasets[r] for r in part], spec, train_cfg,
-                [rngs[r] for r in part])
-    return models
-
-
 def _client_updates(cfg: ExperimentConfig, data: RunData,
                     streams: Dict[str, ClientStreams], w: np.ndarray,
                     round_index: int, roster: Sequence[int],
@@ -387,7 +367,7 @@ def _client_updates(cfg: ExperimentConfig, data: RunData,
     client in roster order, not yet checked.
 
     The round trains the roster's models, then the benign models of
-    constrain-and-scale adversaries, in one `_train` call.
+    constrain-and-scale adversaries, in one `train_roster` call.
     """
     atk = cfg.attack
     roster = [int(c) for c in roster]
@@ -408,8 +388,8 @@ def _client_updates(cfg: ExperimentConfig, data: RunData,
         if blend:
             datasets.append(data.shards[c])
             rngs.append(streams["train-benign"](round_index, c))
-    models = _train(w, datasets, rngs, data.model_spec,
-                    cfg.fl.train_config())
+    models = train_roster(w, datasets, data.model_spec,
+                          cfg.fl.train_config(), rngs)
 
     n = len(roster)
     factor = atk.resolve_factor(cfg.fl.clients_per_round, len(advs)) \
@@ -438,9 +418,9 @@ def _aggregate(cfg: ExperimentConfig, data: RunData, w: np.ndarray,
         layer_sizes=data.layer_sizes, config=agg_cfg,
         krum_f=cfg.attack.n_adversaries if agg_cfg.krum_f is None
         else agg_cfg.krum_f,
-        server_update=lambda: extract_update(w, _train(
-            w, [data.root_set], [stream(seed, "fltrust", round_index)],
-            data.model_spec, cfg.fl.train_config())[0]),
+        server_update=lambda: extract_update(w, train_roster(
+            w, [data.root_set], data.model_spec, cfg.fl.train_config(),
+            [stream(seed, "fltrust", round_index)])[0]),
         flame_rng=lambda: stream(seed, "flame", round_index))
     try:
         return AGGREGATORS[agg_cfg.kind](updates, ctx)

@@ -6,30 +6,33 @@ Model parameters are one flat float64 vector: the layers of
 and backward passes work on reshaped views of that vector, so a model, a
 trained model and an update all share one representation.
 
-`train_roster` trains K clients whose datasets have the same length as one
-stack: K models, batches (K, batch, features), one batched matrix
-product per layer and step. Each client keeps its own shuffle, and every
-slice of a batched product and reduction is the computation a single
-client makes, so row k equals training client k alone bit for bit.
-There is one forward pass, `_stacked_forward`: training runs it on the
-stack, and `predict` runs it on a stack of one model.
+`train_roster` trains every task of one call, of any lengths. Tasks
+whose datasets have the same length train together in blocks of at most
+BLOCK_ELEMENTS // d, each block as one stack: K models, batches (K,
+batch, features), one batched matrix product per layer and step. Each
+client keeps its own shuffle, and every slice of a batched product and
+reduction is the computation a single client makes, so row k equals
+training client k alone bit for bit. There is one forward pass,
+`_stacked_forward`: training runs it on the stack, and `predict` runs it
+on a stack of one model.
 
 A step allocates no array: every numpy call in it writes through `out=`
-into a `_Workspace`, built once per block and batch length (the full
-batch, and a short last one) before the epoch loop. It holds the
-batch's feature and one-hot rows, the activations and their K-major
-views, the softmax's class columns, row max and row sum, the MLP's
-hidden layer, mask and hidden gradient, the Wᵀ views of the layer
-blocks, and 0-d operands for the batch size and 0.0. The K models and
-one gradient buffer are held layer-major: in each flat buffer every
-layer of all K models is one contiguous (K, *shape) block, so a bias is
-a whole row of K * width, not K strided rows of width, and the Wᵀ views
-stay valid because the update `current - lr * grad` runs in place. The
-weight-gradient products write into those blocks with `matmul(...,
-out=)`, the bias gradients with `add.reduce(..., out=)`; one
-`concatenate` at the end of the block gives back the (K, d) parameter
-rows. Activations (logits, softmax, the hidden layer's pre-activations)
-are batch-major, (batch, K, width): the forward product writes into a
+into a `_Workspace`. It holds the batch's feature and one-hot rows, the
+activations and their K-major views, the softmax's class columns, row
+max and row sum, the MLP's hidden layer, mask and hidden gradient, the
+Wᵀ views of the layer blocks, and 0-d operands for the batch size and
+0.0. The K models and one gradient buffer are held layer-major: in each
+flat buffer every layer of all K models is one contiguous (K, *shape)
+block, so a bias is a whole row of K * width, not K strided rows of
+width, and the Wᵀ views stay valid because the update `current - lr *
+grad` runs in place. A call builds these buffers once per block size K,
+and a workspace on them once per (K, batch length); each block copies
+the start model into its stack and reuses them. The weight-gradient
+products write into the layer blocks with `matmul(..., out=)`, the bias
+gradients with `add.reduce(..., out=)`, and at its end a block writes
+each layer block straight into its rows of the call's result.
+Activations (logits, softmax, the hidden layer's pre-activations) are
+batch-major, (batch, K, width): the forward product writes into a
 transposed view, and the bias add and the softmax then run over
 contiguous rows of K * width. The bias gradient sums the batch axis one
 row after another, as a single client's `g.sum(axis=0)` does.
@@ -43,17 +46,19 @@ takes a gemv or loop path that rounds by the layout, so there, and only
 there, the step copies the softmax gradient K-major first.
 
 A client's shuffles for all its epochs come from one `Generator.permuted`
-call on an (epochs, n) table of 0..n-1, written into its column of one
-(epochs, K, n) order table: the same orders, and the same generator
-state after, as one `permutation(n)` per epoch. The K clients' rows are
-stacked into one array by `data.stack_rows`, and a batch is gathered from
-it with `np.take` into the workspace; the gradient subtracts one-hot
-labels from the softmax, which only changes the true class (p - 0.0 is
-p). The softmax
-takes its class-axis max as elementwise maxima and, below 8 classes, its
-class-axis sum as a chain of adds: the values of the numpy reductions,
-whose sum is a plain left-to-right loop below 8 terms and pairwise from
-8 on.
+call on an (epochs, n) table of 0..n-1, written into its column of
+one (epochs, K, n) order table: the same orders, and the same generator
+state after, as one `permutation(n)` per epoch. `data.gather_source`
+gives a block's rows as row ids into a source: the shard table itself
+when every client's rows are on it, else a `stack_rows` copy. The block
+composes its shuffles with those ids once; each step then takes its
+batch's features straight from the source, and its one-hot rows from the
+block's one-hot table, into the workspace. The gradient
+subtracts the one-hot labels from the softmax, which only changes the
+true class (p - 0.0 is p). The softmax takes its class-axis max as
+elementwise maxima and, below 8 classes, its class-axis sum as a chain
+of adds: the values of the numpy reductions, whose sum is a plain
+left-to-right loop below 8 terms and pairwise from 8 on.
 """
 
 from __future__ import annotations
@@ -61,11 +66,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .data import Dataset, TableRows, stack_rows
+from .data import Dataset, TableRows, gather_source
+from .vectors import BLOCK_ELEMENTS
 
 # A 0-d operand: numpy converts a scalar operand on every call
 _ZERO = np.array(0.0)
@@ -268,69 +274,104 @@ def train_roster(params: np.ndarray,
                  datasets: Sequence[Union[Dataset, TableRows]],
                  spec: ModelSpec, cfg: TrainConfig,
                  rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """Mini-batch SGD of K clients from one start, as stacked steps.
+    """Mini-batch SGD of one model per (dataset, generator) task, all from
+    the start `params`: their (len(datasets), d) rows, in task order.
 
-    All K datasets (`Dataset`s or `TableRows`) must have the same
-    length. Client k shuffles with its own rngs[k], drawing the same
-    orders as it would alone, so row k of the (K, d) result equals
-    training that client by itself bit for bit. The input is untouched.
+    Tasks whose datasets (`Dataset`s or `TableRows`) have the same length
+    train together as stacked steps, in blocks of at most
+    BLOCK_ELEMENTS // d. Task k shuffles with its own rngs[k], drawing the
+    same orders as it would alone, so row k equals training that task by
+    itself bit for bit. The input is untouched.
     """
     if len(datasets) != len(rngs) or not datasets:
         raise ValueError("need one generator per dataset, and a dataset")
-    n = len(datasets[0])
-    if n == 0:
+    if any(len(ds) == 0 for ds in datasets):
         raise ValueError("cannot train on an empty dataset")
-    if any(len(ds) != n for ds in datasets):
-        raise ValueError("a roster block needs equal-size datasets")
-    K = len(datasets)
-    feats, labels = stack_rows(datasets)
-    onehot = np.eye(spec.n_classes).take(labels, axis=0)
-    # orders[e, k]: client k's shuffle in epoch e, as rows of feats; one
-    # permuted() call per client draws all epochs' shuffles at once
-    epochs = np.tile(np.arange(n), (cfg.local_epochs, 1))
-    orders = np.empty((cfg.local_epochs, K, n), dtype=epochs.dtype)
-    for k, rng in enumerate(rngs):
-        rng.permuted(epochs, axis=1, out=orders[:, k])
-    orders += np.arange(0, K * n, n)[:, None]
-    # the K models layer-major: each layer of all K models is one
-    # contiguous (K, *shape) block of `current`, and of the gradient
-    # buffer, so a bias add or a bias gradient runs over whole rows;
-    # _unpack refuses a parameter vector of the wrong length
-    current, grad = np.empty((2, K * params.size))
+    start = _unpack(spec, params)  # refuses a vector of the wrong length
+    groups: Dict[int, List[int]] = {}
+    for row, ds in enumerate(datasets):
+        groups.setdefault(len(ds), []).append(row)
+    block = max(1, BLOCK_ELEMENTS // params.size)
+    models = np.empty((len(datasets), params.size))
+    # shared by every block: the layer-major stacks of each block size K,
+    # and a workspace per (K, batch length) on them
+    stacks, workspaces = {}, {}
+    eye = np.eye(spec.n_classes)
+    lr = np.array(cfg.learning_rate)
+    for n, rows in groups.items():
+        epochs = np.tile(np.arange(n), (cfg.local_epochs, 1))
+        for lo in range(0, len(rows), block):
+            part = rows[lo:lo + block]
+            K = len(part)
+            if K not in stacks:
+                stacks[K] = _layer_major(start, K)
+            current, grad, layers, grads = stacks[K]
+            for layer, first in zip(layers, start):
+                layer[...] = first
+            feats, labels, ids = gather_source([datasets[r] for r in part])
+            onehot = eye.take(labels, axis=0)
+            # orders[e, k]: client k's shuffle in epoch e, as rows of the
+            # block; one permuted() call per client draws all epochs'
+            # shuffles at once
+            orders = np.empty((cfg.local_epochs, K, n), dtype=np.intp)
+            for k, r in enumerate(part):
+                rngs[r].permuted(epochs, axis=1, out=orders[:, k])
+            orders += np.arange(0, K * n, n)[:, None]
+            sources = ids.take(orders)  # the same rows, in the source
+            # A step position's batches of all epochs are copied out once,
+            # K-major for the features and batch-major for the labels, so
+            # that `take` reads contiguous rows of indices
+            steps = []
+            for at in range(0, n, cfg.batch_size):
+                B = min(cfg.batch_size, n - at)
+                if (K, B) not in workspaces:
+                    workspaces[K, B] = _Workspace(
+                        layers, np.empty((K, B, feats.shape[1])),
+                        np.empty((B, K, spec.n_classes)), grads)
+                steps.append((
+                    np.ascontiguousarray(sources[:, :, at:at + B]),
+                    np.ascontiguousarray(
+                        orders[:, :, at:at + B].transpose(0, 2, 1)),
+                    workspaces[K, B]))
+            for e in range(cfg.local_epochs):
+                for batches, batches_t, ws in steps:
+                    # mode="clip" gathers straight into the buffer; "raise"
+                    # would gather into a copy first (every index is in
+                    # range)
+                    feats.take(batches[e], axis=0, out=ws.X, mode="clip")
+                    onehot.take(batches_t[e], axis=0, out=ws.onehot,
+                                mode="clip")
+                    _roster_gradients(ws)
+                    np.multiply(grad, lr, out=grad)  # current - lr * grad
+                    np.subtract(current, grad, out=current)
+            # a run of consecutive tasks is written through a slice, which
+            # copies faster than a list of rows
+            where = slice(part[0], part[-1] + 1) \
+                if part[-1] - part[0] == K - 1 else part
+            offset = 0
+            for layer in layers:
+                end = offset + layer[0].size
+                models[where, offset:end] = layer.reshape(K, -1)
+                offset = end
+    return models
+
+
+def _layer_major(start: Sequence[np.ndarray], K: int
+                 ) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray],
+                            List[np.ndarray]]:
+    """A parameter stack and a gradient buffer for K models of the layers
+    `start`, and their per-layer (K, *shape) views: each layer of all K
+    models is one contiguous block, so a bias add or a bias gradient runs
+    over whole rows."""
+    size = sum(layer.size for layer in start)
+    current, grad = np.empty((2, K * size))
     layers, grads, offset = [], [], 0
-    for layer in _unpack(spec, params):
+    for layer in start:
         end = offset + K * layer.size
         layers.append(current[offset:end].reshape((K,) + layer.shape))
         grads.append(grad[offset:end].reshape((K,) + layer.shape))
-        layers[-1][...] = layer
         offset = end
-    # one workspace per batch length, the full one and a short last one.
-    # A step position's batches of all epochs are copied out once, K-major
-    # for the features and batch-major for the labels, so that `take`
-    # reads contiguous rows of indices
-    workspaces = {}
-    steps = []
-    for start in range(0, n, cfg.batch_size):
-        batches = orders[:, :, start:start + cfg.batch_size]
-        B = batches.shape[-1]
-        if B not in workspaces:
-            workspaces[B] = _Workspace(
-                layers, np.empty((K, B, feats.shape[1])),
-                np.empty((B, K, spec.n_classes)), grads)
-        steps.append((np.ascontiguousarray(batches),
-                      np.ascontiguousarray(batches.transpose(0, 2, 1)),
-                      workspaces[B]))
-    lr = np.array(cfg.learning_rate)
-    for e in range(cfg.local_epochs):
-        for batches, batches_t, ws in steps:
-            # mode="clip" gathers straight into the buffer; "raise" would
-            # gather into a copy first (every index is in range)
-            feats.take(batches[e], axis=0, out=ws.X, mode="clip")
-            onehot.take(batches_t[e], axis=0, out=ws.onehot, mode="clip")
-            _roster_gradients(ws)
-            np.multiply(grad, lr, out=grad)  # current - lr * grad, in place
-            np.subtract(current, grad, out=current)
-    return np.concatenate([layer.reshape(K, -1) for layer in layers], axis=1)
+    return current, grad, layers, grads
 
 
 def extract_update(global_params: np.ndarray,

@@ -704,14 +704,15 @@ def test_every_model_trains_through_train_roster(tmp_path, monkeypatch):
     write_round_csv(plain, cfg, run_experiment(cfg))
 
     data = build_run_data(cfg)
+    calls = {"client": 0, "server": 0}
     trained = {"client": 0, "server": 0}
     train_roster = fedtruth.simulator.train_roster
 
     def counting(params, datasets, *args):
-        if any(ds is data.root_set for ds in datasets):
-            trained["server"] += len(datasets)
-        else:
-            trained["client"] += len(datasets)
+        kind = "server" if any(ds is data.root_set for ds in datasets) \
+            else "client"
+        calls[kind] += 1
+        trained[kind] += len(datasets)
         return train_roster(params, datasets, *args)
 
     monkeypatch.setattr(fedtruth.simulator, "train_roster", counting)
@@ -719,6 +720,8 @@ def test_every_model_trains_through_train_roster(tmp_path, monkeypatch):
     write_round_csv(counted, cfg,
                     run_rounds(cfg, data, client_streams(cfg))[1])
     rounds = cfg.fl.rounds
+    # one call trains a round's clients, one its server model
+    assert calls == {"client": rounds, "server": rounds}
     assert trained == {
         "client": rounds * (cfg.fl.clients_per_round
                             + cfg.attack.n_adversaries),

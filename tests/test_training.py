@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fedtruth import data, training
 from fedtruth.data import Dataset, TableRows, synth_blobs
 from fedtruth.rng import stream
 from fedtruth.training import (ModelKind, ModelSpec, TrainConfig,
@@ -201,11 +204,10 @@ def test_rows_of_a_table_train_as_their_own_datasets():
             train_roster(params, datasets, MLP, cfg, rngs), want)
 
 
-def test_train_roster_rejects_unequal_or_missing_inputs():
+def test_train_roster_rejects_missing_inputs():
+    # tasks of unequal lengths train in groups; the roster property below
+    # checks them
     params = init_model(LOGREG, 0)
-    with pytest.raises(ValueError):
-        train_roster(params, [blobs(40), blobs(41)], LOGREG, TrainConfig(),
-                     [stream(0, "t", 0), stream(0, "t", 1)])
     with pytest.raises(ValueError):
         train_roster(params, [blobs(40)], LOGREG, TrainConfig(), [])
     with pytest.raises(ValueError):
@@ -224,67 +226,99 @@ def test_train_roster_refuses_a_parameter_vector_of_the_wrong_length(size):
 
 # -- batched training against the per-client reference ---------------------------
 
-def assert_roster_matches_per_client(spec, params, datasets, cfg, seed):
+def assert_roster_matches_per_client(spec, params, datasets, cfg, seed,
+                                     width=None):
+    """train_roster's rows, in blocks of at most `width` tasks (or the
+    default), equal each task trained alone and the reference bit for
+    bit."""
     def rngs():
         return [stream(seed, "train", 0, k) for k in range(len(datasets))]
-    block = train_roster(params, datasets, spec, cfg, rngs())
+    elements = training.BLOCK_ELEMENTS if width is None \
+        else width * params.size
+    with mock.patch.object(training, "BLOCK_ELEMENTS", elements):
+        block = train_roster(params, datasets, spec, cfg, rngs())
     alone = np.stack([train_roster(params, [ds], spec, cfg, [rng])[0]
                       for ds, rng in zip(datasets, rngs())])
+    copies = [subset(ds.table, ds.rows) if isinstance(ds, TableRows) else ds
+              for ds in datasets]
     reference = np.stack([reference_train(params, ds, spec, cfg, rng)
-                          for ds, rng in zip(datasets, rngs())])
+                          for ds, rng in zip(copies, rngs())])
     assert block.shape == (len(datasets), params.size)
     assert np.array_equal(block, alone)
     assert np.array_equal(block, reference)
 
 
-# n_classes crosses 8, where numpy's class-axis sum turns pairwise; a batch
-# at least as long as the shard makes one batch per epoch. A size-1 input
-# width, hidden layer or batch routes numpy's matmul to gemv, dot or its
-# own loop in place of gemm, so the third to sixth examples pin those
-# shapes
+def roster_tasks(rng, shards, n_features, n_classes, table_share):
+    """`count` tasks of each (length, count) in `shards`, in a shuffled
+    order; each is rows of one shared table with probability
+    `table_share`, else a Dataset of its own."""
+    table = Dataset(rng.random((50, n_features)),
+                    rng.integers(0, n_classes, 50), n_classes)
+    lengths = [n for n, count in shards for _ in range(count)]
+    tasks = []
+    for n in rng.permutation(lengths):
+        if rng.random() < table_share:
+            tasks.append(TableRows(table, rng.integers(0, 50, n)))
+        else:
+            tasks.append(Dataset(rng.random((n, n_features)),
+                                 rng.integers(0, n_classes, n), n_classes))
+    return tasks
+
+
+# Tasks of one to three lengths, on the table, of their own or mixed, in
+# blocks narrow enough to split the largest group in two or more. n_classes
+# crosses 8, where numpy's class-axis sum turns pairwise; a batch at least
+# as long as a shard makes one batch per epoch. A size-1 input width,
+# hidden layer or batch routes numpy's matmul to gemv, dot or its own loop
+# in place of gemm, so the third to sixth examples pin those shapes
 @settings(max_examples=150, deadline=None)
 @given(mlp=st.booleans(), n_features=st.integers(1, 12),
        n_classes=st.integers(2, 12), hidden=st.integers(1, 9),
-       clients=st.integers(1, 10), shard=st.integers(1, 45),
+       shards=st.lists(st.tuples(st.integers(1, 45), st.integers(1, 6)),
+                       min_size=1, max_size=3, unique_by=lambda s: s[0])
+       .filter(lambda shards: max(c for _, c in shards) > 1),
+       width=st.integers(1, 5), table_share=st.sampled_from([0.0, 0.5, 1.0]),
        batch=st.integers(1, 50), epochs=st.sampled_from([1, 1, 2, 3]),
        lr=st.sampled_from([0.0, 0.05, 0.7]), seed=st.integers(0, 2 ** 16))
-@example(mlp=False, n_features=3, n_classes=12, hidden=1, clients=4,
-         shard=9, batch=9, epochs=3, lr=0.7, seed=1)
-@example(mlp=True, n_features=5, n_classes=9, hidden=4, clients=3,
-         shard=20, batch=50, epochs=2, lr=0.7, seed=2)
-@example(mlp=False, n_features=1, n_classes=3, hidden=1, clients=5,
-         shard=11, batch=5, epochs=2, lr=0.7, seed=3)
-@example(mlp=True, n_features=1, n_classes=3, hidden=4, clients=4,
-         shard=12, batch=5, epochs=2, lr=0.7, seed=4)
-@example(mlp=True, n_features=3, n_classes=2, hidden=1, clients=4,
-         shard=12, batch=5, epochs=2, lr=0.7, seed=4)
-@example(mlp=True, n_features=8, n_classes=10, hidden=6, clients=6,
-         shard=33, batch=8, epochs=2, lr=0.7, seed=6)
+@example(mlp=False, n_features=3, n_classes=12, hidden=1, shards=[(9, 4)],
+         width=2, table_share=0.0, batch=9, epochs=3, lr=0.7, seed=1)
+@example(mlp=True, n_features=5, n_classes=9, hidden=4, shards=[(20, 3)],
+         width=2, table_share=1.0, batch=50, epochs=2, lr=0.7, seed=2)
+@example(mlp=False, n_features=1, n_classes=3, hidden=1, shards=[(11, 5)],
+         width=2, table_share=0.5, batch=5, epochs=2, lr=0.7, seed=3)
+@example(mlp=True, n_features=1, n_classes=3, hidden=4, shards=[(12, 4)],
+         width=3, table_share=1.0, batch=5, epochs=2, lr=0.7, seed=4)
+@example(mlp=True, n_features=3, n_classes=2, hidden=1, shards=[(12, 4)],
+         width=3, table_share=0.0, batch=5, epochs=2, lr=0.7, seed=4)
+@example(mlp=True, n_features=8, n_classes=10, hidden=6,
+         shards=[(33, 6), (20, 1), (7, 2)], width=4, table_share=0.5,
+         batch=8, epochs=2, lr=0.7, seed=6)
 # a step copies its softmax gradient K-major only where the products'
 # other operand has width 1 (n_features 1 for logreg, hidden 1 for the
 # MLP); a short last batch of one row, one model and a batch at least as
 # long as the shard each give the step's buffers another shape
-@example(mlp=False, n_features=1, n_classes=2, hidden=1, clients=6,
-         shard=13, batch=4, epochs=3, lr=0.7, seed=7)
-@example(mlp=True, n_features=4, n_classes=9, hidden=1, clients=5,
-         shard=10, batch=3, epochs=2, lr=0.7, seed=8)
-@example(mlp=False, n_features=5, n_classes=8, hidden=1, clients=1,
-         shard=14, batch=14, epochs=3, lr=0.7, seed=9)
-@example(mlp=True, n_features=1, n_classes=2, hidden=3, clients=1,
-         shard=6, batch=40, epochs=2, lr=0.7, seed=10)
+@example(mlp=False, n_features=1, n_classes=2, hidden=1, shards=[(13, 6)],
+         width=4, table_share=1.0, batch=4, epochs=3, lr=0.7, seed=7)
+@example(mlp=True, n_features=4, n_classes=9, hidden=1,
+         shards=[(10, 5), (3, 2)], width=2, table_share=0.5, batch=3,
+         epochs=2, lr=0.7, seed=8)
+@example(mlp=False, n_features=5, n_classes=8, hidden=1, shards=[(14, 1)],
+         width=1, table_share=0.0, batch=14, epochs=3, lr=0.7, seed=9)
+@example(mlp=True, n_features=1, n_classes=2, hidden=3, shards=[(6, 1)],
+         width=1, table_share=1.0, batch=40, epochs=2, lr=0.7, seed=10)
 def test_train_roster_matches_per_client_training_bitwise(
-        mlp, n_features, n_classes, hidden, clients, shard, batch, epochs,
-        lr, seed):
+        mlp, n_features, n_classes, hidden, shards, width, table_share,
+        batch, epochs, lr, seed):
     spec = ModelSpec(ModelKind.MLP if mlp else ModelKind.LOGREG,
                      n_features, n_classes, hidden)
     rng = np.random.default_rng(seed)
-    datasets = [Dataset(rng.random((shard, n_features)),
-                        rng.integers(0, n_classes, shard), n_classes)
-                for _ in range(clients)]
+    datasets = roster_tasks(rng, shards, n_features, n_classes, table_share)
     cfg = TrainConfig(local_epochs=epochs, batch_size=batch,
                       learning_rate=lr)
+    # narrower than the largest group, so it trains in two or more blocks
+    width = max(1, min(width, max(c for _, c in shards) - 1))
     assert_roster_matches_per_client(spec, init_model(spec, seed), datasets,
-                                     cfg, seed)
+                                     cfg, seed, width)
 
 
 @pytest.mark.parametrize("spec, clients, shard, cfg", [
@@ -304,6 +338,42 @@ def test_train_roster_bitwise_at_model_sizes(spec, clients, shard, cfg):
                 for k in range(clients)]
     assert_roster_matches_per_client(spec, init_model(spec, 4), datasets,
                                      cfg, 4)
+
+
+def test_a_call_shares_its_buffers_and_reads_the_table_in_place(
+        monkeypatch):
+    # three blocks of three equal tasks and a group of one: a workspace
+    # per (block size, batch length), whatever the number of blocks
+    built = []
+
+    class Counting(training._Workspace):
+        def __init__(self, layers, X, *args):
+            built.append(X.shape[:2])
+            super().__init__(layers, X, *args)
+
+    params = init_model(MLP, 0)
+    table = blobs(90, seed=4)
+    datasets = [TableRows(table, stream(5, "rows", k).integers(0, 90, 10))
+                for k in range(9)]
+    copies = [subset(table, ds.rows) for ds in datasets]
+    cfg = TrainConfig(local_epochs=2, batch_size=4, learning_rate=0.3)
+
+    def train(tasks):
+        rngs = [stream(7, "t", k) for k in range(len(tasks))]
+        return train_roster(params, tasks, MLP, cfg, rngs)
+
+    monkeypatch.setattr(training, "BLOCK_ELEMENTS", 3 * params.size)
+    monkeypatch.setattr(training, "_Workspace", Counting)
+    want = train(copies + [blobs(7)])
+    assert sorted(built) == [(1, 3), (1, 4), (3, 2), (3, 4)]
+
+    # every task on the table: the steps take their rows from it, and no
+    # copy of the rows is made
+    def no_copy(*args):
+        raise AssertionError("stack_rows called")
+
+    monkeypatch.setattr(data, "stack_rows", no_copy)
+    assert np.array_equal(train(datasets), want[:9])
 
 
 # -- prediction -------------------------------------------------------------------
