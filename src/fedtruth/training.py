@@ -344,14 +344,10 @@ def train_roster(params: np.ndarray,
                     _roster_gradients(ws)
                     np.multiply(grad, lr, out=grad)  # current - lr * grad
                     np.subtract(current, grad, out=current)
-            # a run of consecutive tasks is written through a slice, which
-            # copies faster than a list of rows
-            where = slice(part[0], part[-1] + 1) \
-                if part[-1] - part[0] == K - 1 else part
             offset = 0
             for layer in layers:
                 end = offset + layer[0].size
-                models[where, offset:end] = layer.reshape(K, -1)
+                models[part, offset:end] = layer.reshape(K, -1)
                 offset = end
     return models
 

@@ -266,7 +266,8 @@ def roster_tasks(rng, shards, n_features, n_classes, table_share):
 
 
 # Tasks of one to three lengths, on the table, of their own or mixed, in
-# blocks narrow enough to split the largest group in two or more. n_classes
+# blocks of one to ten tasks: a group narrower than `width` trains whole,
+# a wider one in two or more blocks. n_classes
 # crosses 8, where numpy's class-axis sum turns pairwise; a batch at least
 # as long as a shard makes one batch per epoch. A size-1 input width,
 # hidden layer or batch routes numpy's matmul to gemv, dot or its own loop
@@ -274,10 +275,9 @@ def roster_tasks(rng, shards, n_features, n_classes, table_share):
 @settings(max_examples=150, deadline=None)
 @given(mlp=st.booleans(), n_features=st.integers(1, 12),
        n_classes=st.integers(2, 12), hidden=st.integers(1, 9),
-       shards=st.lists(st.tuples(st.integers(1, 45), st.integers(1, 6)),
-                       min_size=1, max_size=3, unique_by=lambda s: s[0])
-       .filter(lambda shards: max(c for _, c in shards) > 1),
-       width=st.integers(1, 5), table_share=st.sampled_from([0.0, 0.5, 1.0]),
+       shards=st.lists(st.tuples(st.integers(1, 45), st.integers(1, 10)),
+                       min_size=1, max_size=3, unique_by=lambda s: s[0]),
+       width=st.integers(1, 10), table_share=st.sampled_from([0.0, 0.5, 1.0]),
        batch=st.integers(1, 50), epochs=st.sampled_from([1, 1, 2, 3]),
        lr=st.sampled_from([0.0, 0.05, 0.7]), seed=st.integers(0, 2 ** 16))
 @example(mlp=False, n_features=3, n_classes=12, hidden=1, shards=[(9, 4)],
@@ -306,6 +306,12 @@ def roster_tasks(rng, shards, n_features, n_classes, table_share):
          width=1, table_share=0.0, batch=14, epochs=3, lr=0.7, seed=9)
 @example(mlp=True, n_features=1, n_classes=2, hidden=3, shards=[(6, 1)],
          width=1, table_share=1.0, batch=40, epochs=2, lr=0.7, seed=10)
+# whole blocks of nine and ten models at the unit widths
+@example(mlp=False, n_features=1, n_classes=2, hidden=1,
+         shards=[(13, 10), (8, 9)], width=10, table_share=0.5, batch=4,
+         epochs=2, lr=0.7, seed=11)
+@example(mlp=True, n_features=3, n_classes=9, hidden=1, shards=[(11, 10)],
+         width=10, table_share=1.0, batch=1, epochs=1, lr=0.7, seed=12)
 def test_train_roster_matches_per_client_training_bitwise(
         mlp, n_features, n_classes, hidden, shards, width, table_share,
         batch, epochs, lr, seed):
@@ -315,8 +321,6 @@ def test_train_roster_matches_per_client_training_bitwise(
     datasets = roster_tasks(rng, shards, n_features, n_classes, table_share)
     cfg = TrainConfig(local_epochs=epochs, batch_size=batch,
                       learning_rate=lr)
-    # narrower than the largest group, so it trains in two or more blocks
-    width = max(1, min(width, max(c for _, c in shards) - 1))
     assert_roster_matches_per_client(spec, init_model(spec, seed), datasets,
                                      cfg, seed, width)
 
