@@ -192,8 +192,10 @@ class ExperimentConfig:
             raise ValueError("model.hidden_units must be >= 1")
         if fl.clients_per_round > fl.total_clients:
             raise ValueError("fl.clients_per_round exceeds fl.total_clients")
-        if fl.clients_per_round < 1 or fl.rounds < 1:
-            raise ValueError("fl.clients_per_round and fl.rounds must be >= 1")
+        if fl.clients_per_round < 1:
+            raise ValueError("fl.clients_per_round must be >= 1")
+        if fl.rounds < 1:
+            raise ValueError("fl.rounds must be >= 1")
         for key in ("local_epochs", "batch_size"):
             if getattr(fl, key) < 1:
                 raise ValueError(f"fl.{key} must be >= 1")

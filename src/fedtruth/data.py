@@ -406,7 +406,8 @@ def apply_trigger(ds: Union[Dataset, TableRows], trig: TriggerSpec,
     """Poison a fraction of rows: pin trigger features, relabel to target.
 
     Returns the poisoned copy and the indices of the poisoned rows; `ds`
-    is untouched.
+    is untouched. When no row or every row is poisoned, `rng` is not
+    drawn from: the sorted choice of all n rows is 0..n-1.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must be in [0, 1]")
@@ -418,6 +419,10 @@ def apply_trigger(ds: Union[Dataset, TableRows], trig: TriggerSpec,
     feats, labels = stack_rows([ds])
     if n_poison == 0:
         return Dataset(feats, labels, ds.n_classes), np.empty(0, dtype=np.intp)
+    if n_poison == len(ds):
+        feats[:, list(trig.feature_indices)] = trig.trigger_value
+        labels[:] = trig.target_label
+        return Dataset(feats, labels, ds.n_classes), np.arange(len(ds))
     chosen = np.sort(rng.choice(len(ds), size=n_poison, replace=False))
     feats[np.ix_(chosen, list(trig.feature_indices))] = trig.trigger_value
     labels[chosen] = trig.target_label

@@ -18,24 +18,35 @@ on a stack of one model.
 
 A step allocates no array: every numpy call in it writes through `out=`
 into a `_Workspace`. It holds the batch's feature and one-hot rows, the
-activations and their K-major views, the softmax's class columns, row
-max and row sum, the MLP's hidden layer, mask and hidden gradient, the
-Wᵀ views of the layer blocks, and 0-d operands for the batch size and
-0.0. The K models and one gradient buffer are held layer-major: in each
-flat buffer every layer of all K models is one contiguous (K, *shape)
-block, so a bias is a whole row of K * width, not K strided rows of
-width, and the Wᵀ views stay valid because the update `current - lr *
-grad` runs in place. A call builds these buffers once per block size K,
-and a workspace on them once per (K, batch length); each block copies
-the start model into its stack and reuses them. The weight-gradient
-products write into the layer blocks with `matmul(..., out=)`, the bias
-gradients with `add.reduce(..., out=)`, and at its end a block writes
-each layer block straight into its rows of the call's result.
-Activations (logits, softmax, the hidden layer's pre-activations) are
-batch-major, (batch, K, width): the forward product writes into a
-transposed view, and the bias add and the softmax then run over
-contiguous rows of K * width. The bias gradient sums the batch axis one
-row after another, as a single client's `g.sum(axis=0)` does.
+activations and their views, the softmax's class rows and scratch, the
+MLP's hidden layer, mask and hidden gradient, the transposed views of the
+layer blocks and of the output layer's input, and 0-d operands for the
+batch size and 0.0. The K models and one gradient buffer are held
+layer-major: in each flat buffer every layer of all K models is one
+contiguous (K, *shape) block, so a bias is a whole row of K * width, not
+K strided rows of width, and the views of the blocks stay valid because
+the update `current - lr * grad` runs in place. A call builds these
+buffers once per block size K, and a workspace on them once per (K,
+batch length); each block copies the start model into its stack and
+reuses them. The weight-gradient products write into the layer blocks
+with `matmul(..., out=)`, the bias gradients with `add.reduce(...,
+out=)`, and at its end a block writes each layer block straight into
+its rows of the call's result.
+
+The MLP's hidden pre-activations are batch-major, (batch, K, hidden):
+the product writes into a transposed view, and the bias add runs over
+contiguous rows of K * hidden. The output layer's logits are
+class-major, (classes, K, batch): the product runs as W @ aᵀ into a (K,
+classes, batch) view (the same bits as a @ Wᵀ), the bias adds as a
+(classes, K, 1) view of its block, and each class is one contiguous row
+of K * batch. So the softmax works on whole rows: its max is a chain of
+elementwise maxima, its subtract and divide broadcast over the class
+axis, and its sum adds whole rows in the order of numpy's pairwise sum
+over a contiguous axis (see `_class_sum`). Its last divide writes the
+probabilities batch-major, (batch, K, classes), through a class-major
+view; the backward and `predict` read that buffer. The bias gradient
+sums its batch axis one row after another, as a single client's
+`g.sum(axis=0)` does.
 
 The weight-gradient and hidden-gradient products read the batch-major
 softmax gradient through a strided K-major view; the hidden layer is
@@ -55,10 +66,7 @@ composes its shuffles with those ids once; each step then takes its
 batch's features straight from the source, and its one-hot rows from the
 block's one-hot table, into the workspace. The gradient
 subtracts the one-hot labels from the softmax, which only changes the
-true class (p - 0.0 is p). The softmax takes its class-axis max as
-elementwise maxima and, below 8 classes, its class-axis sum as a chain
-of adds: the values of the numpy reductions, whose sum is a plain
-left-to-right loop below 8 terms and pairwise from 8 on.
+true class (p - 0.0 is p).
 """
 
 from __future__ import annotations
@@ -152,34 +160,83 @@ def _unpack(spec: ModelSpec, params: np.ndarray) -> List[np.ndarray]:
     return out
 
 
-def _softmax_buffers(z: np.ndarray) -> Tuple[List[np.ndarray], np.ndarray,
-                                              np.ndarray]:
-    """The class columns z[..., c:c + 1] of `z` and two buffers of their
-    shape, the row max and the row sum, for `_softmax(z, ...)`."""
-    cols = [z[..., c:c + 1] for c in range(z.shape[-1])]
-    return cols, np.empty(cols[0].shape), np.empty(cols[0].shape)
+def _sum_scratch_rows(n: int) -> int:
+    """Scratch rows of `_class_sum` over n terms: none below 8, else the 8
+    lanes and 4 pairs, and one row per level of halving (above 128 terms
+    numpy sums the two halves apart and adds them)."""
+    if n < 8:
+        return 0
+    if n <= 128:
+        return 12
+    half = n // 2 - n // 2 % 8
+    return max(_sum_scratch_rows(half), 1 + _sum_scratch_rows(n - half))
 
 
-def _softmax(z: np.ndarray, cols: Sequence[np.ndarray], top: np.ndarray,
-             total: np.ndarray) -> np.ndarray:
-    """The softmax of `z` over its last axis, in place; `cols`, `top` and
-    `total` are its `_softmax_buffers`."""
-    # The class-axis max as elementwise maxima of the class columns: the
-    # value of z.max(axis=-1) without a reduction call per row. Below 8
-    # classes the sum is a chain of adds too, which is numpy's own
-    # left-to-right loop; from 8 terms on numpy adds pairwise, so the sum
-    # stays a reduction there.
-    np.maximum(cols[0], cols[1], out=top)
-    for col in cols[2:]:
-        np.maximum(top, col, out=top)
-    np.exp(np.subtract(z, top, out=z), out=z)
-    if len(cols) >= 8:
-        np.add.reduce(z, axis=-1, keepdims=True, out=total)
+def _class_sum(z: np.ndarray, rows: Sequence[np.ndarray], total: np.ndarray,
+               spare: np.ndarray) -> None:
+    """The sum of z over its first axis, whose views are `rows`, into
+    `total`, with the bits of numpy's pairwise sum over a contiguous axis
+    (that is 0.0 plus the pairwise sum, and 0.0 + x is x for the
+    exponentials, which are never -0.0): a left-to-right chain below 8
+    terms; up to 128 terms, 8 lanes that each add every 8th term, the tree
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and the rest one by
+    one; above, the sums of two halves, the first a multiple of 8 long.
+    Each lane and tree call adds whole rows. `spare` has
+    `_sum_scratch_rows(len(z))` rows."""
+    n = len(rows)
+    if n < 8:
+        np.add(rows[0], rows[1], out=total)
+        for row in rows[2:]:
+            np.add(total, row, out=total)
+        return
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        _class_sum(z[:half], rows[:half], total, spare)
+        right = spare[-1]
+        _class_sum(z[half:], rows[half:], right, spare[:-1])
+        np.add(total, right, out=total)
+        return
+    end = n - n % 8
+    lanes, pairs = spare[:8], spare[8:12]
+    if end > 8:
+        np.add(z[:8], z[8:16], out=lanes)
+        for at in range(16, end, 8):
+            np.add(lanes, z[at:at + 8], out=lanes)
     else:
-        np.add(cols[0], cols[1], out=total)
-        for col in cols[2:]:
-            np.add(total, col, out=total)
-    return np.divide(z, total, out=z)
+        lanes = z[:8]
+    np.add(lanes[0::2], lanes[1::2], out=pairs)
+    np.add(pairs[0::2], pairs[1::2], out=spare[:2])
+    np.add(spare[0], spare[1], out=total)
+    for row in rows[end:]:
+        np.add(total, row, out=total)
+
+
+def _softmax_args(z: np.ndarray, out: np.ndarray) -> Tuple:
+    """`_softmax`'s arguments for class-major logits z (classes, ...; at
+    least two axes) and `out`, built once: z, its class rows, out, a row
+    of z's row shape for the max and then the sum, and `_class_sum`'s
+    scratch."""
+    spare = np.empty((1 + _sum_scratch_rows(len(z)),) + z.shape[1:])
+    return z, tuple(z), out, spare[0], spare[1:]
+
+
+def _softmax(z: np.ndarray, rows: Sequence[np.ndarray], out: np.ndarray,
+             top: np.ndarray, spare: np.ndarray) -> None:
+    """The softmax of class-major logits z, (classes, ...), over its first
+    axis, written to `out` of z's shape and any strides; z is left holding
+    the exponentials. The other arguments come from `_softmax_args`.
+
+    Each class is one contiguous row, so the max is a chain of elementwise
+    maxima, the subtract and the divide broadcast over the outer axis, and
+    the sum adds whole rows: the values of the reductions over a
+    contiguous class axis."""
+    np.maximum(rows[0], rows[1], out=top)
+    for row in rows[2:]:
+        np.maximum(top, row, out=top)
+    np.exp(np.subtract(z, top, out=z), out=z)
+    total = top  # the max is spent; its row takes the sum
+    _class_sum(z, rows, total, spare)
+    np.divide(z, total, out=out)
 
 
 class _Workspace:
@@ -191,9 +248,10 @@ class _Workspace:
     updated in place. X is the (K, B, features) batch. A training
     workspace also takes the batch's one-hot labels, batch-major (B, K,
     classes), and the per-layer blocks of the gradient buffer; a
-    forward-only one (for `predict`) takes neither. Activations are
-    batch-major, (B, K, width), and each product writes into a K-major
-    view of them; the MLP's hidden layer is K-major, (K, B, hidden).
+    forward-only one (for `predict`) takes neither. The MLP's
+    pre-activations are batch-major, (B, K, hidden), and its hidden layer
+    K-major, (K, B, hidden); the output logits are class-major, (classes,
+    K, B), and the probabilities batch-major, (B, K, classes).
     """
 
     def __init__(self, layers: Sequence[np.ndarray], X: np.ndarray,
@@ -211,10 +269,16 @@ class _Workspace:
         else:
             self.W, self.b = layers
         self.a = X if self.h is None else self.h  # the output layer's input
-        self.W_T = self.W.swapaxes(-1, -2)
-        self.z = np.empty((B, K, self.W.shape[1]))
-        self.z_T = self.z.transpose(1, 0, 2)
-        self.softmax = _softmax_buffers(self.z)
+        self.a_T = self.a.swapaxes(-1, -2)
+        # the logits class-major, (classes, K, B); the product writes a
+        # (K, classes, B) view, and the bias adds as (classes, K, 1)
+        self.logits = np.empty((self.W.shape[1], K, B))
+        self.logits_k = self.logits.swapaxes(0, 1)
+        self.b_c = self.b.T[..., None]
+        # the probabilities batch-major, (B, K, classes): the softmax
+        # writes them through their class-major view
+        self.probs = np.empty((B, K, self.W.shape[1]))
+        self.softmax = _softmax_args(self.logits, self.probs.T)
         if grads is None:
             return
         self.rows = np.array(float(B))
@@ -222,7 +286,7 @@ class _Workspace:
         # copy where the products' other operand has width 1 (see the
         # module docstring)
         self.g_src: Optional[np.ndarray] = None
-        self.g_k = self.z_T
+        self.g_k = self.probs.transpose(1, 0, 2)
         if self.a.shape[-1] == 1:
             self.g_src, self.g_k = self.g_k, np.empty(self.g_k.shape)
         self.g_kT = self.g_k.swapaxes(-1, -2)
@@ -241,9 +305,10 @@ def _stacked_forward(ws: _Workspace) -> Tuple[np.ndarray,
         np.matmul(ws.X, ws.W1_T, out=ws.z1_T)
         np.add(ws.z1, ws.b1, out=ws.z1)
         np.maximum(ws.z1_T, _ZERO, out=ws.h)
-    np.matmul(ws.a, ws.W_T, out=ws.z_T)
-    np.add(ws.z, ws.b, out=ws.z)
-    return _softmax(ws.z, *ws.softmax), ws.h
+    np.matmul(ws.W, ws.a_T, out=ws.logits_k)
+    np.add(ws.logits, ws.b_c, out=ws.logits)
+    _softmax(*ws.softmax)
+    return ws.probs, ws.h
 
 
 def _roster_gradients(ws: _Workspace) -> None:

@@ -263,6 +263,26 @@ def test_estimator_range_errors_start_with_their_key(key):
     assert str(err.value).startswith(f"{key} must be")
 
 
+# the other rules of `validate()`, with a value on each side of a range;
+# the defaults are a roster of 10 of 20 clients and no adversary
+RULE_ERRORS = [
+    ("dataset.noniid_bias", 1.5), ("dataset.noniid_bias", -0.1),
+    ("fl.clients_per_round", 21), ("fl.clients_per_round", 0),
+    ("fl.rounds", 0),
+    ("attack.n_adversaries", -1), ("attack.n_adversaries", 11),
+    ("attack.backdoor.poison_fraction", 1.5),
+    ("attack.backdoor.poison_fraction", -0.5),
+    ("fltrust_root_fraction", 0.0), ("fltrust_root_fraction", 1.0),
+]
+
+
+@pytest.mark.parametrize("key, value", RULE_ERRORS)
+def test_rule_errors_start_with_their_key(key, value):
+    with pytest.raises(ValueError) as err:
+        config_from_dict(nested(key, value))
+    assert str(err.value).startswith(f"{key} ")
+
+
 def test_range_checks_only_where_the_key_is_read():
     # logreg has no hidden layer, and the idx source draws no blobs
     config_from_dict({"model": {"kind": "logreg", "hidden_units": 0}})

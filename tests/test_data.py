@@ -349,10 +349,15 @@ def test_apply_trigger_fraction_zero_identity():
 
 def test_apply_trigger_full_relabels_everything():
     ds = make_pool(100)
-    out, rows = apply_trigger(ds, trigger(), 1.0, stream(12, "trig"))
-    assert rows.size == 100
+    rng = stream(12, "trig")
+    state = rng.bit_generator.state
+    out, rows = apply_trigger(ds, trigger(), 1.0, rng)
+    assert rows.tobytes() == np.arange(100).tobytes()
     assert np.all(out.labels == 0)
     assert np.all(out.features[:, :4] == 1.0)
+    assert np.array_equal(out.features[:, 4:], ds.features[:, 4:])
+    # every row is poisoned, so the choice of rows draws nothing
+    assert rng.bit_generator.state == state
 
 
 def test_apply_trigger_changes_only_selected_coordinates():
@@ -464,6 +469,8 @@ POISONINGS = {
                                         stream(26, "trig"))[0],
     "trigger-none": lambda ds: apply_trigger(ds, trigger(), 0.0,
                                              stream(26, "trig"))[0],
+    "trigger-all": lambda ds: apply_trigger(ds, trigger(), 1.0,
+                                            stream(26, "trig"))[0],
     "edge": lambda ds: augment(ds, edge_pool(), 0.5, stream(26, "edge")),
 }
 

@@ -11,7 +11,7 @@ from fedtruth.data import Dataset, TableRows, synth_blobs
 from fedtruth.rng import stream
 from fedtruth.training import (ModelKind, ModelSpec, TrainConfig,
                                extract_update, init_model, predict,
-                               train_roster, _softmax, _softmax_buffers,
+                               train_roster, _softmax, _softmax_args,
                                _stacked_forward, _unpack, _Workspace)
 
 from oracles import (reference_cross_entropy, reference_forward,
@@ -108,17 +108,25 @@ def boundary_logits(classes):
     return np.random.default_rng(classes).normal(size=(3, 5, classes)) * 3.0
 
 
-# 7 classes is the longest chain of adds, 8 the first pairwise reduction
+# 7 classes is the longest chain of adds and 8 the first pairwise sum; 16
+# and 17 add a lane pass, 129 halves once and 300 on two levels
 @settings(max_examples=300, deadline=None)
 @given(logits=SOFTMAX_INPUTS)
 @example(logits=boundary_logits(7))
 @example(logits=boundary_logits(8))
+@example(logits=boundary_logits(16))
+@example(logits=boundary_logits(17))
+@example(logits=boundary_logits(129))
+@example(logits=boundary_logits(300))
 def test_softmax_matches_reduction_form_bitwise(logits):
+    # the class-major call, as a step makes it: logits (classes, 1, ...)
+    # and the probabilities written through a class-major view of a
+    # batch-major buffer
+    z = np.moveaxis(logits[None], -1, 0).copy()
+    got = np.empty(logits.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        got = logits.copy()
-        _softmax(got, *_softmax_buffers(got))
+        _softmax(*_softmax_args(z, np.moveaxis(got[None], -1, 0)))
         want = reference_softmax(logits)
-    assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
 
@@ -378,6 +386,33 @@ def test_a_call_shares_its_buffers_and_reads_the_table_in_place(
 
     monkeypatch.setattr(data, "stack_rows", no_copy)
     assert np.array_equal(train(datasets), want[:9])
+
+
+# the output product runs class-major, W @ aᵀ into a (K, classes, B)
+# view; a is X for logreg and the K-major hidden layer for the MLP
+@settings(max_examples=200, deadline=None)
+@given(mlp=st.booleans(), models=st.integers(1, 10), rows=st.integers(1, 70),
+       width=st.integers(1, 40), n_classes=st.integers(2, 12),
+       seed=st.integers(0, 2 ** 16))
+@example(mlp=False, models=1, rows=1, width=1, n_classes=2, seed=0)
+@example(mlp=True, models=10, rows=70, width=1, n_classes=12, seed=1)
+@example(mlp=False, models=10, rows=60, width=20, n_classes=2, seed=2)
+def test_class_major_product_matches_per_model_product_bitwise(
+        mlp, models, rows, width, n_classes, seed):
+    spec = ModelSpec(ModelKind.MLP if mlp else ModelKind.LOGREG,
+                     7 if mlp else width, n_classes, width)
+    rng = np.random.default_rng(seed)
+    params = rng.normal(size=(models, init_model(spec, 0).size))
+    layers = _unpack(spec, params)
+    layers[-1][...] = 0.0  # a zero bias: the logits are the product's
+    ws = _Workspace(layers, rng.normal(size=(models, rows,
+                                             spec.n_features)))
+    with mock.patch.object(training, "_softmax"):  # keep the logits
+        _stacked_forward(ws)
+    a = ws.X if ws.h is None else ws.h
+    for k in range(models):
+        want = a[k] @ ws.W[k].T + ws.b[k]
+        assert ws.logits[:, k].T.tobytes() == want.tobytes()
 
 
 # -- prediction -------------------------------------------------------------------
