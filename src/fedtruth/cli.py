@@ -189,19 +189,20 @@ def _cell_config(spec: SweepSpec, cell) -> ExperimentConfig:
 
 
 def _gnuplot_script(cell_files: List[str]) -> str:
-    # per-round cell CSVs: column 1 = round, column 7 = main_acc
-    plots = ", \\\n     ".join(
-        f'"{name}" every ::1 using 1:7 with lines title "{Path(name).stem}"'
-        for name in cell_files)
-    return "\n".join([
+    # per-round cell CSVs: column 1 = round, column 7 = main_acc; with no
+    # cell to plot the settings stand alone, as gnuplot refuses a bare plot
+    lines = [
         'set datafile separator ","',
         'set key outside',
         'set xlabel "round"',
         'set ylabel "main accuracy"',
         'set yrange [0:1]',
-        f"plot {plots}",
-        "",
-    ])
+    ]
+    if cell_files:
+        lines.append("plot " + ", \\\n     ".join(
+            f'"{name}" every ::1 using 1:7 with lines '
+            f'title "{Path(name).stem}"' for name in cell_files))
+    return "\n".join(lines + [""])
 
 
 def cmd_sweep(args) -> int:

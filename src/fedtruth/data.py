@@ -9,9 +9,7 @@ straight into a table of the distinct rows its clients hold, and never
 holds the whole pool. `shard_table` builds that read-only table and
 hands each client's shard back as `TableRows`: row ids into it. This
 module is the only one that knows that format: `stack_rows` makes every
-copy of a shard's rows, for training and for poisoning alike, and
-`gather_source` gives a training block its rows as ids into the table
-itself when all of them are on it, so that no copy is made.
+copy of a shard's rows, for training and for poisoning alike.
 `synth_blobs` and `load_idx` read every row of the same streams.
 """
 
@@ -380,24 +378,6 @@ def stack_rows(datasets: Sequence[Union[Dataset, TableRows]],
         feats[lo:lo + len(ds)] = ds.features
         labels[lo:lo + len(ds)] = ds.labels
     return feats, labels
-
-
-def gather_source(datasets: Sequence[Union[Dataset, TableRows]]
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of the (non-empty) `datasets` as a training block reads
-    them: features that hold the rows, the labels of the rows in order,
-    and the ids of the rows in those features, so that `features[ids]`
-    and the labels are `stack_rows(datasets)`. When every dataset is a
-    `TableRows` on one table, the features are that table's own and the
-    ids the datasets' row ids, so no row is copied; otherwise they are a
-    `stack_rows` copy and the ids count its rows."""
-    first = datasets[0]
-    if all(isinstance(ds, TableRows) and ds.table is first.table
-           for ds in datasets):
-        ids = np.concatenate([ds.rows for ds in datasets])
-        return first.table.features, first.table.labels.take(ids), ids
-    feats, labels = stack_rows(datasets)
-    return feats, labels, np.arange(len(labels))
 
 
 def apply_trigger(ds: Union[Dataset, TableRows], trig: TriggerSpec,

@@ -59,14 +59,11 @@ there, the step copies the softmax gradient K-major first.
 A client's shuffles for all its epochs come from one `Generator.permuted`
 call on an (epochs, n) table of 0..n-1, written into its column of
 one (epochs, K, n) order table: the same orders, and the same generator
-state after, as one `permutation(n)` per epoch. `data.gather_source`
-gives a block's rows as row ids into a source: the shard table itself
-when every client's rows are on it, else a `stack_rows` copy. The block
-composes its shuffles with those ids once; each step then takes its
-batch's features straight from the source, and its one-hot rows from the
-block's one-hot table, into the workspace. The gradient
-subtracts the one-hot labels from the softmax, which only changes the
-true class (p - 0.0 is p).
+state after, as one `permutation(n)` per epoch. A block copies its rows
+once with `data.stack_rows`, and each step takes its batch's features
+from that copy, and its one-hot rows from the block's one-hot table,
+into the workspace. The gradient subtracts the one-hot labels from the
+softmax, which only changes the true class (p - 0.0 is p).
 """
 
 from __future__ import annotations
@@ -78,7 +75,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .data import Dataset, TableRows, gather_source
+from .data import Dataset, TableRows, stack_rows
 from .vectors import BLOCK_ELEMENTS
 
 # A 0-d operand: numpy converts a scalar operand on every call
@@ -373,7 +370,7 @@ def train_roster(params: np.ndarray,
             current, grad, layers, grads = stacks[K]
             for layer, first in zip(layers, start):
                 layer[...] = first
-            feats, labels, ids = gather_source([datasets[r] for r in part])
+            feats, labels = stack_rows([datasets[r] for r in part])
             onehot = eye.take(labels, axis=0)
             # orders[e, k]: client k's shuffle in epoch e, as rows of the
             # block; one permuted() call per client draws all epochs'
@@ -382,7 +379,6 @@ def train_roster(params: np.ndarray,
             for k, r in enumerate(part):
                 rngs[r].permuted(epochs, axis=1, out=orders[:, k])
             orders += np.arange(0, K * n, n)[:, None]
-            sources = ids.take(orders)  # the same rows, in the source
             # A step position's batches of all epochs are copied out once,
             # K-major for the features and batch-major for the labels, so
             # that `take` reads contiguous rows of indices
@@ -394,7 +390,7 @@ def train_roster(params: np.ndarray,
                         layers, np.empty((K, B, feats.shape[1])),
                         np.empty((B, K, spec.n_classes)), grads)
                 steps.append((
-                    np.ascontiguousarray(sources[:, :, at:at + B]),
+                    np.ascontiguousarray(orders[:, :, at:at + B]),
                     np.ascontiguousarray(
                         orders[:, :, at:at + B].transpose(0, 2, 1)),
                     workspaces[K, B]))

@@ -147,9 +147,9 @@ def estimate_truth(updates: Updates, cfg: FedTruthConfig) -> TruthEstimate:
     cfg.epsilon, or cfg.max_iterations is hit. The reported performances and
     weights are those of the returned truth, so the estimate satisfies its
     own update equations exactly. `updates` is an (n, d) array or a list of
-    n equal-length vectors. Raises NonFiniteWeights when an iteration's
-    weights are not all finite, without numpy's overflow and invalid-value
-    warnings.
+    n equal-length vectors. Raises NonFiniteWeights when a pass's weights,
+    the report's included, are not all finite, without numpy's overflow
+    and invalid-value warnings.
     """
     rows = UpdateRows(update_matrix(updates))
     n = len(rows)
@@ -168,11 +168,11 @@ def estimate_truth(updates: Updates, cfg: FedTruthConfig) -> TruthEstimate:
             g.performance_shares(distances_to(cfg.distance, truth, rows,
                                               out=dist), out=p)
             _weights(p, g, out=a)
+            if not np.logical_and.reduce(np.isfinite(a)):  # .all(), unwrapped
+                raise NonFiniteWeights(iterations + 1)
             if converged or iterations == cfg.max_iterations:
                 break
             iterations += 1
-            if not np.logical_and.reduce(np.isfinite(a)):  # .all(), unwrapped
-                raise NonFiniteWeights(iterations)
             new_truth = rows.weighted_sum(a, out=sums[iterations % 2])
             # the step overwrites the old truth, whose buffer is free now
             delta = norm(np.subtract(new_truth, truth, out=truth))

@@ -122,7 +122,10 @@ def row_estimate_truth(X, cfg):
             converged = True
             break
     p = row_shares(row_distances(cfg.distance, truth, X), g)
-    return RowEstimate(truth, row_weights(p, g), p, iterations, converged)
+    w = row_weights(p, g)
+    if not all(math.isfinite(x) for x in w):  # the report's weights
+        raise OracleNonFinite(iterations + 1)
+    return RowEstimate(truth, w, p, iterations, converged)
 
 
 # -- one client's model -------------------------------------------------------

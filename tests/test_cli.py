@@ -234,6 +234,23 @@ def test_sweep_partial_failure_recorded(tmp_path):
     assert sorted(by_status.values()) == ["failed", "ok"]
 
 
+def test_sweep_whose_cells_all_fail_writes_a_script_without_plot(tmp_path):
+    # the one cell overflows: the script keeps its settings and leaves out
+    # the plot command, which gnuplot refuses without a curve
+    base = write_config(tmp_path, extra={
+        "attack": {"kind": "model_boost", "strategy": "with_boosting",
+                   "n_adversaries": 0, "boosting_factor": 1e305}})
+    spec = write_sweep(tmp_path, base, adversary_counts=[1])
+    assert main(["sweep", str(spec)]) == 1
+    out = tmp_path / "out" / "sweep"
+    assert [row[1] for row in read_csv(out / "sweep_cells.csv")[1:]] == [
+        "failed"]
+    lines = (out / "sweep.gp").read_text().splitlines()
+    assert lines[0] == 'set datafile separator ","'
+    assert lines[-1] == "set yrange [0:1]"
+    assert not any(line.startswith("plot") for line in lines)
+
+
 def test_sweep_refused_when_a_cell_breaks_validation(tmp_path, capsys):
     # 2 of 4 roster clients breaks the threat model; the sweep used to run
     # the first cell and record the second as failed

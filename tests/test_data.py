@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from fedtruth.data import (Dataset, PartitionPlan, TableRows, TriggerSpec,
                            apply_trigger, backdoor_eval_set, blob_stream,
-                           dba_shards, edge_case_augment, gather_source,
-                           idx_stream, load_idx, partition_label_skew,
-                           shard_table, stack_rows, synth_blobs)
+                           dba_shards, edge_case_augment, idx_stream,
+                           load_idx, partition_label_skew, shard_table,
+                           stack_rows, synth_blobs)
 from fedtruth.rng import stream
 
 from helpers import assert_same_datasets, save_idx
@@ -222,26 +222,6 @@ def test_stack_rows_copies_the_rows_in_order(case, extra):
         source = ds.table if isinstance(ds, TableRows) else ds
         assert not np.shares_memory(feats, source.features)
         assert not np.shares_memory(labels, source.labels)
-
-
-@pytest.mark.parametrize("case", sorted(stacking_cases()))
-def test_gather_source_holds_the_stacked_rows(case):
-    datasets = stacking_cases()[case]
-    feats, labels, ids = gather_source(datasets)
-    want_feats, want_labels = stack_rows(datasets)
-    tables = {id(ds.table) if isinstance(ds, TableRows) else None
-              for ds in datasets}
-    if len(tables) == 1 and None not in tables:
-        # rows of one table: the table itself, read through their ids
-        assert feats is datasets[0].table.features
-        assert np.array_equal(ids, np.concatenate([ds.rows
-                                                   for ds in datasets]))
-    else:
-        assert feats.tobytes() == want_feats.tobytes()
-        assert np.array_equal(ids, np.arange(len(want_labels)))
-    assert feats[ids].tobytes() == want_feats.tobytes()
-    assert labels.dtype == np.int64
-    assert np.array_equal(labels, want_labels)
 
 
 # -- partitioning ----------------------------------------------------------------

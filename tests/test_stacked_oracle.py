@@ -133,3 +133,17 @@ def test_overflowing_rows_make_the_euclidean_oracle_fail(case, iteration):
     with np.errstate(all="ignore"), pytest.raises(OracleNonFinite) as info:
         row_estimate_truth(overflowing_rows(case), FedTruthConfig())
     assert info.value.iteration == iteration
+
+
+@pytest.mark.parametrize("max_iterations", [2, 100])
+def test_report_pass_overflow_fails_at_the_oracles_iteration(max_iterations):
+    # the third pass's weights are NaN: at a cap of 2 that pass is the
+    # report's, which the estimator and the oracle both check
+    X = np.array([[0.0], [0.0], [1.6e154]])
+    cfg = FedTruthConfig(max_iterations=max_iterations)
+    with np.errstate(all="ignore"):
+        with pytest.raises(OracleNonFinite) as failed:
+            row_estimate_truth(X, cfg)
+        with pytest.raises(NonFiniteWeights) as info:
+            estimate_truth(X, cfg)
+    assert info.value.iteration == failed.value.iteration == 3

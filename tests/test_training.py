@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fedtruth import data, training
-from fedtruth.data import Dataset, TableRows, synth_blobs
+from fedtruth import training
+from fedtruth.data import Dataset, TableRows, stack_rows, synth_blobs
 from fedtruth.rng import stream
 from fedtruth.training import (ModelKind, ModelSpec, TrainConfig,
                                extract_update, init_model, predict,
@@ -352,16 +352,21 @@ def test_train_roster_bitwise_at_model_sizes(spec, clients, shard, cfg):
                                      cfg, 4)
 
 
-def test_a_call_shares_its_buffers_and_reads_the_table_in_place(
+def test_a_call_shares_its_buffers_and_copies_each_blocks_rows_once(
         monkeypatch):
     # three blocks of three equal tasks and a group of one: a workspace
-    # per (block size, batch length), whatever the number of blocks
-    built = []
+    # per (block size, batch length), whatever the number of blocks, and
+    # one copy of the rows per block, never one per step
+    built, copied = [], []
 
     class Counting(training._Workspace):
         def __init__(self, layers, X, *args):
             built.append(X.shape[:2])
             super().__init__(layers, X, *args)
+
+    def counting_stack_rows(datasets, *args):
+        copied.append(len(datasets))
+        return stack_rows(datasets, *args)
 
     params = init_model(MLP, 0)
     table = blobs(90, seed=4)
@@ -376,16 +381,15 @@ def test_a_call_shares_its_buffers_and_reads_the_table_in_place(
 
     monkeypatch.setattr(training, "BLOCK_ELEMENTS", 3 * params.size)
     monkeypatch.setattr(training, "_Workspace", Counting)
+    monkeypatch.setattr(training, "stack_rows", counting_stack_rows)
     want = train(copies + [blobs(7)])
     assert sorted(built) == [(1, 3), (1, 4), (3, 2), (3, 4)]
+    assert sorted(copied) == [1, 3, 3, 3]
 
-    # every task on the table: the steps take their rows from it, and no
-    # copy of the rows is made
-    def no_copy(*args):
-        raise AssertionError("stack_rows called")
-
-    monkeypatch.setattr(data, "stack_rows", no_copy)
+    # every task on the table: the same rows, one copy per block
+    copied.clear()
     assert np.array_equal(train(datasets), want[:9])
+    assert copied == [3, 3, 3]
 
 
 # the output product runs class-major, W @ aᵀ into a (K, classes, B)

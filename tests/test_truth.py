@@ -168,15 +168,24 @@ def test_estimate_truth_errors():
         FedTruthConfig(max_iterations=0)
 
 
+# finite updates whose distances overflow to inf make the weights NaN; in
+# "report" the truth stays finite but the third pass's distances overflow,
+# and at a cap of 2 that pass is the report's, which raises all the same
+@pytest.mark.parametrize("rows, max_iterations, iteration", [
+    pytest.param([[1e305, -1e305], [-1e305, 1e305], [3.0, 1.0]], 100, 1,
+                 id="first"),
+    pytest.param([[0.0], [0.0], [1.6e154]], 100, 3, id="third"),
+    pytest.param([[0.0], [0.0], [1.6e154]], 2, 3, id="report"),
+])
 @pytest.mark.parametrize("kind", [DistanceKind.EUCLIDEAN,
                                   DistanceKind.CUSTOM_HALF_HALF])
-def test_overflowing_distances_raise_typed_error(kind):
-    # finite updates whose distances overflow to inf make the weights NaN
-    X = np.array([[1e305, -1e305], [-1e305, 1e305], [3.0, 1.0]])
+def test_overflowing_distances_raise_typed_error(kind, rows, max_iterations,
+                                                 iteration):
+    cfg = FedTruthConfig(distance=kind, max_iterations=max_iterations)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteWeights) as info:
-            estimate_truth(X, FedTruthConfig(distance=kind))
-    assert info.value.iteration == 1
+            estimate_truth(np.array(rows), cfg)
+    assert info.value.iteration == iteration
 
 
 @pytest.mark.parametrize("coeff", list(CoefficientFunction))
