@@ -12,6 +12,7 @@ Timing columns (agg_time_s) are the only nondeterministic fields.
 """
 
 import argparse
+import copy
 import csv
 import dataclasses
 import itertools
@@ -22,10 +23,10 @@ from pathlib import Path
 from typing import List, Optional
 
 import numpy as np
-import yaml
 
 from .attacks import AttackKind
-from .config import AggregatorConfig, ExperimentConfig, _build, load_config
+from .config import (AggregatorConfig, ExperimentConfig, _build, _read_yaml,
+                     _set, check_file_name, config_from_dict, load_config)
 from .rng import stream
 from .simulator import (AGGREGATORS, AggregationContext, RoundReport,
                         run_experiment)
@@ -114,78 +115,94 @@ def cmd_run(args) -> int:
 
 # -- sweep ----------------------------------------------------------------
 
+# each list of a spec: the config key it sets, its merged column and name part
+LISTS = {"aggregators": ("aggregator.kind", "aggregator", "{}"),
+         "adversary_counts": ("attack.n_adversaries", "n_adversaries",
+                              "adv{}"),
+         "biases": ("dataset.noniid_bias", "bias", "bias{}"),
+         "distances": ("aggregator.distance", "distance", "{}"),
+         "seeds": ("master_seed", "seed", "seed{}")}
+
+
 @dataclasses.dataclass
 class SweepSpec:
-    """A scenario grid: a base config and the values each cell sets (see
-    CELL_KEYS), crossed in field order. Every list must be non-empty and
-    hold no value twice, and the cap on the cell count is at least 1."""
+    """A scenario grid over a base config: the lists set the keys in LISTS,
+    and `axes` maps other dotted keys to their values. The cells cross the
+    lists in field order, then the axes in mapping order. Each axis holds
+    values, none twice; the cap is >= 1 and `name` a plain file name."""
     base: Optional[str] = None  # required; relative to the spec's folder
     aggregators: List[str] = dataclasses.field(default_factory=list)
     adversary_counts: List[int] = dataclasses.field(default_factory=list)
     biases: List[float] = dataclasses.field(default_factory=list)
     distances: List[str] = dataclasses.field(default_factory=list)
     seeds: List[int] = dataclasses.field(default_factory=list)
+    axes: dict = dataclasses.field(default_factory=dict)
     cap: int = 64
     name: str = "sweep"
 
     def __post_init__(self):
         if self.base is None:
             raise ValueError("base: required, the config the cells override")
-        for key in ("aggregators", "adversary_counts", "biases",
-                    "distances", "seeds"):
-            values = getattr(self, key)
-            if not values:
-                raise ValueError(f"{key}: expected a non-empty list")
+        if not isinstance(self.axes, dict):
+            raise ValueError(f"axes: expected a mapping, got {self.axes!r}")
+        for label, values in [(key, getattr(self, key)) for key in LISTS] \
+                + [(f"axes: {key}", v) for key, v in self.axes.items()]:
+            if not isinstance(values, list) or not values:
+                raise ValueError(f"{label}: expected a non-empty list")
             for i, value in enumerate(values):
                 if value in values[:i]:
-                    raise ValueError(f"{key}: repeats {value!r}")
+                    raise ValueError(f"{label}: repeats {value!r}")
+        # {config key: (merged column, cell-name part, values)}, in order
+        self.table = {key: (column, part, getattr(self, field))
+                      for field, (key, column, part) in LISTS.items()}
+        for key, values in self.axes.items():
+            if not isinstance(key, str):
+                raise ValueError(f"axes: expected dotted keys, got {key!r}")
+            clash = [k for k in [*self.table, "output"] if k == key or
+                     key.startswith(k + ".") or k.startswith(key + ".")]
+            if clash:
+                raise ValueError(f"axes: {key}: the sweep sets {clash[0]}")
+            self.table[key] = (key, key + "={}", values)
         if self.cap < 1:
             raise ValueError("cap: must be >= 1")
-
-    def cells(self) -> List[tuple]:
-        return list(itertools.product(
-            self.aggregators, self.adversary_counts, self.biases,
-            self.distances, self.seeds))
+        check_file_name("name", self.name)
 
 
 def load_sweep(path) -> SweepSpec:
     """Load a sweep spec, built and checked by the config's typed builder;
     `name` defaults to the file's stem."""
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"sweep spec not found: {path}")
-    with open(path) as fh:
-        data = yaml.safe_load(fh) or {}
+    data = _read_yaml(path, "sweep spec")
+    data.setdefault("name", path.stem)
     try:
-        if not isinstance(data, dict):
-            raise ValueError(f"expected a mapping, got {data!r}")
-        data.setdefault("name", path.stem)
         spec = _build(SweepSpec, data)
     except ValueError as err:
         raise ValueError(f"sweep spec: {err}") from None
-    if not Path(spec.base).is_absolute():
-        spec.base = str((path.parent / spec.base).resolve())
+    spec.base = str((path.parent / spec.base).resolve())
     return spec
 
 
-def _cell_name(cell) -> str:
-    aggregator, adv, bias, dist, seed = cell
-    return f"{aggregator}_adv{adv}_bias{bias}_{dist}_seed{seed}"
-
-
-# the config key each field of a cell tuple overrides
-CELL_KEYS = ("aggregator.kind", "attack.n_adversaries", "dataset.noniid_bias",
-             "aggregator.distance", "master_seed")
-
-
-def _cell_config(spec: SweepSpec, cell) -> ExperimentConfig:
-    """The base config with the cell's overrides, built and validated."""
-    name = _cell_name(cell)
-    overrides = [f"{key}={value}" for key, value in zip(CELL_KEYS, cell)]
-    try:
-        return load_config(spec.base, overrides + [f"output.name={name}"])
-    except ValueError as err:
-        raise ValueError(f"sweep cell {name}: {err}") from None
+def cell_configs(spec: SweepSpec) -> List[tuple]:
+    """(cell, config) per cell in product order: the base file's mapping
+    with the cell's {config key: value} set and its name as output.name."""
+    cells = [dict(zip(spec.table, values)) for values in
+             itertools.product(*(v for _, _, v in spec.table.values()))]
+    if len(cells) > spec.cap:
+        raise ValueError(
+            f"sweep has {len(cells)} cells, over the cap of {spec.cap}")
+    base = _read_yaml(Path(spec.base), "config file")
+    pairs = []
+    for cell in cells:
+        name = "_".join(spec.table[key][1].format(value)
+                        for key, value in cell.items())
+        data = copy.deepcopy(base)
+        try:
+            for key, value in {**cell, "output.name": name}.items():
+                _set(data, key, value)
+            pairs.append((cell, config_from_dict(data)))
+        except ValueError as err:
+            raise ValueError(f"sweep cell {name}: {err}") from None
+    return pairs
 
 
 def _gnuplot_script(cell_files: List[str]) -> str:
@@ -208,59 +225,46 @@ def _gnuplot_script(cell_files: List[str]) -> str:
 def cmd_sweep(args) -> int:
     try:
         spec = load_sweep(args.spec)
-        cells = spec.cells()
-        if len(cells) > spec.cap:
-            raise ValueError(
-                f"sweep has {len(cells)} cells, over the cap of {spec.cap}")
         # every cell passes validation before the first one runs
-        configs = [_cell_config(spec, cell) for cell in cells]
-        out_dir = configs[0].output.resolved_dir() / spec.name
+        cells = cell_configs(spec)
+        out_dir = cells[0][1].output.resolved_dir() / spec.name
+        out_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     merged_rows = []
     statuses = []
-    failures = 0
-    for cell, cfg in zip(cells, configs):
-        aggregator, adv, bias, dist, seed = cell
+    for cell, cfg in cells:
         name = cfg.output.name
         try:
             reports = _run_single(cfg, out_dir, name)
-            for r in reports:
-                merged_rows.append([
-                    aggregator, adv, _fmt(float(bias)), dist, seed,
-                    r.round_index, _fmt(r.main_accuracy),
-                    _fmt(r.backdoor_accuracy),
-                    _fmt(r.aggregation_wall_time),
-                    _fmt(r.fedtruth_iterations),
-                ])
+            merged_rows.extend([_fmt(value) for value in cell.values()] + [
+                r.round_index, _fmt(r.main_accuracy),
+                _fmt(r.backdoor_accuracy), _fmt(r.aggregation_wall_time),
+                _fmt(r.fedtruth_iterations)] for r in reports)
             statuses.append((name, "ok", ""))
         except (OSError, ValueError, RuntimeError) as err:
-            failures += 1
             statuses.append((name, "failed", str(err)))
             print(f"cell {name} failed: {err}", file=sys.stderr)
 
     merged_path = out_dir / f"{spec.name}_merged.csv"
-    with open(merged_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["aggregator", "n_adversaries", "bias", "distance",
-                         "seed", "round", "main_acc", "backdoor_acc",
-                         "agg_time_s", "iters"])
-        writer.writerows(merged_rows)
-    with open(out_dir / f"{spec.name}_cells.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cell", "status", "detail"])
-        writer.writerows(statuses)
+    header = [column for column, _, _ in spec.table.values()] + [
+        "round", "main_acc", "backdoor_acc", "agg_time_s", "iters"]
     ok_cells = [f"{name}.csv" for name, status, _ in statuses
                 if status == "ok"]
-    with open(out_dir / f"{spec.name}.gp", "w") as fh:
-        fh.write(_gnuplot_script(ok_cells))
+    try:
+        with open(merged_path, "w", newline="") as fh:
+            csv.writer(fh).writerows([header] + merged_rows)
+        with open(out_dir / f"{spec.name}_cells.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows([["cell", "status", "detail"]] + statuses)
+        (out_dir / f"{spec.name}.gp").write_text(_gnuplot_script(ok_cells))
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
-    print(f"{len(cells) - failures}/{len(cells)} cells ok, "
-          f"merged -> {merged_path}")
-    return 1 if failures else 0
+    print(f"{len(ok_cells)}/{len(cells)} cells ok, merged -> {merged_path}")
+    return 1 if len(ok_cells) < len(cells) else 0
 
 
 # -- bench ----------------------------------------------------------------

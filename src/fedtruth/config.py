@@ -169,6 +169,7 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         _check_fields(self)
+        check_file_name("output.name", self.output.name)
         fl, attack, agg, ds = self.fl, self.attack, self.aggregator, self.dataset
         if not 0.0 <= ds.noniid_bias <= 1.0:
             raise ValueError("dataset.noniid_bias must be in [0, 1]")
@@ -317,6 +318,12 @@ def _check_fields(section, path: str = "") -> None:
                              f"got {value!r}")
 
 
+def check_file_name(key: str, name: str) -> None:
+    """Refuse a name that is empty, '..' or holds a path separator."""
+    if name in ("", "..") or Path(name).name != name:
+        raise ValueError(f"{key}: expected a plain file name, got {name!r}")
+
+
 def _coerce(value, target_type, path: str):
     origin = getattr(target_type, "__origin__", None)
     if origin is Union:
@@ -409,17 +416,23 @@ def _set(data: dict, key: str, value, replace: bool = True) -> None:
         data[leaf] = value
 
 
+def _read_yaml(path: Path, what: str) -> dict:
+    """The mapping a YAML file holds, unbuilt; `what` names the file."""
+    if not path.exists():
+        raise FileNotFoundError(f"{what} not found: {path}")
+    with open(path) as fh:
+        data = yaml.safe_load(fh) or {}
+    if not isinstance(data, dict):
+        raise ValueError(f"{what}: expected a mapping, got {data!r}")
+    return data
+
+
 def load_config(path, overrides: Sequence[str] = ()) -> ExperimentConfig:
     """Load a YAML config, apply 'section.key=value' overrides to it (values
     parse as YAML scalars), default output.name to the file's stem, then
     build and validate the result once."""
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"config file not found: {path}")
-    with open(path) as fh:
-        data = yaml.safe_load(fh) or {}
-    if not isinstance(data, dict):
-        raise ValueError(f"config: expected a mapping, got {data!r}")
+    data = _read_yaml(path, "config file")
     for item in overrides:
         key, eq, raw = item.partition("=")
         if not eq:

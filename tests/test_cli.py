@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from fedtruth.cli import bench_aggregation, main
+from fedtruth.cli import bench_aggregation, cell_configs, load_sweep, main
 from fedtruth.config import config_from_dict
 from fedtruth.simulator import AGGREGATORS
 
@@ -332,3 +332,134 @@ def test_baseline_run_matches_committed_golden(tmp_path):
     assert ours.keys() == golden.keys()
     assert {k: v for k, v in ours.items() if k not in timing} == \
         {k: v for k, v in golden.items() if k not in timing}
+
+
+def test_sweep_axes_are_typed_columns_and_name_parts(tmp_path):
+    # a null radius used to be refused, as its `key=None` override string
+    # parsed back as the word 'None'
+    base = write_config(tmp_path)
+    spec = write_sweep(tmp_path, base, axes={
+        "aggregator.coefficient": ["neglog", "inverse"],
+        "attack.pgd_radius": [None, 0.04]})
+    assert main(["sweep", str(spec)]) == 0
+    out = tmp_path / "out" / "sweep"
+    merged = read_csv(out / "sweep_merged.csv")
+    assert merged[0] == ["aggregator", "n_adversaries", "bias", "distance",
+                         "seed", "aggregator.coefficient",
+                         "attack.pgd_radius", "round", "main_acc",
+                         "backdoor_acc", "agg_time_s", "iters"]
+    assert [row[5:7] for row in merged[1::3]] == [
+        ["neglog", ""], ["neglog", "0.04"], ["inverse", ""],
+        ["inverse", "0.04"]]
+    names = [f"fedtruth_adv0_bias0.8_euclidean_seed0_aggregator.coefficient="
+             f"{coefficient}_attack.pgd_radius={radius}"
+             for coefficient in ("neglog", "inverse")
+             for radius in ("None", "0.04")]
+    assert [row[0] for row in read_csv(out / "sweep_cells.csv")[1:]] == names
+    assert main(["run", str(base), "--set", "aggregator.coefficient=inverse",
+                 "--set", "attack.pgd_radius=null"]) == 0
+    assert without_timing_bytes(out / f"{names[2]}.csv") == \
+        without_timing_bytes(tmp_path / "out" / "exp.csv")
+
+
+def test_sweep_crosses_the_lists_before_the_axes(tmp_path):
+    spec = load_sweep(write_sweep(
+        tmp_path, aggregators=["fedtruth", "fedavg"],
+        axes={"aggregator.coefficient": ["neglog", "inverse"]}))
+    pairs = cell_configs(spec)
+    assert [cell for cell, _ in pairs] == [
+        {"aggregator.kind": kind, "attack.n_adversaries": 0,
+         "dataset.noniid_bias": 0.8, "aggregator.distance": "euclidean",
+         "master_seed": 0, "aggregator.coefficient": coefficient}
+        for kind in ("fedtruth", "fedavg")
+        for coefficient in ("neglog", "inverse")]
+    assert [(cfg.aggregator.kind, cfg.aggregator.coefficient.value)
+            for _, cfg in pairs] == [
+        ("fedtruth", "neglog"), ("fedtruth", "inverse"),
+        ("fedavg", "neglog"), ("fedavg", "inverse")]
+
+
+@pytest.mark.parametrize("axes, message", [
+    (3, "sweep spec: axes: expected a mapping, got 3"),
+    ({1: ["a"]}, "sweep spec: axes: expected dotted keys, got 1"),
+    ({"fl.rounds": 2}, "sweep spec: axes: fl.rounds: expected a non-empty "
+                       "list"),
+    ({"fl.rounds": []}, "sweep spec: axes: fl.rounds: expected a non-empty "
+                        "list"),
+    ({"fl.rounds": [2, 3, 2]}, "sweep spec: axes: fl.rounds: repeats 2"),
+    ({"master_seed": [1, 2]},
+     "sweep spec: axes: master_seed: the sweep sets master_seed"),
+    ({"aggregator": [{"kind": "fedavg"}]},
+     "sweep spec: axes: aggregator: the sweep sets aggregator.kind"),
+    ({"output.directory": ["elsewhere"]},
+     "sweep spec: axes: output.directory: the sweep sets output"),
+    ({"fl.bogus": [1]}, "sweep cell fedtruth_adv0_bias0.8_euclidean_seed0_"
+                        "fl.bogus=1: unknown config keys ['fl.bogus']"),
+], ids=["not-mapping", "key-number", "value-scalar", "value-empty",
+        "value-repeat", "list-key", "list-section", "output", "unknown"])
+def test_bad_sweep_axes_refused_before_execution(axes, message, tmp_path,
+                                                  capsys):
+    path = write_sweep(tmp_path, axes=axes)
+    assert main(["sweep", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["a/b", "", ".."])
+def test_sweep_name_must_be_a_plain_file_name(name, tmp_path, capsys):
+    # a/b used to run every cell, then die writing <out>/a/b/a/b_merged.csv
+    path = write_sweep(tmp_path, name=name)
+    assert main(["sweep", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: sweep spec: name: expected a plain file name, got {name!r}"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["x/y", ""])
+def test_output_name_must_be_a_plain_file_name(name, tmp_path, capsys):
+    # x/y used to train every round and then fail to write; an empty name
+    # wrote the hidden files .csv and .json
+    with pytest.raises(ValueError, match="^output.name: "):
+        config_from_dict({"output": {"name": name}})
+    path = write_config(tmp_path)
+    assert main(["run", str(path), "--set", f"output.name={name!r}"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: output.name: expected a plain file name, got {name!r}"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_axis_value_that_is_no_file_name_refused(tmp_path, capsys):
+    # each cell's name is its output.name, so a value holding a path
+    # separator cannot name the cell's files
+    path = write_sweep(tmp_path, axes={
+        "dataset.idx.train_images": ["data/train.idx"]})
+    assert main(["sweep", str(path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: sweep cell ")
+    assert ": output.name: expected a plain file name, got " in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_output_directory_blocked_is_one_error_line(tmp_path, capsys):
+    # a file where the output directory goes used to raise a traceback
+    path = write_sweep(tmp_path)
+    (tmp_path / "out").write_text("in the way\n")
+    assert main(["sweep", str(path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert str(tmp_path / "out") in lines[0]
+
+
+def test_sweep_merged_write_failure_is_one_error_line(tmp_path, capsys):
+    # the cells run; a directory where the merged CSV goes stops its write
+    path = write_sweep(tmp_path)
+    merged = tmp_path / "out" / "sweep" / "sweep_merged.csv"
+    merged.mkdir(parents=True)
+    assert main(["sweep", str(path)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert str(merged) in lines[0] and captured.out == ""
+    assert (tmp_path / "out" / "sweep" /
+            "fedtruth_adv0_bias0.8_euclidean_seed0.csv").exists()

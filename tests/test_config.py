@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from fedtruth.attacks import AttackKind, AttackStrategy
-from fedtruth.cli import load_sweep, main
+from fedtruth.cli import cell_configs, load_sweep, main
 from fedtruth.config import (AttackConfig, BackdoorConfig, ExperimentConfig,
                              ModelConfig, config_from_dict, load_config)
 from fedtruth.data import BackdoorFlavor, DataSource
@@ -18,7 +18,7 @@ from helpers import MINIMAL, write_config
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
-SWEEPS = {"sweep_example.yaml"}
+SWEEPS = {"sweep_example.yaml", "collapse.yaml"}
 
 ENUM_FIELDS = {
     "dataset.source": DataSource,
@@ -61,9 +61,9 @@ def field_of(cfg, key):
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
 def test_every_committed_config_loads(path):
     if path.name in SWEEPS:
-        spec = load_sweep(path)
-        assert spec.cells()
-        load_config(spec.base)
+        # every cell's config, built and validated as the sweep builds it
+        names = [cfg.output.name for _, cfg in cell_configs(load_sweep(path))]
+        assert names and len(set(names)) == len(names)
     else:
         cfg = load_config(path)
         assert cfg.output.name == path.stem
